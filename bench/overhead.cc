@@ -6,8 +6,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <deque>
 #include <memory>
+#include <optional>
+#include <vector>
 
+#include "core/plan_stream.h"
 #include "core/system.h"
 #include "query/parser.h"
 #include "workload/traffic.h"
@@ -130,7 +136,91 @@ void BM_PlanGenerationScaling(benchmark::State& state) {
   state.SetLabel(std::to_string(plans_seen) + " plans/" +
                  std::to_string(sites) + " sites");
 }
-BENCHMARK(BM_PlanGenerationScaling)->Arg(1)->Arg(3)->Arg(6)->Arg(9);
+BENCHMARK(BM_PlanGenerationScaling)
+    ->Arg(1)
+    ->Arg(3)
+    ->Arg(6)
+    ->Arg(9)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256);
+
+// The admission path as it actually runs, per query: walk a lazy
+// PlanStream in ranking order until a plan's reservation succeeds.
+// Admitted streams stay reserved (up to four per site, oldest released
+// first) so the pool is loaded, as in steady-state operation. Reports
+// the median and p99 wall-clock time per query next to the mean.
+// Arguments: site count, relay on (1) or off (0). Every site stores
+// every title, so with relay on the space grows with sites squared.
+void BM_StreamedAdmissionScaling(benchmark::State& state) {
+  int sites = static_cast<int>(state.range(0));
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  options.topology = net::Topology::Uniform(sites);
+  options.quality.generator.enable_relay = state.range(1) != 0;
+  core::MediaDbSystem system(&simulator, options);
+  workload::TrafficGenerator traffic(workload::TrafficOptions(),
+                                     options.library.num_videos,
+                                     options.topology.SiteIds());
+  const core::PlanGenerator& generator =
+      system.quality_manager()->generator();
+  res::CompositeQosApi& api = system.quality_manager()->qos_api();
+  core::LrbCostModel lrb;
+  core::RuntimeCostEvaluator evaluator(&lrb);
+  std::deque<res::ReservationId> held;
+  const size_t max_held = static_cast<size_t>(sites) * 4;
+  std::vector<double> query_us;
+  size_t admitted = 0;
+  size_t plans_costed = 0;
+  for (auto _ : state) {
+    workload::QuerySpec spec = traffic.Next();
+    auto start = std::chrono::steady_clock::now();
+    core::PlanStream stream(&generator, &evaluator, &system.pool(),
+                            spec.client_site, spec.content, spec.qos);
+    while (std::optional<core::PlanStream::Ranked> ranked = stream.Next()) {
+      Result<res::ReservationId> reservation =
+          api.Reserve(ranked->plan.resources);
+      if (reservation.ok()) {
+        held.push_back(*reservation);
+        ++admitted;
+        break;
+      }
+    }
+    if (held.size() > max_held) {
+      Status status = api.Release(held.front());
+      benchmark::DoNotOptimize(status);
+      held.pop_front();
+    }
+    query_us.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+    plans_costed += stream.stats().plans_generated;
+  }
+  for (res::ReservationId id : held) {
+    Status status = api.Release(id);
+    benchmark::DoNotOptimize(status);
+  }
+  std::sort(query_us.begin(), query_us.end());
+  if (!query_us.empty()) {
+    state.counters["median_us"] = query_us[query_us.size() / 2];
+    state.counters["p99_us"] = query_us[query_us.size() * 99 / 100];
+    state.counters["plans_costed"] =
+        static_cast<double>(plans_costed) / query_us.size();
+    state.counters["admitted_pct"] =
+        100.0 * static_cast<double>(admitted) / query_us.size();
+  }
+  state.SetLabel(std::to_string(sites) + " sites, relay " +
+                 (options.quality.generator.enable_relay ? "on" : "off"));
+}
+BENCHMARK(BM_StreamedAdmissionScaling)
+    ->ArgNames({"sites", "relay"})
+    ->Args({16, 0})
+    ->Args({64, 0})
+    ->Args({256, 0})
+    ->Args({16, 1})
+    ->Args({64, 1})
+    ->Args({256, 1});
 
 // Text-path costs (parse + content search).
 void BM_ParseQosQuery(benchmark::State& state) {

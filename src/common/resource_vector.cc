@@ -40,6 +40,20 @@ void ResourceVector::Add(const BucketId& bucket, double amount) {
   entries_.insert(it, Entry{bucket, std::max(0.0, amount)});
 }
 
+void ResourceVector::Set(const BucketId& bucket, double amount) {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), bucket,
+      [](const Entry& e, const BucketId& b) { return e.bucket < b; });
+  const bool present = it != entries_.end() && it->bucket == bucket;
+  if (amount <= 0.0) {
+    if (present) entries_.erase(it);
+  } else if (present) {
+    it->amount = amount;
+  } else {
+    entries_.insert(it, Entry{bucket, amount});
+  }
+}
+
 double ResourceVector::Get(const BucketId& bucket) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), bucket,

@@ -61,6 +61,10 @@ class ResourceVector {
   /// deltas are allowed but the stored amount is clamped at zero.
   void Add(const BucketId& bucket, double amount);
 
+  /// Replaces the bucket's amount; a non-positive `amount` removes the
+  /// entry.
+  void Set(const BucketId& bucket, double amount);
+
   /// Returns the amount for `bucket` (0 if absent).
   double Get(const BucketId& bucket) const;
 

@@ -22,10 +22,9 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 
 double LrbCostModel::Cost(const ResourceVector& demand,
                           const res::ResourcePool& pool) {
-  // Fullest bucket once the demand is overlaid. The bulk read keeps
-  // the whole scan inside one pool-lock acquisition, so concurrent
-  // admissions costing hundreds of plans don't serialize on per-bucket
-  // getters.
+  // Fullest bucket once the demand is overlaid: the touched buckets
+  // plus the pool's fullest untouched one, read under one pool-lock
+  // acquisition.
   return pool.OverlayMaxFill(demand);
 }
 

@@ -30,23 +30,46 @@ std::string Plan::ToString() const {
   return out;
 }
 
+double DiskStartupSeconds(bool relayed, bool transcoded,
+                          const PlanCostConstants& constants) {
+  double seconds = constants.startup_base_seconds + constants.buffer_seconds;
+  if (relayed) seconds += constants.startup_relay_seconds;
+  if (transcoded) seconds += constants.startup_transcode_seconds;
+  return seconds;
+}
+
+double RelayForwardCpu(const media::ReplicaInfo& replica,
+                       const PlanCostConstants& constants) {
+  net::StreamTransform plain;  // forwarding the stored bytes untouched
+  return net::StreamCpuFraction(replica, plain, constants.streaming_cost) *
+         constants.relay_cpu_factor;
+}
+
 void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
+                  const PlanCostConstants& constants) {
+  net::StreamRates rates = net::ComputeStreamRates(
+      replica,
+      net::MakeTranscodeStage(replica, plan.transform.transcode_target),
+      plan.transform.drop, constants.streaming_cost);
+  double forward_cpu =
+      plan.IsRelayed() ? RelayForwardCpu(replica, constants) : 0.0;
+  FinalizePlan(plan, replica, rates, forward_cpu, constants);
+}
+
+void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
+                  const net::StreamRates& rates, double forward_cpu,
                   const PlanCostConstants& constants) {
   assert(replica.id == plan.replica_oid);
   assert(replica.site == plan.source_site);
 
   assert(plan.cache_fraction >= 0.0 && plan.cache_fraction <= 1.0);
 
-  plan.delivered_qos = net::StreamDeliveredQos(replica, plan.transform);
-  plan.wire_rate_kbps = net::StreamWireRateKbps(replica, plan.transform);
-  plan.startup_seconds = constants.startup_base_seconds +
-                         constants.buffer_seconds;
-  if (plan.IsRelayed()) {
-    plan.startup_seconds += constants.startup_relay_seconds;
-  }
-  if (plan.transform.transcode_target.has_value()) {
-    plan.startup_seconds += constants.startup_transcode_seconds;
-  }
+  plan.delivered_qos = rates.delivered_qos;
+  plan.wire_rate_kbps = rates.wire_rate_kbps;
+  plan.startup_seconds =
+      DiskStartupSeconds(plan.IsRelayed(),
+                         plan.transform.transcode_target.has_value(),
+                         constants);
   if (plan.IsCacheServed()) {
     plan.startup_seconds = std::max(
         plan.startup_seconds -
@@ -73,18 +96,13 @@ void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
     // at the source plus a (cheaper) relay CPU share at both ends.
     resources.Add({plan.source_site, ResourceKind::kNetworkBandwidth},
                   replica.bitrate_kbps);
-    net::StreamTransform plain;  // forwarding the stored bytes untouched
-    double forward_cpu = net::StreamCpuFraction(replica, plain,
-                                                constants.streaming_cost) *
-                         constants.relay_cpu_factor;
     resources.Add({plan.source_site, ResourceKind::kCpu}, forward_cpu);
     resources.Add({plan.delivery_site, ResourceKind::kCpu}, forward_cpu);
   }
 
   // Server activities + packetization run at the delivery site.
   resources.Add({plan.delivery_site, ResourceKind::kCpu},
-                net::StreamCpuFraction(replica, plan.transform,
-                                       constants.streaming_cost));
+                rates.CpuFraction(plan.transform.encryption));
   // Client-facing stream leaves the delivery site.
   resources.Add({plan.delivery_site, ResourceKind::kNetworkBandwidth},
                 plan.wire_rate_kbps);
@@ -93,6 +111,23 @@ void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
                 plan.wire_rate_kbps * constants.buffer_seconds);
 
   plan.resources = std::move(resources);
+}
+
+Plan CacheServedTwin(const Plan& disk_plan, const media::ReplicaInfo& replica,
+                     double cache_fraction,
+                     const PlanCostConstants& constants) {
+  assert(!disk_plan.IsCacheServed());
+  assert(cache_fraction > 0.0 && cache_fraction <= 1.0);
+  Plan twin = disk_plan;
+  twin.cache_fraction = cache_fraction;
+  twin.startup_seconds = std::max(
+      twin.startup_seconds - constants.startup_cache_seconds * cache_fraction,
+      0.0);
+  twin.resources.Set({twin.source_site, ResourceKind::kDiskBandwidth},
+                     replica.bitrate_kbps * (1.0 - cache_fraction));
+  twin.resources.Add({twin.source_site, ResourceKind::kMemoryBandwidth},
+                     replica.bitrate_kbps * cache_fraction);
+  return twin;
 }
 
 }  // namespace quasaq::core

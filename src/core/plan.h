@@ -81,6 +81,33 @@ struct PlanCostConstants {
 void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
                   const PlanCostConstants& constants);
 
+/// FinalizePlan from figures the caller already holds: `rates` is
+/// net::ComputeStreamRates of the plan's (transcode target, drop) choice
+/// and `forward_cpu` is RelayForwardCpu(replica) (read only for relayed
+/// plans). Fills the same fields with the same doubles.
+void FinalizePlan(Plan& plan, const media::ReplicaInfo& replica,
+                  const net::StreamRates& rates, double forward_cpu,
+                  const PlanCostConstants& constants);
+
+/// Startup latency of a disk-served plan: fixed setup, the client
+/// buffer, and the relay and transcoder warm-ups when present.
+double DiskStartupSeconds(bool relayed, bool transcoded,
+                          const PlanCostConstants& constants);
+
+/// CPU share that relaying `replica`'s stored stream costs at each end
+/// of the server-to-server hop.
+double RelayForwardCpu(const media::ReplicaInfo& replica,
+                       const PlanCostConstants& constants);
+
+/// The cache-served twin of the finalized disk-served `disk_plan`
+/// (cache_fraction 0): disk bandwidth shrinks to bitrate·(1−f) (the
+/// entry goes when that is 0), memory bandwidth gains bitrate·f and
+/// startup becomes max(s − startup_cache_seconds·f, 0). Equals
+/// FinalizePlan of the twin, bit for bit, without re-deriving it.
+Plan CacheServedTwin(const Plan& disk_plan, const media::ReplicaInfo& replica,
+                     double cache_fraction,
+                     const PlanCostConstants& constants);
+
 }  // namespace quasaq::core
 
 #endif  // QUASAQ_CORE_PLAN_H_

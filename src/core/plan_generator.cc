@@ -1,6 +1,8 @@
 #include "core/plan_generator.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 
 namespace quasaq::core {
@@ -89,78 +91,83 @@ Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
   return groups;
 }
 
+template <typename Visit>
+void PlanGenerator::ForEachQosFeasibleChoice(const GroupSeed& seed,
+                                             const query::QosRequirement& qos,
+                                             Visit&& visit) const {
+  const media::ReplicaInfo& replica = seed.replica;
+  const bool prune = options_.apply_static_pruning;
+  const bool relayed = seed.delivery_site != replica.site;
+  auto visit_target = [&](const std::optional<media::AppQos>& target) {
+    // Time Guarantee: startup depends only on relay and transcode, so a
+    // target that cannot start in time fails for every drop and
+    // encryption. (A cache-served twin only starts sooner.)
+    if (prune && qos.max_startup_seconds > 0.0 &&
+        DiskStartupSeconds(relayed, target.has_value(),
+                           options_.constants) > qos.max_startup_seconds) {
+      return;
+    }
+    const net::TranscodeStage stage = net::MakeTranscodeStage(replica, target);
+    for (media::FrameDropStrategy drop : drop_choices_) {
+      const net::StreamRates rates = net::ComputeStreamRates(
+          replica, stage, drop, options_.constants.streaming_cost);
+      // The delivered quality depends only on (target, drop).
+      if (prune && !qos.range.Contains(rates.delivered_qos)) continue;
+      visit(target, drop, rates);
+    }
+  };
+
+  // A4 candidates for this replica: stay at stored quality, or any
+  // target the source quality can be down-converted to.
+  visit_target(std::nullopt);
+  if (!options_.enable_transcoding) return;
+  for (const media::AppQos& target : options_.transcode_targets) {
+    if (prune && !media::TranscodeAllowed(replica.qos, target)) continue;
+    if (!prune && target == replica.qos) {
+      continue;  // identity transcode is meaningless in any mode
+    }
+    visit_target(target);
+  }
+}
+
 void PlanGenerator::ExpandGroup(const GroupSeed& seed,
                                 const query::QosRequirement& qos,
                                 std::vector<Plan>& out) const {
   const media::ReplicaInfo& replica = seed.replica;
-
-  const std::vector<media::FrameDropStrategy>& drops = drop_choices_;
   const std::vector<media::EncryptionAlgorithm>& encryptions =
       EncryptionChoices(qos);
-
-  // A4 candidates for this replica: stay at stored quality, or any
-  // target the source quality can be down-converted to.
-  std::vector<std::optional<media::AppQos>> targets;
-  targets.reserve(1 + options_.transcode_targets.size());
-  targets.push_back(std::nullopt);
-  if (options_.enable_transcoding) {
-    for (const media::AppQos& target : options_.transcode_targets) {
-      if (options_.apply_static_pruning &&
-          !media::TranscodeAllowed(replica.qos, target)) {
-        continue;
-      }
-      if (!options_.apply_static_pruning && target == replica.qos) {
-        continue;  // identity transcode is meaningless in any mode
-      }
-      targets.push_back(target);
-    }
-  }
-
-  // Upper bound on this group's yield: the full cross product, doubled
-  // when every plan gets a cache-served twin. One reservation instead
-  // of a reallocation per surviving candidate.
-  out.reserve(out.size() + targets.size() * drops.size() *
-                               encryptions.size() *
-                               (seed.cache_fraction > 0.0 ? 2 : 1));
-
-  for (const std::optional<media::AppQos>& target : targets) {
-    for (media::FrameDropStrategy drop : drops) {
-      for (media::EncryptionAlgorithm encryption : encryptions) {
-        Plan plan;
-        plan.replica_oid = replica.id;
-        plan.source_site = replica.site;
-        plan.delivery_site = seed.delivery_site;
-        plan.transform.transcode_target = target;
-        plan.transform.drop = drop;
-        plan.transform.encryption = encryption;
-        FinalizePlan(plan, replica, options_.constants);
-        if (options_.apply_static_pruning &&
-            !qos.SatisfiedBy(plan.delivered_qos,
-                             plan.transform.encryption)) {
-          continue;
+  const double forward_cpu = seed.delivery_site != replica.site
+                                 ? RelayForwardCpu(replica, options_.constants)
+                                 : 0.0;
+  ForEachQosFeasibleChoice(
+      seed, qos,
+      [&](const std::optional<media::AppQos>& target,
+          media::FrameDropStrategy drop, const net::StreamRates& rates) {
+        for (media::EncryptionAlgorithm encryption : encryptions) {
+          // EncryptionChoices already meets the security floor.
+          assert(!options_.apply_static_pruning ||
+                 qos.SatisfiedBy(rates.delivered_qos, encryption));
+          Plan plan;
+          plan.replica_oid = replica.id;
+          plan.source_site = replica.site;
+          plan.delivery_site = seed.delivery_site;
+          plan.transform.transcode_target = target;
+          plan.transform.drop = drop;
+          plan.transform.encryption = encryption;
+          FinalizePlan(plan, replica, rates, forward_cpu, options_.constants);
+          if (seed.cache_fraction > 0.0) {
+            // The delivered quality is unchanged and startup only
+            // improves, so the twin passes the same static rules.
+            out.push_back(CacheServedTwin(plan, replica, seed.cache_fraction,
+                                          options_.constants));
+          }
+          out.push_back(std::move(plan));
         }
-        // Time Guarantee: drop plans that cannot start in time.
-        if (options_.apply_static_pruning &&
-            qos.max_startup_seconds > 0.0 &&
-            plan.startup_seconds > qos.max_startup_seconds) {
-          continue;
-        }
-        if (seed.cache_fraction > 0.0) {
-          // The delivered quality is unchanged and startup only
-          // improves, so the variant passes the same static rules.
-          Plan cached = plan;
-          cached.cache_fraction = seed.cache_fraction;
-          FinalizePlan(cached, replica, options_.constants);
-          out.push_back(std::move(cached));
-        }
-        out.push_back(std::move(plan));
-      }
-    }
-  }
+      });
 }
 
-ResourceVector PlanGenerator::RetrievalTransferDemand(
-    const GroupSeed& seed) const {
+ResourceVector PlanGenerator::GroupDemandFloor(
+    const GroupSeed& seed, const query::QosRequirement& qos) const {
   const media::ReplicaInfo& replica = seed.replica;
   ResourceVector demand;
   // Retrieval floor: when the group carries cache-served twins, the
@@ -177,13 +184,33 @@ ResourceVector PlanGenerator::RetrievalTransferDemand(
     // FinalizePlan charges it for every relayed plan.
     demand.Add({replica.site, ResourceKind::kNetworkBandwidth},
                replica.bitrate_kbps);
-    net::StreamTransform plain;
-    double forward_cpu = net::StreamCpuFraction(replica, plain,
-                                                options_.constants
-                                                    .streaming_cost) *
-                         options_.constants.relay_cpu_factor;
+    double forward_cpu = RelayForwardCpu(replica, options_.constants);
     demand.Add({replica.site, ResourceKind::kCpu}, forward_cpu);
     demand.Add({seed.delivery_site, ResourceKind::kCpu}, forward_cpu);
+  }
+  // Delivery floor: the least wire rate, CPU and staging memory any
+  // QoS-feasible choice puts on the delivery site. Each minimum is a
+  // figure some plan of the group carries, computed as FinalizePlan
+  // computes it, so no plan's entry falls below it.
+  double min_wire_kbps = std::numeric_limits<double>::infinity();
+  double min_cpu = std::numeric_limits<double>::infinity();
+  const std::vector<media::EncryptionAlgorithm>& encryptions =
+      EncryptionChoices(qos);
+  ForEachQosFeasibleChoice(
+      seed, qos,
+      [&](const std::optional<media::AppQos>&, media::FrameDropStrategy,
+          const net::StreamRates& rates) {
+        min_wire_kbps = std::min(min_wire_kbps, rates.wire_rate_kbps);
+        for (media::EncryptionAlgorithm encryption : encryptions) {
+          min_cpu = std::min(min_cpu, rates.CpuFraction(encryption));
+        }
+      });
+  if (min_wire_kbps != std::numeric_limits<double>::infinity()) {
+    demand.Add({seed.delivery_site, ResourceKind::kCpu}, min_cpu);
+    demand.Add({seed.delivery_site, ResourceKind::kNetworkBandwidth},
+               min_wire_kbps);
+    demand.Add({seed.delivery_site, ResourceKind::kMemory},
+               min_wire_kbps * options_.constants.buffer_seconds);
   }
   return demand;
 }

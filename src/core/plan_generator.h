@@ -20,9 +20,10 @@
 // encrypt), which reduces the space from O(n! d^n) to O(d^n).
 //
 // Static rules drop plans that can never satisfy the query's QoS
-// (up-transcoding, out-of-range delivered quality) and obvious
-// performance pitfalls (encrypting when no security is requested —
-// encryption always follows dropping by construction).
+// (up-transcoding, out-of-range delivered quality, startup past the
+// Time Guarantee) and obvious performance pitfalls (encrypting when no
+// security is requested — encryption always follows dropping by
+// construction).
 //
 // The enumeration is factored into two stages so core/plan_stream.h can
 // search the space lazily: EnumerateGroups fixes the (A1, A2) prefix —
@@ -30,6 +31,14 @@
 // materializes the activity combinations (A3–A5) of one group. The
 // eager Generate() is the composition of the two and remains available
 // for the ablation benches.
+//
+// ExpandGroup prunes before it builds. Delivered quality depends only on
+// the (transcode target, drop) pair and startup only on relay and
+// transcode, so the static rules run once per pair, on rates taken from
+// a static frame-drop table (media::StandardFrameDropEffect), before any
+// encryption choice is priced. Only the survivors are finalized into
+// plans with a resource vector, and each cache-served twin is patched
+// from its finalized disk twin rather than finalized again.
 
 namespace quasaq::core {
 
@@ -112,13 +121,16 @@ class PlanGenerator {
   void ExpandGroup(const GroupSeed& seed, const query::QosRequirement& qos,
                    std::vector<Plan>& out) const;
 
-  /// The retrieval + transfer demand every plan of `seed` carries at
-  /// minimum, before any activity choice is fixed: disk bandwidth at the
-  /// source (the cache-served floor when the group has cached twins) and,
-  /// for relayed groups, the server-to-server transfer share. Overlaying
-  /// this vector on the pool lower-bounds the LRB cost of every plan in
-  /// the group — the admissible bound PlanStream prunes with.
-  ResourceVector RetrievalTransferDemand(const GroupSeed& seed) const;
+  /// The demand every plan of `seed` that can satisfy `qos` carries at
+  /// minimum: disk bandwidth at the source (the cache-served floor when
+  /// the group has cached twins), the server-to-server transfer share
+  /// for relayed groups, and the least wire rate, CPU and staging memory
+  /// any QoS-feasible (transcode target, drop) choice puts on the
+  /// delivery site. Overlaying this vector on the pool lower-bounds the
+  /// LRB cost of every plan in the group — the admissible bound
+  /// PlanStream prunes with.
+  ResourceVector GroupDemandFloor(const GroupSeed& seed,
+                                  const query::QosRequirement& qos) const;
 
   const Options& options() const { return options_; }
 
@@ -135,6 +147,15 @@ class PlanGenerator {
   // measurable allocator traffic on the admission hot path.
   const std::vector<media::EncryptionAlgorithm>& EncryptionChoices(
       const query::QosRequirement& qos) const;
+
+  // Calls visit(target, drop, rates) for every (transcode target, drop)
+  // choice of `seed` that passes the encryption-independent static rules
+  // (all of them when static pruning is off), in eager enumeration
+  // order.
+  template <typename Visit>
+  void ForEachQosFeasibleChoice(const GroupSeed& seed,
+                                const query::QosRequirement& qos,
+                                Visit&& visit) const;
 
   meta::DistributedMetadataEngine* metadata_;
   std::vector<SiteId> sites_;

@@ -43,7 +43,7 @@ void PlanStream::SeedFrontier() {
     // order the Random model's RNG stream depends on).
     entry.cost = bounded
                      ? evaluator_->model().Cost(
-                           generator_->RetrievalTransferDemand(groups_[i]),
+                           generator_->GroupDemandFloor(groups_[i], qos_),
                            *pool_)
                      : 0.0;
     entry.demand = -1.0;

@@ -27,9 +27,10 @@
 // The search is organized over (replica, delivery-site) groups — the
 // (A1, A2) prefixes of the enumeration. Each group carries an
 // admissible lower bound on the LRB cost f(r) = max_i (U_i + r_i)/R_i
-// of every plan it contains: the bound overlays only the group's
-// retrieval + transfer demand, which every activity combination (A3–A5)
-// of the group must carry, so bound <= true cost always holds. A
+// of every plan it contains: the bound overlays the group's demand floor
+// (PlanGenerator::GroupDemandFloor), which every QoS-feasible activity
+// combination (A3–A5) of the group carries at least, so bound <= true
+// cost always holds. A
 // best-first frontier mixes unexpanded groups (keyed by their bound)
 // with already-costed plans (keyed by their exact ranking key); a plan
 // is yielded only once no group that could still beat it remains, so

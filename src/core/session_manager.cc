@@ -104,8 +104,8 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
     MutexLock lock(&shard.mu);
     id = SessionId(shard.next_seq++ * shard_count() +
                    static_cast<int64_t>(shard_index));
-    if (record.vdbms_kbps > 0.0) {
-      shard.vdbms_site_kbps[record.site] += record.vdbms_kbps;
+    if (record.vdbms_milli_kbps > 0) {
+      shard.vdbms_site_milli_kbps[record.site] += record.vdbms_milli_kbps;
     }
     record.completion_event = ScheduleCompletion(record.expected_end, id);
     if (shard.tracer != nullptr && record.trace_track != 0) {
@@ -140,8 +140,10 @@ std::optional<SessionManager::Record> SessionManager::Snapshot(
 double SessionManager::vdbms_active_kbps(SiteId site) const {
   Shard& shard = *shards_[ShardIndexOfSite(site)];
   MutexLock lock(&shard.mu);
-  auto it = shard.vdbms_site_kbps.find(site);
-  return it == shard.vdbms_site_kbps.end() ? 0.0 : it->second;
+  auto it = shard.vdbms_site_milli_kbps.find(site);
+  return it == shard.vdbms_site_milli_kbps.end()
+             ? 0.0
+             : static_cast<double>(it->second) / 1000.0;
 }
 
 int SessionManager::outstanding() const {
@@ -163,9 +165,10 @@ uint64_t SessionManager::completed() const {
 }
 
 void SessionManager::UnpinVdbms(Shard& shard, const Record& record) {
-  if (record.vdbms_kbps <= 0.0) return;
-  double& active = shard.vdbms_site_kbps[record.site];
-  active = std::max(0.0, active - record.vdbms_kbps);
+  if (record.vdbms_milli_kbps <= 0) return;
+  int64_t& active = shard.vdbms_site_milli_kbps[record.site];
+  assert(active >= record.vdbms_milli_kbps);
+  active -= record.vdbms_milli_kbps;
 }
 
 Status SessionManager::Pause(SessionId session) {
@@ -222,8 +225,8 @@ Status SessionManager::Resume(SessionId session) {
     }
     record.reservation = *reservation;
   }
-  if (record.vdbms_kbps > 0.0) {
-    shard.vdbms_site_kbps[record.site] += record.vdbms_kbps;
+  if (record.vdbms_milli_kbps > 0) {
+    shard.vdbms_site_milli_kbps[record.site] += record.vdbms_milli_kbps;
   }
   record.paused = false;
   record.expected_end = simulator_->Now() + record.remaining_at_pause;

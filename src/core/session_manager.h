@@ -2,6 +2,7 @@
 #define QUASAQ_CORE_SESSION_MANAGER_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,7 +61,9 @@ class SessionManager {
     LogicalOid content;
     SimTime start = 0;
     res::ReservationId reservation = res::kInvalidReservationId;
-    double vdbms_kbps = 0.0;  // bitrate pinned on `site` (VDBMS only)
+    // Bitrate pinned on `site` (VDBMS only), in milli-KB/s: quantized
+    // once (ToMilliKbps) so pins and unpins add up exactly in any order.
+    int64_t vdbms_milli_kbps = 0;
     SiteId site;
     // Pause/resume bookkeeping.
     sim::EventId completion_event = sim::kInvalidEventId;
@@ -82,7 +85,7 @@ class SessionManager {
 
   /// Registers a delivery and schedules its completion. Captures the
   /// reservation's resource vector (when one is held) so resume can
-  /// re-admit it, and pins `record.vdbms_kbps` on the record's site.
+  /// re-admit it, and pins `record.vdbms_milli_kbps` on the record's site.
   /// The returned ID encodes the owning shard (site-hashed).
   SessionId Start(Record record, double duration_seconds);
 
@@ -117,8 +120,15 @@ class SessionManager {
   /// flavor of Find().
   std::optional<Record> Snapshot(SessionId session) const;
 
-  /// Active VDBMS-pinned bitrate currently streaming from `site`.
+  /// Active VDBMS-pinned bitrate currently streaming from `site`, KB/s
+  /// (the exact sum of the live pins; 0 once they are all unpinned).
   double vdbms_active_kbps(SiteId site) const;
+
+  /// Quantizes a bitrate in KB/s to the milli-KB/s units of
+  /// Record::vdbms_milli_kbps (rounding to nearest).
+  static int64_t ToMilliKbps(double kbps) {
+    return static_cast<int64_t>(std::llround(kbps * 1000.0));
+  }
 
   /// Sessions currently streaming or paused, summed over all shards.
   int outstanding() const;
@@ -172,7 +182,9 @@ class SessionManager {
     int outstanding QUASAQ_GUARDED_BY(mu) = 0;
     uint64_t completed QUASAQ_GUARDED_BY(mu) = 0;
     std::unordered_map<SessionId, Record> sessions QUASAQ_GUARDED_BY(mu);
-    std::unordered_map<SiteId, double> vdbms_site_kbps QUASAQ_GUARDED_BY(mu);
+    // Sum of the live pins per site, milli-KB/s.
+    std::unordered_map<SiteId, int64_t> vdbms_site_milli_kbps
+        QUASAQ_GUARDED_BY(mu);
     // Observability is emitted while mu is held; the obs mutexes are
     // strict leaves in the lock order, below ResourcePool::mu_.
     Metrics metrics QUASAQ_GUARDED_BY(mu);

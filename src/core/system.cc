@@ -238,7 +238,8 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverVdbms(
   SessionManager::Record record;
   record.content = content;
   record.site = site;
-  record.vdbms_kbps = replica->bitrate_kbps;
+  record.vdbms_milli_kbps =
+      SessionManager::ToMilliKbps(replica->bitrate_kbps);
   record.trace_track = trace_track;
 
   outcome.status = Status::Ok();

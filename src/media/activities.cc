@@ -1,5 +1,7 @@
 #include "media/activities.h"
 
+#include <array>
+
 namespace quasaq::media {
 
 std::string_view FrameDropStrategyName(FrameDropStrategy strategy) {
@@ -47,6 +49,25 @@ FrameDropEffect ComputeFrameDropEffect(const GopPattern& pattern,
   effect.frame_rate_factor =
       static_cast<double>(surviving_frames) / pattern.size();
   return effect;
+}
+
+const FrameDropEffect& StandardFrameDropEffect(VideoFormat format,
+                                               FrameDropStrategy strategy) {
+  using Table =
+      std::array<std::array<FrameDropEffect, kNumFrameDropStrategies>,
+                 kNumVideoFormats>;
+  static const Table table = [] {
+    Table t;
+    for (int f = 0; f < kNumVideoFormats; ++f) {
+      GopPattern pattern = GopPattern::StandardFor(static_cast<VideoFormat>(f));
+      for (int s = 0; s < kNumFrameDropStrategies; ++s) {
+        t[f][s] = ComputeFrameDropEffect(pattern,
+                                         static_cast<FrameDropStrategy>(s));
+      }
+    }
+    return t;
+  }();
+  return table[static_cast<size_t>(format)][static_cast<size_t>(strategy)];
 }
 
 bool TranscodeAllowed(const AppQos& from, const AppQos& to) {

@@ -49,6 +49,14 @@ struct FrameDropEffect {
 FrameDropEffect ComputeFrameDropEffect(const GopPattern& pattern,
                                        FrameDropStrategy strategy);
 
+/// The effect of `strategy` on a stream of `format`'s standard GOP
+/// (GopPattern::StandardFor). A pure function of its arguments, so it is
+/// computed once per (format, strategy) into a static table: bitwise
+/// equal to ComputeFrameDropEffect on the same pattern, without the GOP
+/// walk. Thread-safe.
+const FrameDropEffect& StandardFrameDropEffect(VideoFormat format,
+                                               FrameDropStrategy strategy);
+
 // ---------------------------------------------------------------------------
 // Online transcoding (activity set A4)
 

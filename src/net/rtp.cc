@@ -10,40 +10,61 @@ media::AppQos StreamTransform::DeliveredQos(
   return transcode_target.value_or(replica.qos);
 }
 
+TranscodeStage MakeTranscodeStage(
+    const media::ReplicaInfo& replica,
+    const std::optional<media::AppQos>& target) {
+  TranscodeStage stage;
+  stage.qos = target.value_or(replica.qos);
+  stage.bitrate_kbps = media::EstimateBitrateKBps(stage.qos);
+  stage.cpu_ms_per_second =
+      target.has_value()
+          ? media::TranscodeCpuMsPerSecond(replica.qos, *target)
+          : 0.0;
+  return stage;
+}
+
+StreamRates ComputeStreamRates(const media::ReplicaInfo& replica,
+                               const TranscodeStage& stage,
+                               media::FrameDropStrategy drop,
+                               const media::StreamingCpuCost& cost) {
+  const media::FrameDropEffect& effect =
+      media::StandardFrameDropEffect(replica.qos.format, drop);
+  StreamRates rates;
+  rates.delivered_qos = stage.qos;
+  rates.delivered_qos.frame_rate *= effect.frame_rate_factor;
+  rates.wire_rate_kbps = stage.bitrate_kbps * effect.bandwidth_factor;
+  // Packetization runs per surviving *source* frame.
+  double delivered_fps = replica.qos.frame_rate * effect.frame_rate_factor;
+  double mean_out_kb =
+      delivered_fps > 0.0 ? rates.wire_rate_kbps / delivered_fps : 0.0;
+  rates.base_cpu_ms_per_second =
+      stage.cpu_ms_per_second + cost.FrameMs(mean_out_kb) * delivered_fps;
+  return rates;
+}
+
 double StreamWireRateKbps(const media::ReplicaInfo& replica,
                           const StreamTransform& transform) {
-  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
-      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
   return media::EstimateBitrateKBps(transform.DeliveredQos(replica)) *
-         effect.bandwidth_factor;
+         media::StandardFrameDropEffect(replica.qos.format, transform.drop)
+             .bandwidth_factor;
 }
 
 double StreamCpuFraction(const media::ReplicaInfo& replica,
                          const StreamTransform& transform,
                          const media::StreamingCpuCost& cost) {
-  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
-      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
-  double source_fps = replica.qos.frame_rate;
-  double delivered_fps = source_fps * effect.frame_rate_factor;
-  double wire_rate = StreamWireRateKbps(replica, transform);
-  double mean_out_kb = delivered_fps > 0.0 ? wire_rate / delivered_fps : 0.0;
-  double transcode_ms_per_second =
-      transform.transcode_target.has_value()
-          ? media::TranscodeCpuMsPerSecond(replica.qos,
-                                           *transform.transcode_target)
-          : 0.0;
-  double ms_per_second =
-      transcode_ms_per_second + cost.FrameMs(mean_out_kb) * delivered_fps +
-      media::EncryptionCpuMsPerKb(transform.encryption) * wire_rate;
-  return ms_per_second / 1000.0;
+  return ComputeStreamRates(replica,
+                            MakeTranscodeStage(replica,
+                                               transform.transcode_target),
+                            transform.drop, cost)
+      .CpuFraction(transform.encryption);
 }
 
 media::AppQos StreamDeliveredQos(const media::ReplicaInfo& replica,
                                  const StreamTransform& transform) {
-  media::FrameDropEffect effect = media::ComputeFrameDropEffect(
-      media::GopPattern::StandardFor(replica.qos.format), transform.drop);
   media::AppQos qos = transform.DeliveredQos(replica);
-  qos.frame_rate *= effect.frame_rate_factor;
+  qos.frame_rate *=
+      media::StandardFrameDropEffect(replica.qos.format, transform.drop)
+          .frame_rate_factor;
   return qos;
 }
 
@@ -66,10 +87,7 @@ RtpStreamingSession::RtpStreamingSession(sim::Simulator* simulator,
   }
   media::GopPattern pattern =
       media::GopPattern::StandardFor(replica_.qos.format);
-  media::FrameDropEffect drop_effect =
-      media::ComputeFrameDropEffect(pattern, transform_.drop);
-  wire_rate_kbps_ = media::EstimateBitrateKBps(delivered_qos_) *
-                    drop_effect.bandwidth_factor;
+  wire_rate_kbps_ = StreamWireRateKbps(replica_, transform_);
   frames_ = std::make_unique<media::FrameSizeGenerator>(
       pattern, replica_.bitrate_kbps, replica_.qos.frame_rate,
       replica_.frame_seed, options_.vbr);

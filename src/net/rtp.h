@@ -39,6 +39,45 @@ struct StreamTransform {
   media::AppQos DeliveredQos(const media::ReplicaInfo& replica) const;
 };
 
+// The A4 stage of a delivery, fixed by its transcode target alone: the
+// quality leaving the transcoder (the target, or the stored quality when
+// there is none), that quality's bitrate and the online transcode work.
+struct TranscodeStage {
+  media::AppQos qos;
+  double bitrate_kbps = 0.0;
+  double cpu_ms_per_second = 0.0;
+};
+
+/// The transcode stage of delivering `replica` at `target` (stored
+/// quality when empty).
+TranscodeStage MakeTranscodeStage(const media::ReplicaInfo& replica,
+                                  const std::optional<media::AppQos>& target);
+
+// Everything StreamDeliveredQos, StreamWireRateKbps and StreamCpuFraction
+// derive from a (transcode target, drop) choice before the encryption
+// algorithm enters. A planner computes it once per choice and prices
+// each encryption algorithm from it; StreamCpuFraction is defined
+// through it, so both routes produce the same doubles.
+struct StreamRates {
+  media::AppQos delivered_qos;  // frame rate already scaled by the drop
+  double wire_rate_kbps = 0.0;
+  // Online transcode plus per-frame streaming work, CPU ms per second.
+  double base_cpu_ms_per_second = 0.0;
+
+  /// StreamCpuFraction of this choice protected by `encryption`.
+  double CpuFraction(media::EncryptionAlgorithm encryption) const {
+    return (base_cpu_ms_per_second +
+            media::EncryptionCpuMsPerKb(encryption) * wire_rate_kbps) /
+           1000.0;
+  }
+};
+
+/// The rates of delivering `replica` through `stage` under `drop`.
+StreamRates ComputeStreamRates(const media::ReplicaInfo& replica,
+                               const TranscodeStage& stage,
+                               media::FrameDropStrategy drop,
+                               const media::StreamingCpuCost& cost);
+
 /// Average wire rate (KB/s) of `replica` delivered under `transform`
 /// (bitrate of the delivered quality scaled by the drop strategy's
 /// surviving-bytes factor).

@@ -18,6 +18,7 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
   MutexLock lock(&mu_);
   auto [it, inserted] = buckets_.try_emplace(bucket);
   it->second.capacity = capacity;
+  fill_index_stale_ = true;
   if (inserted) {
     ordered_buckets_.insert(std::lower_bound(ordered_buckets_.begin(),
                                              ordered_buckets_.end(), bucket),
@@ -26,13 +27,40 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
   return Status::Ok();
 }
 
+const std::vector<ResourcePool::Fill>& ResourcePool::FillIndexLocked() const {
+  if (fill_index_stale_) {
+    fill_index_.clear();
+    fill_index_.reserve(ordered_buckets_.size());
+    for (const BucketId& bucket : ordered_buckets_) {
+      const BucketState& state = buckets_.find(bucket)->second;
+      if (state.capacity <= 0.0) continue;
+      fill_index_.push_back(Fill{state.used / state.capacity, bucket});
+    }
+    std::sort(fill_index_.begin(), fill_index_.end(),
+              [](const Fill& a, const Fill& b) { return a.fill > b.fill; });
+    fill_index_stale_ = false;
+  }
+  return fill_index_;
+}
+
 double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
   MutexLock lock(&mu_);
   double max_fill = 0.0;
-  for (const auto& [bucket, state] : buckets_) {
-    if (state.capacity <= 0.0) continue;
-    double fill = (state.used + demand.Get(bucket)) / state.capacity;
-    max_fill = std::max(max_fill, fill);
+  for (const ResourceVector::Entry& e : demand.entries()) {
+    auto it = buckets_.find(e.bucket);
+    if (it == buckets_.end() || it->second.capacity <= 0.0) continue;
+    max_fill =
+        std::max(max_fill, (it->second.used + e.amount) / it->second.capacity);
+  }
+  // Every bucket `demand` leaves alone keeps its fill U_i / R_i, so the
+  // fullest of them bounds the rest.
+  const std::vector<ResourceVector::Entry>& entries = demand.entries();
+  for (const Fill& entry : FillIndexLocked()) {
+    bool touched = std::any_of(entries.begin(), entries.end(),
+                               [&](const ResourceVector::Entry& e) {
+                                 return e.bucket == entry.bucket;
+                               });
+    if (!touched) return std::max(max_fill, entry.fill);
   }
   return max_fill;
 }
@@ -128,12 +156,14 @@ Status ResourcePool::Acquire(const ResourceVector& demand) {
   for (const ResourceVector::Entry& e : demand.entries()) {
     buckets_[e.bucket].used += e.amount;
   }
+  fill_index_stale_ = true;
   return Status::Ok();
 }
 
 Status ResourcePool::Release(const ResourceVector& demand) {
   MutexLock lock(&mu_);
   Status status = Status::Ok();
+  fill_index_stale_ = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
     auto it = buckets_.find(e.bucket);
     if (it == buckets_.end()) {

@@ -61,12 +61,14 @@ class ResourcePool {
   std::vector<BucketId> Buckets() const QUASAQ_EXCLUDES(mu_);
 
   /// Overlay fill — the LRB inner loop: max over every declared bucket
-  /// of (U_i + demand_i) / R_i, skipping non-positive capacities. One
-  /// lock acquisition for the whole scan; calling Buckets() plus
-  /// Used()/Capacity() per bucket computes the identical value (max is
-  /// order-independent over the same per-bucket quotients) but costs
-  /// ~2N mutex round-trips per plan costed, which is what serialized
-  /// concurrent admissions before bulk reads existed.
+  /// of (U_i + demand_i) / R_i, skipping non-positive capacities. Only
+  /// the buckets `demand` touches can change their quotient, so it reads
+  /// those plus the fullest untouched bucket of a descending-fill index
+  /// (rebuilt after DeclareBucket/Acquire/Release): O(|demand|) per
+  /// call once the index is fresh, under one lock acquisition. Every
+  /// quotient is computed as the full scan over Buckets() with
+  /// Used()/Capacity() would compute it, so the result is the same
+  /// double.
   double OverlayMaxFill(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
 
@@ -98,15 +100,26 @@ class ResourcePool {
     double used = 0.0;
   };
 
+  struct Fill {
+    double fill = 0.0;  // U_i / R_i
+    BucketId bucket;
+  };
+
   // Lock-assuming bodies of the public entry points above.
   bool FitsLocked(const ResourceVector& demand) const QUASAQ_REQUIRES(mu_);
   std::vector<BucketId> BucketsLocked() const QUASAQ_REQUIRES(mu_);
+  // The declared buckets by descending fill, rebuilt when stale.
+  const std::vector<Fill>& FillIndexLocked() const QUASAQ_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::unordered_map<BucketId, BucketState> buckets_ QUASAQ_GUARDED_BY(mu_);
   // Bucket ids in sorted order, maintained by DeclareBucket (buckets
   // are never undeclared) so the ordered scans above never re-sort.
   std::vector<BucketId> ordered_buckets_ QUASAQ_GUARDED_BY(mu_);
+  // Descending-fill index read by OverlayMaxFill; every usage or
+  // capacity change marks it stale and the next read rebuilds it.
+  mutable std::vector<Fill> fill_index_ QUASAQ_GUARDED_BY(mu_);
+  mutable bool fill_index_stale_ QUASAQ_GUARDED_BY(mu_) = true;
 };
 
 }  // namespace quasaq::res

@@ -232,7 +232,8 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
             ASSERT_TRUE(r.ok());
             record.reservation = *r;
           } else {
-            record.vdbms_kbps = rng.Uniform(100.0, 900.0);
+            record.vdbms_milli_kbps = core::SessionManager::ToMilliKbps(
+                rng.Uniform(100.0, 900.0));
           }
           started[t].push_back(
               manager.Start(record, rng.Uniform(10.0, 120.0)));

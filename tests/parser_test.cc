@@ -135,6 +135,13 @@ struct BadQueryCase {
   const char* message_fragment;
 };
 
+// Without this gtest prints the case as a raw byte dump of its pointers,
+// which ends up in the test names ctest discovers and so changes from one
+// build to the next.
+void PrintTo(const BadQueryCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class ParserErrorTest : public ::testing::TestWithParam<BadQueryCase> {};
 
 TEST_P(ParserErrorTest, RejectsWithDiagnostic) {

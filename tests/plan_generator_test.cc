@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "media/library.h"
 
 namespace quasaq::core {
@@ -233,6 +237,202 @@ TEST_F(PlanGeneratorTest, MetadataLatencyIsAccumulated) {
       generator.Generate(SiteId(0), LogicalOid(0), qos, &latency);
   ASSERT_TRUE(plans.ok());
   EXPECT_GT(latency, 0);
+}
+
+// The reference expansion: every transcode x drop x encryption
+// candidate is finalized in full, then the static rules filter it, and
+// each surviving plan's cache-served twin is finalized again — the
+// expansion ExpandGroup replaced with pruning before building. The
+// candidate sets follow the generator's documented options.
+std::vector<Plan> ReferenceExpandGroup(const PlanGenerator::Options& options,
+                                       const PlanGenerator::GroupSeed& seed,
+                                       const query::QosRequirement& qos) {
+  const media::ReplicaInfo& replica = seed.replica;
+  std::vector<media::FrameDropStrategy> drops = {
+      media::FrameDropStrategy::kNone};
+  if (options.enable_frame_dropping) {
+    drops.push_back(media::FrameDropStrategy::kHalfBFrames);
+    drops.push_back(media::FrameDropStrategy::kAllBFrames);
+    drops.push_back(media::FrameDropStrategy::kAllBAndPFrames);
+  }
+  std::vector<media::EncryptionAlgorithm> encryptions;
+  for (int i = 0; i < media::kNumEncryptionAlgorithms; ++i) {
+    auto algorithm = static_cast<media::EncryptionAlgorithm>(i);
+    if (!options.apply_static_pruning) {
+      encryptions.push_back(algorithm);
+    } else if (qos.min_security == media::SecurityLevel::kNone) {
+      if (algorithm == media::EncryptionAlgorithm::kNone) {
+        encryptions.push_back(algorithm);
+      }
+    } else if (media::EncryptionStrength(algorithm) >= qos.min_security) {
+      encryptions.push_back(algorithm);
+    }
+  }
+  std::vector<std::optional<media::AppQos>> targets = {std::nullopt};
+  if (options.enable_transcoding) {
+    std::vector<media::AppQos> ladder = options.transcode_targets;
+    if (ladder.empty()) ladder = media::QualityLadder::Standard().levels;
+    for (const media::AppQos& target : ladder) {
+      if (options.apply_static_pruning &&
+          !media::TranscodeAllowed(replica.qos, target)) {
+        continue;
+      }
+      if (!options.apply_static_pruning && target == replica.qos) continue;
+      targets.push_back(target);
+    }
+  }
+
+  std::vector<Plan> out;
+  for (const std::optional<media::AppQos>& target : targets) {
+    for (media::FrameDropStrategy drop : drops) {
+      for (media::EncryptionAlgorithm encryption : encryptions) {
+        Plan plan;
+        plan.replica_oid = replica.id;
+        plan.source_site = replica.site;
+        plan.delivery_site = seed.delivery_site;
+        plan.transform.transcode_target = target;
+        plan.transform.drop = drop;
+        plan.transform.encryption = encryption;
+        FinalizePlan(plan, replica, options.constants);
+        if (options.apply_static_pruning &&
+            !qos.SatisfiedBy(plan.delivered_qos, plan.transform.encryption)) {
+          continue;
+        }
+        if (options.apply_static_pruning && qos.max_startup_seconds > 0.0 &&
+            plan.startup_seconds > qos.max_startup_seconds) {
+          continue;
+        }
+        if (seed.cache_fraction > 0.0) {
+          Plan cached = plan;
+          cached.cache_fraction = seed.cache_fraction;
+          FinalizePlan(cached, replica, options.constants);
+          out.push_back(std::move(cached));
+        }
+        out.push_back(std::move(plan));
+      }
+    }
+  }
+  return out;
+}
+
+// Field-by-field exact comparison (doubles with ==, not a tolerance).
+void ExpectIdenticalPlans(const Plan& expected, const Plan& actual) {
+  SCOPED_TRACE(expected.ToString());
+  EXPECT_EQ(actual.replica_oid, expected.replica_oid);
+  EXPECT_EQ(actual.source_site, expected.source_site);
+  EXPECT_EQ(actual.delivery_site, expected.delivery_site);
+  EXPECT_EQ(actual.transform.drop, expected.transform.drop);
+  EXPECT_EQ(actual.transform.transcode_target,
+            expected.transform.transcode_target);
+  EXPECT_EQ(actual.transform.encryption, expected.transform.encryption);
+  EXPECT_EQ(actual.cache_fraction, expected.cache_fraction);
+  EXPECT_EQ(actual.delivered_qos, expected.delivered_qos);
+  EXPECT_EQ(actual.wire_rate_kbps, expected.wire_rate_kbps);
+  EXPECT_EQ(actual.startup_seconds, expected.startup_seconds);
+  ASSERT_EQ(actual.resources.size(), expected.resources.size())
+      << "expected " << expected.resources.ToString() << ", got "
+      << actual.resources.ToString();
+  for (size_t i = 0; i < expected.resources.size(); ++i) {
+    const ResourceVector::Entry& want = expected.resources.entries()[i];
+    const ResourceVector::Entry& got = actual.resources.entries()[i];
+    EXPECT_EQ(got.bucket, want.bucket) << BucketIdToString(want.bucket);
+    EXPECT_EQ(got.amount, want.amount) << BucketIdToString(want.bucket);
+  }
+}
+
+TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
+  // Every Standard-ladder level stored at site 0; site 1 is the relay
+  // target.
+  const std::vector<SiteId> sites = {SiteId(0), SiteId(1)};
+  meta::DistributedMetadataEngine metadata(
+      sites, meta::DistributedMetadataEngine::Options());
+  ASSERT_TRUE(metadata.InsertContent(MakeContent(0)).ok());
+  const size_t levels = media::QualityLadder::Standard().levels.size();
+  for (size_t level = 0; level < levels; ++level) {
+    ASSERT_TRUE(metadata
+                    .InsertReplica(MakeReplica(static_cast<int64_t>(level), 0,
+                                               0, static_cast<int>(level)))
+                    .ok());
+  }
+
+  // A wide-open window and one that drop and transcode choices can
+  // miss on resolution and frame rate.
+  std::vector<media::AppQosRange> ranges(2);
+  ranges[0].min_frame_rate = 1.0;
+  ranges[1].min_resolution = media::kResolutionSif;
+  ranges[1].min_frame_rate = 10.0;
+  ranges[1].max_frame_rate = 20.0;
+  // 0 = no Time Guarantee; 2.6 s admits only local, untranscoded
+  // plans; 3.0 s admits relays but no transcodes; 3.6 s drops only
+  // relayed transcodes.
+  const double startup_limits[] = {0.0, 2.6, 3.0, 3.6};
+  const double cache_fractions[] = {0.0, 0.05, 0.5, 1.0};
+  const media::SecurityLevel security_levels[] = {
+      media::SecurityLevel::kNone, media::SecurityLevel::kStandard,
+      media::SecurityLevel::kStrong};
+
+  size_t plans_compared = 0;
+  for (bool pruning : {true, false}) {
+    for (bool relay : {true, false}) {
+      PlanGenerator::Options options;
+      options.apply_static_pruning = pruning;
+      options.enable_relay = relay;
+      PlanGenerator generator(&metadata, sites, options);
+      Result<std::vector<PlanGenerator::GroupSeed>> groups =
+          generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+      ASSERT_TRUE(groups.ok());
+      ASSERT_EQ(groups->size(), levels * (relay ? 2 : 1));
+      for (PlanGenerator::GroupSeed seed : *groups) {
+        for (double cache_fraction : cache_fractions) {
+          seed.cache_fraction = cache_fraction;
+          for (media::SecurityLevel security : security_levels) {
+            for (double startup : startup_limits) {
+              for (const media::AppQosRange& range : ranges) {
+                query::QosRequirement qos;
+                qos.range = range;
+                qos.min_security = security;
+                qos.max_startup_seconds = startup;
+                SCOPED_TRACE("pruning=" + std::to_string(pruning) +
+                             " replica=" +
+                             std::to_string(seed.replica.id.value()) +
+                             " ->site" +
+                             std::to_string(seed.delivery_site.value()) +
+                             " cache=" + std::to_string(cache_fraction) +
+                             " security=" +
+                             std::to_string(static_cast<int>(security)) +
+                             " startup=" + std::to_string(startup));
+                std::vector<Plan> expected =
+                    ReferenceExpandGroup(generator.options(), seed, qos);
+                std::vector<Plan> actual;
+                generator.ExpandGroup(seed, qos, actual);
+                ASSERT_EQ(actual.size(), expected.size());
+                for (size_t i = 0; i < expected.size(); ++i) {
+                  ExpectIdenticalPlans(expected[i], actual[i]);
+                }
+                plans_compared += expected.size();
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(plans_compared, 10000u);
+
+  // The static drop table the expansion reads from equals the GOP walk
+  // it replaced, entry by entry.
+  for (int f = 0; f < media::kNumVideoFormats; ++f) {
+    auto format = static_cast<media::VideoFormat>(f);
+    for (int s = 0; s < media::kNumFrameDropStrategies; ++s) {
+      auto strategy = static_cast<media::FrameDropStrategy>(s);
+      media::FrameDropEffect walked = media::ComputeFrameDropEffect(
+          media::GopPattern::StandardFor(format), strategy);
+      const media::FrameDropEffect& table =
+          media::StandardFrameDropEffect(format, strategy);
+      EXPECT_EQ(table.bandwidth_factor, walked.bandwidth_factor);
+      EXPECT_EQ(table.frame_rate_factor, walked.frame_rate_factor);
+    }
+  }
 }
 
 }  // namespace

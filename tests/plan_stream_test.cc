@@ -184,6 +184,63 @@ TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
   EXPECT_EQ(i, eager.size());
 }
 
+TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
+  // Load every bucket kind the floor covers, so the bound's max lands on
+  // different buckets across groups.
+  ResourceVector used;
+  used.Add({SiteId(0), ResourceKind::kNetworkBandwidth}, 2400.0);
+  used.Add({SiteId(0), ResourceKind::kDiskBandwidth}, 9000.0);
+  used.Add({SiteId(1), ResourceKind::kCpu}, 0.7);
+  used.Add({SiteId(1), ResourceKind::kMemory}, 900000.0);
+  ASSERT_TRUE(pool_.Acquire(used).ok());
+
+  std::vector<query::QosRequirement> requirements;
+  for (media::SecurityLevel security :
+       {media::SecurityLevel::kNone, media::SecurityLevel::kStandard,
+        media::SecurityLevel::kStrong}) {
+    for (double startup : {0.0, 3.0}) {
+      for (double min_fps : {1.0, 12.0}) {
+        query::QosRequirement qos = WideQos();
+        qos.range.min_frame_rate = min_fps;
+        qos.min_security = security;
+        qos.max_startup_seconds = startup;
+        requirements.push_back(qos);
+      }
+    }
+  }
+  size_t plans_checked = 0;
+  for (bool pruning : {true, false}) {
+    PlanGenerator::Options options;
+    options.apply_static_pruning = pruning;
+    PlanGenerator generator(&metadata_, sites_, options);
+    Result<std::vector<PlanGenerator::GroupSeed>> groups =
+        generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+    ASSERT_TRUE(groups.ok());
+    for (PlanGenerator::GroupSeed seed : *groups) {
+      for (double cache_fraction : {0.0, 0.3, 1.0}) {
+        seed.cache_fraction = cache_fraction;
+        for (const query::QosRequirement& qos : requirements) {
+          ResourceVector floor = generator.GroupDemandFloor(seed, qos);
+          double bound = lrb_.Cost(floor, pool_);
+          std::vector<Plan> plans;
+          generator.ExpandGroup(seed, qos, plans);
+          for (const Plan& plan : plans) {
+            // Component-wise, and therefore under the LRB overlay.
+            for (const ResourceVector::Entry& e : floor.entries()) {
+              EXPECT_LE(e.amount, plan.resources.Get(e.bucket))
+                  << BucketIdToString(e.bucket) << " of " << plan.ToString();
+            }
+            EXPECT_LE(bound, lrb_.Cost(plan.resources, pool_))
+                << plan.ToString();
+            ++plans_checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(plans_checked, 1000u);
+}
+
 TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
   PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
   RuntimeCostEvaluator evaluator(&lrb_);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace quasaq::res {
 namespace {
 
@@ -146,6 +153,77 @@ TEST(ResourcePoolTest, RedeclareKeepsUsage) {
   ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 2.0).ok());  // capacity upgrade
   EXPECT_DOUBLE_EQ(pool.Used(Cpu(0)), 0.5);
   EXPECT_DOUBLE_EQ(pool.Utilization(Cpu(0)), 0.25);
+}
+
+// The definition OverlayMaxFill must reproduce: a scan of every
+// declared bucket through the public per-bucket getters.
+double BruteForceMaxFill(const ResourcePool& pool,
+                         const ResourceVector& demand) {
+  double max_fill = 0.0;
+  for (const BucketId& bucket : pool.Buckets()) {
+    double capacity = pool.Capacity(bucket);
+    if (capacity <= 0.0) continue;
+    max_fill =
+        std::max(max_fill, (pool.Used(bucket) + demand.Get(bucket)) / capacity);
+  }
+  return max_fill;
+}
+
+TEST(ResourcePoolPropertyTest, OverlayMaxFillEqualsBruteForceScan) {
+  // Capacities and amounts on a coarse binary grid, so many buckets
+  // share the same fill (ties in the fill index).
+  const double capacities[] = {1.0, 2.0, 4.0, 8.0};
+  auto random_bucket = [](Rng& rng) {
+    return BucketId{SiteId(rng.UniformInt(0, 5)),
+                    static_cast<ResourceKind>(
+                        rng.UniformInt(0, kNumResourceKinds - 1))};
+  };
+  auto random_vector = [&](Rng& rng, int max_entries) {
+    ResourceVector v;
+    int64_t n = rng.UniformInt(0, max_entries);  // 0 = empty demand
+    for (int64_t i = 0; i < n; ++i) {
+      // Zero-amount entries included; buckets may be undeclared.
+      v.Add(random_bucket(rng),
+            0.25 * static_cast<double>(rng.UniformInt(0, 6)));
+    }
+    return v;
+  };
+
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    ResourcePool pool;
+    std::vector<ResourceVector> held;
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(pool.DeclareBucket(random_bucket(rng),
+                                     capacities[rng.UniformInt(0, 3)])
+                      .ok());
+    }
+    for (int step = 0; step < 300; ++step) {
+      double op = rng.NextDouble();
+      if (op < 0.1) {
+        ASSERT_TRUE(pool.DeclareBucket(random_bucket(rng),
+                                       capacities[rng.UniformInt(0, 3)])
+                        .ok());
+      } else if (op < 0.4) {
+        ResourceVector demand = random_vector(rng, 4);
+        if (pool.Acquire(demand).ok()) held.push_back(std::move(demand));
+      } else if (op < 0.55 && !held.empty()) {
+        size_t i = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
+        // Redeclared (shrunk) buckets may clamp; the status is not
+        // what this test checks.
+        (void)pool.Release(held[i]);
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+      ResourceVector demand = random_vector(rng, 7);
+      double expected = BruteForceMaxFill(pool, demand);
+      double actual = pool.OverlayMaxFill(demand);
+      ASSERT_EQ(std::bit_cast<uint64_t>(actual),
+                std::bit_cast<uint64_t>(expected))
+          << "seed " << seed << " step " << step << ": " << actual
+          << " vs " << expected << " for " << demand.ToString();
+    }
+  }
 }
 
 }  // namespace

@@ -100,6 +100,21 @@ TEST(ResourceVectorTest, ToStringListsEntries) {
   EXPECT_NE(s.find("0.25"), std::string::npos);
 }
 
+TEST(ResourceVectorTest, SetReplacesInsertsAndRemoves) {
+  ResourceVector v;
+  v.Add(Cpu(0), 0.25);
+  v.Set(Cpu(0), 0.75);  // replaces rather than accumulates
+  EXPECT_EQ(v.Get(Cpu(0)), 0.75);
+  v.Set(Net(0), 100.0);  // inserts in sorted position
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.entries()[1].bucket, Net(0));
+  v.Set(Cpu(0), 0.0);  // a non-positive amount removes the entry
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v.Get(Cpu(0)), 0.0);
+  v.Set(Cpu(1), -1.0);  // removing an absent entry is a no-op
+  EXPECT_EQ(v.size(), 1u);
+}
+
 TEST(ResourceVectorTest, BucketIdHashDistinguishesKinds) {
   std::hash<BucketId> hasher;
   EXPECT_NE(hasher(Cpu(0)), hasher(Net(0)));

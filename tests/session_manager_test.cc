@@ -111,11 +111,11 @@ TEST_F(SessionManagerTest, VdbmsPinningIsKeyedBySite) {
   SessionManager::Record a;
   a.content = LogicalOid(0);
   a.site = SiteId(0);
-  a.vdbms_kbps = 500.0;
+  a.vdbms_milli_kbps = SessionManager::ToMilliKbps(500.0);
   SessionManager::Record b;
   b.content = LogicalOid(1);
   b.site = SiteId(1);
-  b.vdbms_kbps = 300.0;
+  b.vdbms_milli_kbps = SessionManager::ToMilliKbps(300.0);
   SessionId id_a = manager_.Start(std::move(a), 60.0);
   manager_.Start(std::move(b), 60.0);
   EXPECT_DOUBLE_EQ(manager_.vdbms_active_kbps(SiteId(0)), 500.0);
