@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <optional>
 
 namespace quasaq::core {
@@ -91,19 +90,23 @@ Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
   return groups;
 }
 
-template <typename Visit>
-void PlanGenerator::ForEachQosFeasibleChoice(const GroupSeed& seed,
-                                             const query::QosRequirement& qos,
-                                             Visit&& visit) const {
+PlanGenerator::ChoiceTable PlanGenerator::BuildChoiceTable(
+    const GroupSeed& seed, const query::QosRequirement& qos) const {
+  // Only replica.qos is read below (KeyOf's contract): any replica of
+  // the same stored quality yields the same doubles.
   const media::ReplicaInfo& replica = seed.replica;
   const bool prune = options_.apply_static_pruning;
-  const bool relayed = seed.delivery_site != replica.site;
+  ChoiceTable table;
+  table.key = KeyOf(seed);
+  table.encryptions = &EncryptionChoices(qos);
+  table.forward_cpu =
+      table.key.relayed ? RelayForwardCpu(replica, options_.constants) : 0.0;
   auto visit_target = [&](const std::optional<media::AppQos>& target) {
     // Time Guarantee: startup depends only on relay and transcode, so a
     // target that cannot start in time fails for every drop and
     // encryption. (A cache-served twin only starts sooner.)
     if (prune && qos.max_startup_seconds > 0.0 &&
-        DiskStartupSeconds(relayed, target.has_value(),
+        DiskStartupSeconds(table.key.relayed, target.has_value(),
                            options_.constants) > qos.max_startup_seconds) {
       return;
     }
@@ -113,14 +116,20 @@ void PlanGenerator::ForEachQosFeasibleChoice(const GroupSeed& seed,
           replica, stage, drop, options_.constants.streaming_cost);
       // The delivered quality depends only on (target, drop).
       if (prune && !qos.range.Contains(rates.delivered_qos)) continue;
-      visit(target, drop, rates);
+      table.min_wire_kbps = std::min(table.min_wire_kbps, rates.wire_rate_kbps);
+      for (media::EncryptionAlgorithm encryption : *table.encryptions) {
+        // EncryptionChoices already meets the security floor.
+        assert(!prune || qos.SatisfiedBy(rates.delivered_qos, encryption));
+        table.min_cpu = std::min(table.min_cpu, rates.CpuFraction(encryption));
+      }
+      table.choices.push_back(ChoiceTable::Choice{target, drop, rates});
     }
   };
 
   // A4 candidates for this replica: stay at stored quality, or any
   // target the source quality can be down-converted to.
   visit_target(std::nullopt);
-  if (!options_.enable_transcoding) return;
+  if (!options_.enable_transcoding) return table;
   for (const media::AppQos& target : options_.transcode_targets) {
     if (prune && !media::TranscodeAllowed(replica.qos, target)) continue;
     if (!prune && target == replica.qos) {
@@ -128,46 +137,45 @@ void PlanGenerator::ForEachQosFeasibleChoice(const GroupSeed& seed,
     }
     visit_target(target);
   }
+  return table;
+}
+
+void PlanGenerator::ExpandGroup(const GroupSeed& seed,
+                                const ChoiceTable& table,
+                                std::vector<Plan>& out) const {
+  assert(table.key == KeyOf(seed));
+  const media::ReplicaInfo& replica = seed.replica;
+  for (const ChoiceTable::Choice& choice : table.choices) {
+    for (media::EncryptionAlgorithm encryption : *table.encryptions) {
+      Plan plan;
+      plan.replica_oid = replica.id;
+      plan.source_site = replica.site;
+      plan.delivery_site = seed.delivery_site;
+      plan.transform.transcode_target = choice.target;
+      plan.transform.drop = choice.drop;
+      plan.transform.encryption = encryption;
+      FinalizePlan(plan, replica, choice.rates, table.forward_cpu,
+                   options_.constants);
+      if (seed.cache_fraction > 0.0) {
+        // The delivered quality is unchanged and startup only improves,
+        // so the twin passes the same static rules.
+        out.push_back(CacheServedTwin(plan, replica, seed.cache_fraction,
+                                      options_.constants));
+      }
+      out.push_back(std::move(plan));
+    }
+  }
 }
 
 void PlanGenerator::ExpandGroup(const GroupSeed& seed,
                                 const query::QosRequirement& qos,
                                 std::vector<Plan>& out) const {
-  const media::ReplicaInfo& replica = seed.replica;
-  const std::vector<media::EncryptionAlgorithm>& encryptions =
-      EncryptionChoices(qos);
-  const double forward_cpu = seed.delivery_site != replica.site
-                                 ? RelayForwardCpu(replica, options_.constants)
-                                 : 0.0;
-  ForEachQosFeasibleChoice(
-      seed, qos,
-      [&](const std::optional<media::AppQos>& target,
-          media::FrameDropStrategy drop, const net::StreamRates& rates) {
-        for (media::EncryptionAlgorithm encryption : encryptions) {
-          // EncryptionChoices already meets the security floor.
-          assert(!options_.apply_static_pruning ||
-                 qos.SatisfiedBy(rates.delivered_qos, encryption));
-          Plan plan;
-          plan.replica_oid = replica.id;
-          plan.source_site = replica.site;
-          plan.delivery_site = seed.delivery_site;
-          plan.transform.transcode_target = target;
-          plan.transform.drop = drop;
-          plan.transform.encryption = encryption;
-          FinalizePlan(plan, replica, rates, forward_cpu, options_.constants);
-          if (seed.cache_fraction > 0.0) {
-            // The delivered quality is unchanged and startup only
-            // improves, so the twin passes the same static rules.
-            out.push_back(CacheServedTwin(plan, replica, seed.cache_fraction,
-                                          options_.constants));
-          }
-          out.push_back(std::move(plan));
-        }
-      });
+  ExpandGroup(seed, BuildChoiceTable(seed, qos), out);
 }
 
-ResourceVector PlanGenerator::GroupDemandFloor(
-    const GroupSeed& seed, const query::QosRequirement& qos) const {
+ResourceVector PlanGenerator::GroupDemandFloor(const GroupSeed& seed,
+                                               const ChoiceTable& table) const {
+  assert(table.key == KeyOf(seed));
   const media::ReplicaInfo& replica = seed.replica;
   ResourceVector demand;
   // Retrieval floor: when the group carries cache-served twins, the
@@ -179,40 +187,31 @@ ResourceVector PlanGenerator::GroupDemandFloor(
   if (disk_kbps > 0.0) {
     demand.Add({replica.site, ResourceKind::kDiskBandwidth}, disk_kbps);
   }
-  if (seed.delivery_site != replica.site) {
+  if (table.key.relayed) {
     // Server-to-server transfer of the stored stream, exactly as
     // FinalizePlan charges it for every relayed plan.
     demand.Add({replica.site, ResourceKind::kNetworkBandwidth},
                replica.bitrate_kbps);
-    double forward_cpu = RelayForwardCpu(replica, options_.constants);
-    demand.Add({replica.site, ResourceKind::kCpu}, forward_cpu);
-    demand.Add({seed.delivery_site, ResourceKind::kCpu}, forward_cpu);
+    demand.Add({replica.site, ResourceKind::kCpu}, table.forward_cpu);
+    demand.Add({seed.delivery_site, ResourceKind::kCpu}, table.forward_cpu);
   }
   // Delivery floor: the least wire rate, CPU and staging memory any
   // QoS-feasible choice puts on the delivery site. Each minimum is a
   // figure some plan of the group carries, computed as FinalizePlan
   // computes it, so no plan's entry falls below it.
-  double min_wire_kbps = std::numeric_limits<double>::infinity();
-  double min_cpu = std::numeric_limits<double>::infinity();
-  const std::vector<media::EncryptionAlgorithm>& encryptions =
-      EncryptionChoices(qos);
-  ForEachQosFeasibleChoice(
-      seed, qos,
-      [&](const std::optional<media::AppQos>&, media::FrameDropStrategy,
-          const net::StreamRates& rates) {
-        min_wire_kbps = std::min(min_wire_kbps, rates.wire_rate_kbps);
-        for (media::EncryptionAlgorithm encryption : encryptions) {
-          min_cpu = std::min(min_cpu, rates.CpuFraction(encryption));
-        }
-      });
-  if (min_wire_kbps != std::numeric_limits<double>::infinity()) {
-    demand.Add({seed.delivery_site, ResourceKind::kCpu}, min_cpu);
+  if (!table.choices.empty()) {
+    demand.Add({seed.delivery_site, ResourceKind::kCpu}, table.min_cpu);
     demand.Add({seed.delivery_site, ResourceKind::kNetworkBandwidth},
-               min_wire_kbps);
+               table.min_wire_kbps);
     demand.Add({seed.delivery_site, ResourceKind::kMemory},
-               min_wire_kbps * options_.constants.buffer_seconds);
+               table.min_wire_kbps * options_.constants.buffer_seconds);
   }
   return demand;
+}
+
+ResourceVector PlanGenerator::GroupDemandFloor(
+    const GroupSeed& seed, const query::QosRequirement& qos) const {
+  return GroupDemandFloor(seed, BuildChoiceTable(seed, qos));
 }
 
 Result<std::vector<Plan>> PlanGenerator::Generate(

@@ -1,6 +1,8 @@
 #ifndef QUASAQ_CORE_PLAN_GENERATOR_H_
 #define QUASAQ_CORE_PLAN_GENERATOR_H_
 
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "cache/cache_manager.h"
@@ -10,6 +12,7 @@
 #include "core/plan.h"
 #include "media/library.h"
 #include "metadata/distributed_engine.h"
+#include "net/rtp.h"
 #include "query/ast.h"
 
 // Plan Generator (paper §3.4): enumerates the search space of delivery
@@ -36,9 +39,14 @@
 // the (transcode target, drop) pair and startup only on relay and
 // transcode, so the static rules run once per pair, on rates taken from
 // a static frame-drop table (media::StandardFrameDropEffect), before any
-// encryption choice is priced. Only the survivors are finalized into
-// plans with a resource vector, and each cache-served twin is patched
-// from its finalized disk twin rather than finalized again.
+// encryption choice is priced. None of that reads more of the group than
+// its replica's stored quality and whether it is relayed, so the
+// survivors are collected into a ChoiceTable per (stored AppQos,
+// relayed) key and QoS requirement, which every group of that key shares
+// for both its demand floor and its expansion. Only the table's choices
+// are finalized into plans with a resource vector, and each cache-served
+// twin is patched from its finalized disk twin rather than finalized
+// again.
 
 namespace quasaq::core {
 
@@ -58,18 +66,6 @@ class PlanGenerator {
     // materializing and ranking every plan. The ranking order is
     // identical either way; set to false to benchmark the eager path.
     bool lazy_enumeration = true;
-    // Parallel plan costing (lazy path only): PlanStream expands and
-    // costs (replica, site) groups concurrently on a small worker pool
-    // instead of one group at a time. Yield order stays bit-identical
-    // to the serial walk — extra early expansions only turn admissible
-    // lower bounds into exact keys — but only when the cost model
-    // supports a sound lower bound (pure LRB, no gain function);
-    // stateful models fall back to the serial walk so their per-plan
-    // call order is preserved.
-    bool parallel_costing = false;
-    // Worker threads for parallel costing; 0 picks a small default from
-    // the hardware concurrency.
-    int costing_threads = 0;
     // Candidate transcode targets (defaults to the standard ladder).
     std::vector<media::AppQos> transcode_targets;
     // Cache-served plan variants (requires a cache view, see below):
@@ -115,20 +111,73 @@ class PlanGenerator {
       SiteId query_site, LogicalOid content,
       SimTime* metadata_latency = nullptr) const;
 
+  // What a ChoiceTable depends on besides the QoS requirement: the
+  // transcode stages and stream rates read only the replica's stored
+  // quality (never its bitrate), and the Time Guarantee only whether the
+  // group is relayed.
+  struct ChoiceKey {
+    media::AppQos stored;
+    bool relayed = false;
+
+    friend bool operator==(const ChoiceKey& a, const ChoiceKey& b) = default;
+  };
+  static ChoiceKey KeyOf(const GroupSeed& seed) {
+    return ChoiceKey{seed.replica.qos,
+                     seed.delivery_site != seed.replica.site};
+  }
+
+  // The encryption-independent static work of expanding any group of one
+  // ChoiceKey under one QoS requirement, done once and shared.
+  struct ChoiceTable {
+    struct Choice {
+      std::optional<media::AppQos> target;  // empty = stored quality
+      media::FrameDropStrategy drop = media::FrameDropStrategy::kNone;
+      net::StreamRates rates;
+    };
+    ChoiceKey key;
+    // Every (transcode target, drop) choice that passes the static rules
+    // (all of them when static pruning is off), in eager enumeration
+    // order.
+    std::vector<Choice> choices;
+    // The A5 candidates for the requirement's security floor (owned by
+    // the generator).
+    const std::vector<media::EncryptionAlgorithm>* encryptions = nullptr;
+    // RelayForwardCpu of the stored stream for relayed keys, else 0.
+    double forward_cpu = 0.0;
+    // The least wire rate and CPU fraction over choices x encryptions;
+    // infinity when `choices` is empty.
+    double min_wire_kbps = std::numeric_limits<double>::infinity();
+    double min_cpu = std::numeric_limits<double>::infinity();
+  };
+
+  /// The ChoiceTable of `seed`'s key under `qos`; valid for every group
+  /// with the same KeyOf().
+  ChoiceTable BuildChoiceTable(const GroupSeed& seed,
+                               const query::QosRequirement& qos) const;
+
   /// Stage 2: appends every surviving plan of `seed` to `out`, in eager
   /// enumeration order (cache-served twin immediately before its disk
-  /// twin, matching Generate()).
+  /// twin, matching Generate()). `table` must be built for KeyOf(seed).
+  void ExpandGroup(const GroupSeed& seed, const ChoiceTable& table,
+                   std::vector<Plan>& out) const;
+  /// ExpandGroup on a table built for this call alone.
   void ExpandGroup(const GroupSeed& seed, const query::QosRequirement& qos,
                    std::vector<Plan>& out) const;
 
-  /// The demand every plan of `seed` that can satisfy `qos` carries at
-  /// minimum: disk bandwidth at the source (the cache-served floor when
-  /// the group has cached twins), the server-to-server transfer share
-  /// for relayed groups, and the least wire rate, CPU and staging memory
-  /// any QoS-feasible (transcode target, drop) choice puts on the
-  /// delivery site. Overlaying this vector on the pool lower-bounds the
-  /// LRB cost of every plan in the group — the admissible bound
-  /// PlanStream prunes with.
+  /// The demand every plan of `seed` that can satisfy the table's
+  /// requirement carries at minimum: disk bandwidth at the source (the
+  /// cache-served floor when the group has cached twins), the
+  /// server-to-server transfer share for relayed groups, and the least
+  /// wire rate, CPU and staging memory any QoS-feasible (transcode
+  /// target, drop) choice puts on the delivery site. Its entries are a
+  /// subset of every plan's entries, in the same sorted order and none
+  /// larger, so overlaying this vector on the pool lower-bounds both
+  /// the LRB cost and the normalized demand of every plan in the group —
+  /// the admissible frontier key PlanStream prunes with. `table` must be
+  /// built for KeyOf(seed).
+  ResourceVector GroupDemandFloor(const GroupSeed& seed,
+                                  const ChoiceTable& table) const;
+  /// GroupDemandFloor on a table built for this call alone.
   ResourceVector GroupDemandFloor(const GroupSeed& seed,
                                   const query::QosRequirement& qos) const;
 
@@ -142,27 +191,17 @@ class PlanGenerator {
 
  private:
   // The A5 candidates for a query's minimum security level, served from
-  // a table precomputed at construction — ExpandGroup runs once per
-  // (replica, site) group per query, so rebuilding these per call was
-  // measurable allocator traffic on the admission hot path.
+  // a table precomputed at construction, which ChoiceTable::encryptions
+  // points into.
   const std::vector<media::EncryptionAlgorithm>& EncryptionChoices(
       const query::QosRequirement& qos) const;
-
-  // Calls visit(target, drop, rates) for every (transcode target, drop)
-  // choice of `seed` that passes the encryption-independent static rules
-  // (all of them when static pruning is off), in eager enumeration
-  // order.
-  template <typename Visit>
-  void ForEachQosFeasibleChoice(const GroupSeed& seed,
-                                const query::QosRequirement& qos,
-                                Visit&& visit) const;
 
   meta::DistributedMetadataEngine* metadata_;
   std::vector<SiteId> sites_;
   Options options_;
   const cache::CacheView* cache_view_ = nullptr;
   // Immutable after construction (thread-compatible with concurrent
-  // ExpandGroup calls).
+  // BuildChoiceTable calls).
   std::vector<media::FrameDropStrategy> drop_choices_;
   // Indexed by static_cast<int>(SecurityLevel); raw space at slot 0
   // when static pruning is off.

@@ -8,7 +8,6 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cost_evaluator.h"
 #include "core/plan.h"
 #include "core/plan_generator.h"
@@ -25,20 +24,28 @@
 // expanding the search space only as far as the consumer pulls.
 //
 // The search is organized over (replica, delivery-site) groups — the
-// (A1, A2) prefixes of the enumeration. Each group carries an
-// admissible lower bound on the LRB cost f(r) = max_i (U_i + r_i)/R_i
-// of every plan it contains: the bound overlays the group's demand floor
-// (PlanGenerator::GroupDemandFloor), which every QoS-feasible activity
-// combination (A3–A5) of the group carries at least, so bound <= true
-// cost always holds. A
-// best-first frontier mixes unexpanded groups (keyed by their bound)
-// with already-costed plans (keyed by their exact ranking key); a plan
-// is yielded only once no group that could still beat it remains, so
-// groups whose bound exceeds the cost of the plan the consumer stops at
-// are never expanded at all. For cost models without a sound bound
-// (Random, the ablation models, or a gain function) every group bound
-// is zero: the stream degenerates to full enumeration — still in
-// bit-identical ranking order, just without pruning.
+// (A1, A2) prefixes of the enumeration. Each round (construction or
+// Reset) first builds one PlanGenerator::ChoiceTable per distinct
+// (stored quality, relayed) key among the groups — a handful, however
+// many groups share them — and every group's demand floor and expansion
+// read its key's table. Each group enters the frontier at the key
+// (LRB cost, normalized demand) of its demand floor
+// (PlanGenerator::GroupDemandFloor). The floor's entries are a subset of
+// every plan's entries of the group, in the same sorted order and none
+// larger, so both overlays are monotone in it: bound <= true cost, and
+// on an exact cost tie floor demand <= plan demand, bit for bit. A
+// best-first frontier mixes unexpanded groups (keyed by that bound) with
+// already-costed plans (keyed by their exact ranking key); a plan is
+// yielded only once no group that could still beat it remains, with
+// ties between a group and a plan falling to the group index exactly as
+// Rank's enumeration-order tie-break does. So groups whose bound exceeds
+// the key of the plan the consumer stops at are never expanded at all —
+// including, under LRB, the many groups whose cost ties at the pool's
+// global max fill because none of their plans touches the hottest
+// bucket. For cost models without a sound bound (Random, the ablation
+// models, or a gain function) every group bound is zero: the stream
+// degenerates to full enumeration — still in bit-identical ranking
+// order, just without pruning.
 
 namespace quasaq::core {
 
@@ -67,33 +74,23 @@ class PlanStream {
   /// costs are evaluated against `pool`'s usage at expansion time, so a
   /// stream must be consumed before reservations move the pool.
   ///
-  /// When `costing_pool` is non-null and the evaluator supports a sound
-  /// cost lower bound, group expansion + costing fans out over the pool
-  /// (see PlanGenerator::Options::parallel_costing): the top run of
-  /// unexpanded groups on the frontier is costed concurrently, one
-  /// group per worker, and merged back in frontier order. Yield order
-  /// is bit-identical to the serial walk — a plan is yielded only when
-  /// its exact key beats every remaining bound, and eagerly expanding a
-  /// group only replaces its bound with exact keys that are >= it.
-  /// Pruning statistics may count fewer pruned groups (the batch
-  /// expands groups the serial walk might never have touched).
   PlanStream(const PlanGenerator* generator,
              const RuntimeCostEvaluator* evaluator,
              const res::ResourcePool* pool, SiteId query_site,
              LogicalOid content, const query::QosRequirement& qos,
-             SimTime* metadata_latency = nullptr,
-             ThreadPool* costing_pool = nullptr);
+             SimTime* metadata_latency = nullptr);
 
   /// Construction failure (kNotFound when no replica exists). A failed
   /// stream yields nothing.
   const Status& status() const { return status_; }
 
   /// Re-arms the stream over the already-enumerated (replica, site)
-  /// groups for a new QoS window: pending plans and frontier state are
-  /// discarded, group bounds are recomputed against the pool's current
-  /// usage, and enumeration restarts from scratch — without re-fetching
-  /// metadata. This is how a renegotiation's relaxation rounds reuse
-  /// one stream instead of re-seeding enumeration per round. The
+  /// groups for a new QoS window: pending plans, choice tables and
+  /// frontier state are discarded, group bounds are recomputed against
+  /// the pool's current usage, and enumeration restarts from scratch —
+  /// without re-fetching metadata. This is how a renegotiation's
+  /// relaxation rounds reuse one stream instead of re-seeding
+  /// enumeration per round. The
   /// cumulative stats keep counting across rounds (groups grows by the
   /// group count per round, so groups_pruned() stays consistent).
   /// No-op on a failed stream.
@@ -120,10 +117,11 @@ class PlanStream {
   const Stats& stats() const { return stats_; }
 
  private:
-  // Frontier entry: a group awaiting expansion (plan_slot < 0, cost =
-  // lower bound) or a materialized plan (cost = exact ranking key).
-  // Groups carry demand -1 so they expand before any plan of equal
-  // cost — required for the bound to stay sound on exact ties.
+  // Frontier entry: a group awaiting expansion (plan_slot < 0; cost and
+  // demand = its floor's LRB cost and normalized demand, or 0 and -1
+  // without a sound bound so that every group expands before any plan
+  // is yielded) or a materialized plan (cost, demand = its exact ranking
+  // key).
   struct Entry {
     double cost = 0.0;
     double demand = 0.0;
@@ -140,27 +138,25 @@ class PlanStream {
     }
   };
 
-  // Pushes every group's lower-bound entry onto the frontier and
-  // refreshes the parallel-costing decision for the current evaluator
-  // state (a gain function installed since the last round disables the
-  // bound, and with it the fan-out).
+  // Builds this round's choice tables and pushes every group's
+  // lower-bound entry onto the frontier (a gain function installed since
+  // the last round disables the bound).
   void SeedFrontier();
   void ExpandGroup(size_t group_index);
-  // Expands and costs `batch` concurrently on costing_pool_, then
-  // merges the results in batch (= frontier pop) order.
-  void ExpandGroupBatch(const std::vector<size_t>& batch);
 
   const PlanGenerator* generator_;
   const RuntimeCostEvaluator* evaluator_;
   const res::ResourcePool* pool_;
-  ThreadPool* costing_pool_;
   query::QosRequirement qos_;
   Status status_;
   std::vector<PlanGenerator::GroupSeed> groups_;
+  // This round's tables, one per distinct key, and each group's slot in
+  // them.
+  std::vector<PlanGenerator::ChoiceTable> tables_;
+  std::vector<size_t> group_table_;
   std::vector<Ranked> plans_;  // materialized plans, stable slots
   std::priority_queue<Entry, std::vector<Entry>, EntryAfter> frontier_;
   Stats stats_;
-  bool parallel_ = false;  // recomputed by SeedFrontier
 };
 
 }  // namespace quasaq::core

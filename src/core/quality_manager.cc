@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <optional>
-#include <thread>
 
 namespace quasaq::core {
 
@@ -18,16 +17,6 @@ QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
       evaluator_(cost_model),
       options_(options) {
   assert(qos_api_ != nullptr);
-  if (options_.generator.parallel_costing) {
-    int threads = options_.generator.costing_threads;
-    if (threads <= 0) {
-      // A small pool: group expansion is short work and the merge is
-      // serial, so a handful of workers saturates the win.
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-    }
-    threads = std::clamp(threads, 1, 8);
-    costing_pool_ = std::make_unique<ThreadPool>(threads);
-  }
 }
 
 QualityManager::Stats QualityManager::stats() const {
@@ -269,7 +258,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
   Result<Admitted> attempt = Status::ResourceExhausted("unreached");
   if (lazy) {
     stream.emplace(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                   content, qos, nullptr, costing_pool());
+                   content, qos);
     attempt = stream->status().ok() ? TryAdmitWithStream(*stream, &had_plans)
                                     : Result<Admitted>(stream->status());
   } else {
@@ -348,7 +337,7 @@ Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
   ConfigureGain(qos);
   if (generator_.options().lazy_enumeration) {
     PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(),
-                      query_site, content, qos, nullptr, costing_pool());
+                      query_site, content, qos);
     if (!stream.status().ok()) return stream.status();
     std::vector<RankedPlan> ranked;
     while (ranked.size() < limit) {
@@ -451,7 +440,7 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
 
   if (generator_.options().lazy_enumeration) {
     PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(),
-                      query_site, content, qos, nullptr, costing_pool());
+                      query_site, content, qos);
     if (!stream.status().ok()) return stream.status();
     bool had_plans = false;
     Result<Admitted> result = walk(stream, &had_plans);

@@ -10,7 +10,6 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/cost_evaluator.h"
 #include "core/plan_generator.h"
 #include "core/plan_stream.h"
@@ -170,10 +169,6 @@ class QualityManager {
   res::CompositeQosApi& qos_api() { return *qos_api_; }
   PlanGenerator& generator() { return generator_; }
 
-  /// The worker pool parallel plan costing runs on; nullptr unless
-  /// PlanGenerator::Options::parallel_costing is set.
-  ThreadPool* costing_pool() const { return costing_pool_.get(); }
-
   /// Attaches plan-search counters/histograms and span emission
   /// (nullptr detaches). The pointer must outlive the manager.
   void set_observability(obs::Observability* observability);
@@ -254,7 +249,6 @@ class QualityManager {
   Options options_;
   AtomicStats stats_;
   Metrics metrics_;
-  std::unique_ptr<ThreadPool> costing_pool_;  // non-null iff parallel
   obs::Tracer* tracer_ = nullptr;
   int64_t trace_track_ = 0;
   SimTime trace_now_ = 0;

@@ -308,11 +308,11 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
 
 // The full admission pipeline under 8 submitter threads: concurrent
 // admit / renegotiate / probe / cancel through the sharded MediaDbSystem
-// facade, parallel plan costing on, tracing off (traced admissions are
-// single-threaded by contract). Each thread owns the sessions it starts,
-// so the races under test are the shared layers — plan stream fan-out,
-// the composite QoS API, the sharded session table and the per-shard
-// metrics registries — not cross-thread session ownership.
+// facade, tracing off (traced admissions are single-threaded by
+// contract). Each thread owns the sessions it starts, so the races under
+// test are the shared layers — the composite QoS API, the sharded
+// session table and the per-shard metrics registries — not cross-thread
+// session ownership.
 TEST(ConcurrencyStressTest, ShardedAdmitRenegotiateCancelPipeline) {
   constexpr int kOpsPerThread = 150;
   sim::Simulator simulator;
@@ -321,8 +321,6 @@ TEST(ConcurrencyStressTest, ShardedAdmitRenegotiateCancelPipeline) {
   options.topology = net::Topology::Uniform(4);
   options.session_shards = 4;
   options.seed = 17;
-  options.quality.generator.parallel_costing = true;
-  options.quality.generator.costing_threads = 2;
   core::MediaDbSystem system(&simulator, options);
   const std::vector<SiteId> sites = system.topology().SiteIds();
 

@@ -46,6 +46,33 @@ query::QosRequirement WideQos() {
   return qos;
 }
 
+// Field-by-field exact comparison (doubles with ==, not a tolerance).
+void ExpectIdenticalPlans(const Plan& want, const Plan& got) {
+  SCOPED_TRACE(want.ToString());
+  EXPECT_EQ(got.ToString(), want.ToString());
+  EXPECT_EQ(got.cache_fraction, want.cache_fraction);
+  EXPECT_EQ(got.delivered_qos, want.delivered_qos);
+  EXPECT_EQ(got.wire_rate_kbps, want.wire_rate_kbps);
+  EXPECT_EQ(got.startup_seconds, want.startup_seconds);
+  ASSERT_EQ(got.resources.size(), want.resources.size());
+  for (size_t i = 0; i < want.resources.size(); ++i) {
+    EXPECT_EQ(got.resources.entries()[i].bucket,
+              want.resources.entries()[i].bucket);
+    EXPECT_EQ(got.resources.entries()[i].amount,
+              want.resources.entries()[i].amount);
+  }
+}
+
+// `got` is the plan `want` with the ranking key the eager evaluator
+// gives it, bit for bit.
+void ExpectRankedAs(const PlanStream::Ranked& got, const Plan& want,
+                    const RuntimeCostEvaluator& evaluator,
+                    const res::ResourcePool& pool) {
+  ExpectIdenticalPlans(want, got.plan);
+  EXPECT_EQ(got.cost, evaluator.EfficiencyCost(want, pool));
+  EXPECT_EQ(got.demand, RuntimeCostEvaluator::NormalizedDemand(want, pool));
+}
+
 // Two-site search space mirroring the QualityManager tests: one logical
 // object, three ladder levels replicated on both sites.
 class PlanStreamTest : public ::testing::Test {
@@ -83,6 +110,20 @@ class PlanStreamTest : public ::testing::Test {
     EXPECT_TRUE(plans.ok()) << plans.status().ToString();
     evaluator.Rank(*plans, pool);
     return std::move(*plans);
+  }
+
+  // Drains `stream` and checks it against `eager`, plan by plan.
+  void ExpectDrainsAs(PlanStream& stream, const std::vector<Plan>& eager,
+                      const RuntimeCostEvaluator& evaluator,
+                      const res::ResourcePool& pool) {
+    size_t i = 0;
+    while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
+      ASSERT_LT(i, eager.size());
+      SCOPED_TRACE("rank " + std::to_string(i));
+      ExpectRankedAs(*ranked, eager[i], evaluator, pool);
+      ++i;
+    }
+    EXPECT_EQ(i, eager.size());
   }
 
   std::vector<SiteId> sites_;
@@ -232,6 +273,11 @@ TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
             }
             EXPECT_LE(bound, lrb_.Cost(plan.resources, pool_))
                 << plan.ToString();
+            // The frontier's tie-break half of the key: exact, not
+            // within a tolerance.
+            EXPECT_LE(pool_.FractionalDemand(floor),
+                      pool_.FractionalDemand(plan.resources))
+                << plan.ToString();
             ++plans_checked;
           }
         }
@@ -239,6 +285,141 @@ TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
     }
   }
   EXPECT_GT(plans_checked, 1000u);
+}
+
+TEST_F(PlanStreamTest, TiesAtTheGlobalMaxFillPruneByFloorDemand) {
+  // Site 0's memory-bandwidth bucket runs hottest and no plan touches it
+  // (no cache view, so no cache-served twins): every plan's LRB cost is
+  // exactly that bucket's fill, so every group's bound ties with every
+  // plan and only the normalized-demand tie-break separates them.
+  const BucketId hot{SiteId(0), ResourceKind::kMemoryBandwidth};
+  ASSERT_TRUE(pool_.DeclareBucket(hot, 1000.0).ok());
+  ResourceVector used;
+  used.Add(hot, 990.0);
+  ASSERT_TRUE(pool_.Acquire(used).ok());
+
+  PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
+  RuntimeCostEvaluator evaluator(&lrb_);
+  query::QosRequirement qos = WideQos();
+  std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
+  ASSERT_FALSE(eager.empty());
+  for (const Plan& plan : eager) {
+    ASSERT_EQ(evaluator.EfficiencyCost(plan, pool_), pool_.Utilization(hot))
+        << plan.ToString();
+  }
+
+  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+                    qos);
+  std::optional<PlanStream::Ranked> first = stream.Next();
+  ASSERT_TRUE(first.has_value());
+  ExpectRankedAs(*first, eager.front(), evaluator, pool_);
+  // An admission stops here: groups whose floor demand exceeds the
+  // first plan's demand were never expanded.
+  EXPECT_GT(stream.groups_pruned(), 0u);
+
+  // The rest of the order is the eager one as well.
+  eager.erase(eager.begin());
+  ExpectDrainsAs(stream, eager, evaluator, pool_);
+}
+
+TEST_F(PlanStreamTest, RelayedAndLocalGroupsOfOneStoredQualityKeepOwnTables) {
+  // The fixture stores each quality at both sites, so every stored
+  // quality has local and relayed groups. A 3.6 s Time Guarantee admits
+  // local transcodes and blocks relayed ones, so a table shared across
+  // the two would add or drop plans.
+  const PlanCostConstants constants;
+  ASSERT_LE(DiskStartupSeconds(false, true, constants), 3.6);
+  ASSERT_GT(DiskStartupSeconds(true, true, constants), 3.6);
+  query::QosRequirement qos = WideQos();
+  qos.max_startup_seconds = 3.6;
+
+  PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
+  RuntimeCostEvaluator evaluator(&lrb_);
+  std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
+  size_t local_transcodes = 0;
+  size_t relayed = 0;
+  for (const Plan& plan : eager) {
+    const bool transcoded = plan.transform.transcode_target.has_value();
+    ASSERT_FALSE(plan.IsRelayed() && transcoded) << plan.ToString();
+    if (plan.IsRelayed()) ++relayed;
+    if (!plan.IsRelayed() && transcoded) ++local_transcodes;
+  }
+  ASSERT_GT(local_transcodes, 0u);
+  ASSERT_GT(relayed, 0u);
+
+  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+                    qos);
+  ExpectDrainsAs(stream, eager, evaluator, pool_);
+}
+
+TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
+  // Two replicas of the same stored quality whose bitrates differ: the
+  // rates a table holds never read the bitrate, so one table serves
+  // both, while the retrieval and transfer entries still follow each
+  // replica's own bitrate.
+  meta::DistributedMetadataEngine metadata(
+      sites_, meta::DistributedMetadataEngine::Options());
+  ASSERT_TRUE(metadata.InsertContent(MakeContent(0)).ok());
+  ASSERT_TRUE(metadata.InsertReplica(MakeReplica(0, 0, 0, 1)).ok());
+  media::ReplicaInfo heavier = MakeReplica(1, 0, 1, 1);
+  heavier.bitrate_kbps *= 1.5;
+  heavier.size_kb *= 1.5;
+  ASSERT_TRUE(metadata.InsertReplica(heavier).ok());
+
+  PlanGenerator generator(&metadata, sites_, PlanGenerator::Options());
+  Result<std::vector<PlanGenerator::GroupSeed>> groups =
+      generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+  ASSERT_TRUE(groups.ok());
+  ASSERT_EQ(groups->size(), 4u);  // 2 replicas x 2 delivery sites
+  query::QosRequirement qos = WideQos();
+  qos.min_security = media::SecurityLevel::kStandard;
+  size_t shared_pairs = 0;
+  for (const PlanGenerator::GroupSeed& seed : *groups) {
+    for (const PlanGenerator::GroupSeed& other : *groups) {
+      if (PlanGenerator::KeyOf(other) != PlanGenerator::KeyOf(seed) ||
+          other.replica.id == seed.replica.id) {
+        continue;
+      }
+      SCOPED_TRACE("replica " + std::to_string(seed.replica.id.value()) +
+                   " ->site" + std::to_string(seed.delivery_site.value()) +
+                   " on the table of replica " +
+                   std::to_string(other.replica.id.value()));
+      const PlanGenerator::ChoiceTable shared =
+          generator.BuildChoiceTable(other, qos);
+      std::vector<Plan> own_plans;
+      std::vector<Plan> shared_plans;
+      generator.ExpandGroup(seed, qos, own_plans);
+      generator.ExpandGroup(seed, shared, shared_plans);
+      ASSERT_FALSE(own_plans.empty());
+      ASSERT_EQ(shared_plans.size(), own_plans.size());
+      for (size_t i = 0; i < own_plans.size(); ++i) {
+        ExpectIdenticalPlans(own_plans[i], shared_plans[i]);
+      }
+      const ResourceVector own_floor = generator.GroupDemandFloor(seed, qos);
+      const ResourceVector shared_floor =
+          generator.GroupDemandFloor(seed, shared);
+      EXPECT_EQ(shared_floor.ToString(), own_floor.ToString());
+      ASSERT_EQ(shared_floor.size(), own_floor.size());
+      for (size_t i = 0; i < own_floor.size(); ++i) {
+        EXPECT_EQ(shared_floor.entries()[i].amount,
+                  own_floor.entries()[i].amount);
+      }
+      ++shared_pairs;
+    }
+  }
+  // Local and relayed groups of each replica found their twin key.
+  EXPECT_EQ(shared_pairs, 4u);
+
+  // And the stream, which shares tables across the groups, ranks as the
+  // eager path, which builds one per group.
+  ResourceVector used;
+  used.Add({SiteId(0), ResourceKind::kNetworkBandwidth}, 2000.0);
+  ASSERT_TRUE(pool_.Acquire(used).ok());
+  RuntimeCostEvaluator evaluator(&lrb_);
+  std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
+  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+                    qos);
+  ExpectDrainsAs(stream, eager, evaluator, pool_);
 }
 
 TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
