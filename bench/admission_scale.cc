@@ -1,10 +1,9 @@
 // Admission-pipeline scaling: wall-clock throughput of the delivery hot
 // path (admit -> session-table probes -> cancel) under real submitter
-// threads, swept over thread count and session-table shard count. The
-// sharded table (core/session_manager.h) routes sessions to the shard
-// of their delivery site, so threads pinned to different sites stop
-// serializing on one table mutex; this harness quantifies that win (the
-// CI smoke leg runs `bench_admission_scale --smoke`).
+// threads, swept over thread count. Every admission serializes on the
+// one session table and the one resource pool, so this harness shows
+// what concurrency buys (and costs) end to end (the CI smoke leg runs
+// `bench_admission_scale --smoke`).
 //
 // Unlike the simulation harnesses this one measures *wall-clock* time:
 // the simulator clock never advances, sessions are admitted and
@@ -28,15 +27,14 @@ using namespace quasaq;  // NOLINT: experiment harness
 
 constexpr int kSites = 4;
 
-core::MediaDbSystem::Options BaseOptions(int session_shards) {
+core::MediaDbSystem::Options BaseOptions() {
   core::MediaDbSystem::Options options;
   options.kind = core::SystemKind::kVdbmsQuasaq;
   options.topology = net::Topology::Uniform(kSites);
   options.seed = 11;
-  options.session_shards = session_shards;
   // Tiny plan space: the harness measures the admission pipeline, not
   // plan enumeration, so each admit should be dominated by the locks
-  // and table work the sharding targets.
+  // and table work.
   options.quality.generator.enable_transcoding = false;
   options.quality.generator.enable_frame_dropping = false;
   options.quality.generator.enable_relay = false;
@@ -50,13 +48,13 @@ struct SweepResult {
 };
 
 // `threads` submitters, each pinned to one site (threads round-robin
-// over the 4 sites, so with 8 threads two share a site — and a shard).
+// over the 4 sites, so with 8 threads two share a site).
 // Each cycle admits a delivery, probes the session table a few times
 // (the Find-equivalent concurrent readers use), and cancels.
-SweepResult RunSweep(int threads, int session_shards, int ops_per_thread,
+SweepResult RunSweep(int threads, int ops_per_thread,
                      core::MediaDbSystem::ObservabilitySnapshot* obs) {
   sim::Simulator simulator;
-  core::MediaDbSystem system(&simulator, BaseOptions(session_shards));
+  core::MediaDbSystem system(&simulator, BaseOptions());
   const std::vector<SiteId> sites = system.topology().SiteIds();
   query::QosRequirement qos;  // permissive: every stored replica serves
 
@@ -122,7 +120,7 @@ int main(int argc, char** argv) {
   const int ops_per_thread = smoke ? 200 : 2000;
   const int max_threads = thread_counts.back();
 
-  bench::PrintHeader("Admission pipeline scaling (threads x shards, " +
+  bench::PrintHeader("Admission pipeline scaling (threads, " +
                      std::to_string(kSites) + " sites)");
   const unsigned cores = std::thread::hardware_concurrency();
   bench::JsonWriter json("admission_scale");
@@ -132,57 +130,42 @@ int main(int argc, char** argv) {
   json.Add("hardware_concurrency", static_cast<double>(cores));
   if (cores < static_cast<unsigned>(max_threads)) {
     // Submitters time-slice the available cores, so wall-clock
-    // admitted/sec cannot exceed the single-core rate regardless of how
-    // the locks shard; the sweep still exercises every contention path,
+    // admitted/sec cannot exceed the single-core rate regardless of
+    // locking; the sweep still exercises every contention path,
     // but read the speedup accordingly.
     std::printf("note: %u hardware core(s) < %d threads — wall-clock "
                 "scaling is core-bound on this machine\n",
                 cores, max_threads);
   }
 
-  std::printf("%8s %8s %14s %10s %10s\n", "threads", "shards",
-              "admitted/sec", "admitted", "rejected");
-  // admitted/sec indexed [shards==1 ? 0 : 1][thread sweep position].
-  std::vector<std::vector<double>> rates(2);
-  core::MediaDbSystem::ObservabilitySnapshot sharded_obs;
-  for (int shards : {1, kSites}) {
-    for (int threads : thread_counts) {
-      const bool capture = shards == kSites && threads == max_threads;
-      SweepResult result = RunSweep(threads, shards, ops_per_thread,
-                                    capture ? &sharded_obs : nullptr);
-      rates[shards == 1 ? 0 : 1].push_back(result.admitted_per_sec);
-      std::printf("%8d %8d %14.0f %10llu %10llu\n", threads, shards,
-                  result.admitted_per_sec,
-                  static_cast<unsigned long long>(result.admitted),
-                  static_cast<unsigned long long>(result.rejected));
-      std::string prefix = "t" + std::to_string(threads) + ".shard" +
-                           std::to_string(shards);
-      json.Add(prefix + ".admitted_per_sec", result.admitted_per_sec);
-      json.Add(prefix + ".admitted",
-               static_cast<double>(result.admitted));
-      json.Add(prefix + ".rejected",
-               static_cast<double>(result.rejected));
-    }
+  std::printf("%8s %14s %10s %10s\n", "threads", "admitted/sec",
+              "admitted", "rejected");
+  std::vector<double> rates;
+  core::MediaDbSystem::ObservabilitySnapshot peak_obs;
+  for (int threads : thread_counts) {
+    const bool capture = threads == max_threads;
+    SweepResult result =
+        RunSweep(threads, ops_per_thread, capture ? &peak_obs : nullptr);
+    rates.push_back(result.admitted_per_sec);
+    std::printf("%8d %14.0f %10llu %10llu\n", threads,
+                result.admitted_per_sec,
+                static_cast<unsigned long long>(result.admitted),
+                static_cast<unsigned long long>(result.rejected));
+    std::string prefix = "t" + std::to_string(threads);
+    json.Add(prefix + ".admitted_per_sec", result.admitted_per_sec);
+    json.Add(prefix + ".admitted", static_cast<double>(result.admitted));
+    json.Add(prefix + ".rejected", static_cast<double>(result.rejected));
   }
-  const double unsharded_peak = rates[0].back();
-  const double sharded_peak = rates[1].back();
-  const double speedup =
-      unsharded_peak > 0.0 ? sharded_peak / unsharded_peak : 0.0;
   const double scaling =
-      rates[1].front() > 0.0 ? sharded_peak / rates[1].front() : 0.0;
-  std::printf(
-      "\nsharded vs unsharded at %d threads: %.2fx   "
-      "(sharded %d-thread scaling over 1 thread: %.2fx)\n",
-      max_threads, speedup, max_threads, scaling);
-  json.Add("speedup_sharded_vs_unsharded_peak", speedup);
-  json.Add("sharded_thread_scaling", scaling);
+      rates.front() > 0.0 ? rates.back() / rates.front() : 0.0;
+  std::printf("\n%d-thread scaling over 1 thread: %.2fx\n", max_threads,
+              scaling);
+  json.Add("thread_scaling", scaling);
 
   json.WriteFile();
-  // Sidecars from the sharded peak run: the merged (main + per-shard
-  // registries) exposition, so shard-local session counters reconcile
-  // with the admit totals above.
-  bench::WriteObservabilitySidecars("admission_scale",
-                                    sharded_obs.prometheus,
-                                    sharded_obs.metrics_json);
+  // Sidecars from the peak-thread run, so its session counters
+  // reconcile with the admit totals above.
+  bench::WriteObservabilitySidecars("admission_scale", peak_obs.prometheus,
+                                    peak_obs.metrics_json);
   return 0;
 }

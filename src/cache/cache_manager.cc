@@ -59,14 +59,6 @@ void CacheManager::set_metrics(obs::MetricsRegistry* registry) {
   }
 }
 
-void CacheManager::set_metrics(
-    const std::function<obs::MetricsRegistry*(SiteId)>& registry_for) {
-  for (size_t i = 0; i < caches_.size(); ++i) {
-    caches_[i]->set_metrics(registry_for(sites_[i]),
-                            std::to_string(sites_[i].value()));
-  }
-}
-
 SegmentCache::Counters CacheManager::TotalCounters() const {
   SegmentCache::Counters total;
   for (const auto& cache : caches_) {

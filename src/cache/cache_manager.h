@@ -1,7 +1,6 @@
 #ifndef QUASAQ_CACHE_CACHE_MANAGER_H_
 #define QUASAQ_CACHE_CACHE_MANAGER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,14 +74,6 @@ class CacheManager : public CacheView {
   /// family per counter (nullptr detaches). Call before streaming so
   /// the registry totals reconcile with TotalCounters().
   void set_metrics(obs::MetricsRegistry* registry);
-
-  /// Sharded flavor: each site's cache attaches to the registry
-  /// `registry_for(site)` returns — typically the shard-local registry
-  /// the site's sessions report into, so busy sites never contend on a
-  /// counter cache line. Merged exposition reassembles one document;
-  /// the site label keeps every series distinct across registries.
-  void set_metrics(
-      const std::function<obs::MetricsRegistry*(SiteId)>& registry_for);
 
   const SegmentLayout::Options& layout_options() const {
     return options_.layout;

@@ -32,8 +32,8 @@
 // search the space lazily: EnumerateGroups fixes the (A1, A2) prefix —
 // one GroupSeed per (replica, delivery site) pair — and ExpandGroup
 // materializes the activity combinations (A3–A5) of one group. The
-// eager Generate() is the composition of the two and remains available
-// for the ablation benches.
+// eager Generate() is the composition of the two: the reference the
+// stream is tested against, and what bench_plan_space measures.
 //
 // ExpandGroup prunes before it builds. Delivered quality depends only on
 // the (transcode target, drop) pair and startup only on relay and
@@ -61,11 +61,6 @@ class PlanGenerator {
     // are skipped (the raw combinatorial space; ablation only — such
     // plans must not be executed).
     bool apply_static_pruning = true;
-    // When true the Quality Manager searches the plan space lazily
-    // through a best-first PlanStream (core/plan_stream.h) instead of
-    // materializing and ranking every plan. The ranking order is
-    // identical either way; set to false to benchmark the eager path.
-    bool lazy_enumeration = true;
     // Candidate transcode targets (defaults to the standard ladder).
     std::vector<media::AppQos> transcode_targets;
     // Cache-served plan variants (requires a cache view, see below):

@@ -128,52 +128,11 @@ void QualityManager::ConfigureGain(const query::QosRequirement& qos) {
   }
 }
 
-Result<QualityManager::Admitted> QualityManager::TryAdmitEager(
-    SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    bool* had_plans) {
-  TraceBegin("plan.enumerate");
-  Result<std::vector<Plan>> plans =
-      generator_.Generate(query_site, content, qos);
-  if (!plans.ok()) {
-    TraceEnd();
-    return plans.status();
-  }
-  stats_.plans_generated += plans->size();
-  if (metrics_.generated != nullptr) {
-    metrics_.generated->Increment(static_cast<double>(plans->size()));
-  }
-  TraceEnd({{"plans", std::to_string(plans->size())}});
-  *had_plans = !plans->empty();
-  if (plans->empty()) {
-    return Status::NotFound("no plan satisfies the QoS bounds");
-  }
-  evaluator_.Rank(*plans, qos_api_->pool());
-  TraceBegin("plan.reserve");
-  int attempts = 0;
-  for (Plan& plan : *plans) {
-    if (options_.max_admission_attempts > 0 &&
-        attempts >= options_.max_admission_attempts) {
-      break;
-    }
-    ++attempts;
-    if (!qos_api_->Admissible(plan.resources)) continue;
-    Result<res::ReservationId> reservation =
-        qos_api_->Reserve(plan.resources);
-    if (!reservation.ok()) continue;  // raced/edge: try the next plan
-    Admitted admitted;
-    admitted.plan = std::move(plan);
-    admitted.reservation = *reservation;
-    TraceEnd({{"attempts", std::to_string(attempts)},
-              {"site", std::to_string(admitted.plan.delivery_site.value())}});
-    return admitted;
-  }
-  TraceEnd({{"attempts", std::to_string(attempts)},
-            {"outcome", "rejected"}});
-  return Status::ResourceExhausted("no admittable plan");
-}
-
 Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
     PlanStream& stream, bool* had_plans) {
+  // A stream that failed to open (no replica registered) has nothing to
+  // walk in any round.
+  if (!stream.status().ok()) return stream.status();
   const size_t generated_before = stream.stats().plans_generated;
   // On the streamed path enumeration and admission interleave, so one
   // plan.enumerate span covers the whole walk; reservation of the
@@ -209,9 +168,8 @@ Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
   }
   const size_t generated =
       stream.stats().plans_generated - generated_before;
-  stats_.plans_generated += generated;
-  if (metrics_.generated != nullptr) {
-    metrics_.generated->Increment(static_cast<double>(generated));
+  AccountGenerated(generated);
+  if (metrics_.cutoff_margin != nullptr) {
     // How decisively the lower bound cut the rest of the space off: the
     // frontier's best remaining bound relative to the admitted cost.
     std::optional<double> bound = stream.FrontierBound();
@@ -222,6 +180,13 @@ Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
   TraceEnd({{"plans", std::to_string(generated)},
             {"pruned", std::to_string(stream.groups_pruned())}});
   return result;
+}
+
+void QualityManager::AccountGenerated(size_t generated) {
+  stats_.plans_generated += generated;
+  if (metrics_.generated != nullptr) {
+    metrics_.generated->Increment(static_cast<double>(generated));
+  }
 }
 
 void QualityManager::AccountStreamPruning(const PlanStream& stream) {
@@ -249,25 +214,17 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     }
   };
   ConfigureGain(qos);
-  const bool lazy = generator_.options().lazy_enumeration;
-  // The streamed path opens one PlanStream for the whole admission —
-  // relaxation rounds Reset() it over the already-enumerated groups
-  // instead of re-fetching metadata and re-seeding per round.
-  std::optional<PlanStream> stream;
+  // One PlanStream serves the whole admission — relaxation rounds
+  // Reset() it over the already-enumerated groups instead of
+  // re-fetching metadata and re-seeding per round.
+  PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
+                    content, qos);
   bool had_plans = false;
-  Result<Admitted> attempt = Status::ResourceExhausted("unreached");
-  if (lazy) {
-    stream.emplace(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                   content, qos);
-    attempt = stream->status().ok() ? TryAdmitWithStream(*stream, &had_plans)
-                                    : Result<Admitted>(stream->status());
-  } else {
-    attempt = TryAdmitEager(query_site, content, qos, &had_plans);
-  }
+  Result<Admitted> attempt = TryAdmitWithStream(stream, &had_plans);
   if (attempt.ok()) {
     ++stats_.admitted;
     if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-    if (stream.has_value()) AccountStreamPruning(*stream);
+    AccountStreamPruning(stream);
     observe_per_query();
     TraceEnd({{"outcome", "admitted"}});
     return attempt;
@@ -284,19 +241,14 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
       TraceInstant("plan.relax");
       ConfigureGain(relaxed);
       had_plans = false;
-      Result<Admitted> retry = Status::ResourceExhausted("unreached");
-      if (stream.has_value() && stream->status().ok()) {
-        stream->Reset(relaxed);
-        retry = TryAdmitWithStream(*stream, &had_plans);
-      } else {
-        retry = TryAdmitEager(query_site, content, relaxed, &had_plans);
-      }
+      stream.Reset(relaxed);
+      Result<Admitted> retry = TryAdmitWithStream(stream, &had_plans);
       any_plans_seen = any_plans_seen || had_plans;
       if (retry.ok()) {
         ++stats_.admitted;
         ++stats_.renegotiated;
         if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-        if (stream.has_value()) AccountStreamPruning(*stream);
+        AccountStreamPruning(stream);
         observe_per_query();
         retry->renegotiated = true;
         TraceEnd({{"outcome", "admitted_relaxed"},
@@ -306,7 +258,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     }
   }
 
-  if (stream.has_value()) AccountStreamPruning(*stream);
+  AccountStreamPruning(stream);
   observe_per_query();
   if (any_plans_seen) {
     ++stats_.rejected_no_resources;
@@ -335,41 +287,24 @@ Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     size_t limit) {
   ConfigureGain(qos);
-  if (generator_.options().lazy_enumeration) {
-    PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(),
-                      query_site, content, qos);
-    if (!stream.status().ok()) return stream.status();
-    std::vector<RankedPlan> ranked;
-    while (ranked.size() < limit) {
-      std::optional<PlanStream::Ranked> next = stream.Next();
-      if (!next.has_value()) break;
-      RankedPlan entry;
-      entry.cost =
-          evaluator_.model().Cost(next->plan.resources, qos_api_->pool());
-      entry.admissible = qos_api_->Admissible(next->plan.resources);
-      entry.plan = std::move(next->plan);
-      ranked.push_back(std::move(entry));
-    }
-    stats_.plans_generated += stream.stats().plans_generated;
-    stats_.groups_pruned += stream.groups_pruned();
-    return ranked;
-  }
-
-  Result<std::vector<Plan>> plans =
-      generator_.Generate(query_site, content, qos);
-  if (!plans.ok()) return plans.status();
-  stats_.plans_generated += plans->size();
-  evaluator_.Rank(*plans, qos_api_->pool());
+  PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
+                    content, qos);
+  if (!stream.status().ok()) return stream.status();
   std::vector<RankedPlan> ranked;
-  ranked.reserve(std::min(limit, plans->size()));
-  for (Plan& plan : *plans) {
-    if (ranked.size() >= limit) break;
+  while (ranked.size() < limit) {
+    std::optional<PlanStream::Ranked> next = stream.Next();
+    if (!next.has_value()) break;
     RankedPlan entry;
-    entry.cost = evaluator_.model().Cost(plan.resources, qos_api_->pool());
-    entry.admissible = qos_api_->Admissible(plan.resources);
-    entry.plan = std::move(plan);
+    entry.cost =
+        evaluator_.model().Cost(next->plan.resources, qos_api_->pool());
+    entry.admissible = qos_api_->Admissible(next->plan.resources);
+    entry.plan = std::move(next->plan);
     ranked.push_back(std::move(entry));
   }
+  // EXPLAIN materializes and costs plans like an admission does, so it
+  // feeds the same plan counters (but not the per-query ones).
+  AccountGenerated(stream.stats().plans_generated);
+  AccountStreamPruning(stream);
   return ranked;
 }
 
@@ -430,91 +365,35 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
     }
     const size_t generated =
         stream.stats().plans_generated - generated_before;
-    stats_.plans_generated += generated;
-    if (metrics_.generated != nullptr) {
-      metrics_.generated->Increment(static_cast<double>(generated));
-    }
+    AccountGenerated(generated);
     TraceEnd({{"plans", std::to_string(generated)}});
     return result;
   };
 
-  if (generator_.options().lazy_enumeration) {
-    PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(),
-                      query_site, content, qos);
-    if (!stream.status().ok()) return stream.status();
-    bool had_plans = false;
-    Result<Admitted> result = walk(stream, &had_plans);
-    bool any_plans_seen = had_plans;
-    if (!result.ok() && options_.enable_renegotiation &&
-        profile != nullptr) {
-      // Relaxation rounds reuse the session's still-open stream: the
-      // (replica, site) groups stay enumerated, only the QoS window
-      // and the frontier re-arm.
-      query::QosRequirement relaxed = qos;
-      for (int round = 0; round < options_.max_renegotiation_rounds;
-           ++round) {
-        if (!profile->RelaxForRenegotiation(relaxed.range)) break;
-        if (metrics_.relaxations != nullptr) {
-          metrics_.relaxations->Increment();
-        }
-        TraceInstant("plan.relax");
-        ConfigureGain(relaxed);
-        stream.Reset(relaxed);
-        had_plans = false;
-        result = walk(stream, &had_plans);
-        any_plans_seen = any_plans_seen || had_plans;
-        if (result.ok()) break;
-      }
-    }
-    AccountStreamPruning(stream);
-    if (!result.ok() && !any_plans_seen) {
-      return Status::NotFound("no plan satisfies the new QoS bounds");
-    }
-    return result;
-  }
-
-  // Eager ablation path: regenerate per round.
-  query::QosRequirement bounds = qos;
-  bool any_plans_seen = false;
-  Result<Admitted> result = Status::ResourceExhausted(
-      "no admittable plan for the renegotiated QoS");
-  for (int round = 0; round <= options_.max_renegotiation_rounds; ++round) {
-    if (round > 0) {
-      if (!options_.enable_renegotiation || profile == nullptr ||
-          !profile->RelaxForRenegotiation(bounds.range)) {
-        break;
-      }
+  PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
+                    content, qos);
+  if (!stream.status().ok()) return stream.status();
+  bool had_plans = false;
+  Result<Admitted> result = walk(stream, &had_plans);
+  bool any_plans_seen = had_plans;
+  if (!result.ok() && options_.enable_renegotiation && profile != nullptr) {
+    // Relaxation rounds reuse the session's still-open stream: the
+    // (replica, site) groups stay enumerated, only the QoS window and
+    // the frontier re-arm.
+    query::QosRequirement relaxed = qos;
+    for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
+      if (!profile->RelaxForRenegotiation(relaxed.range)) break;
       if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
       TraceInstant("plan.relax");
-      ConfigureGain(bounds);
+      ConfigureGain(relaxed);
+      stream.Reset(relaxed);
+      had_plans = false;
+      result = walk(stream, &had_plans);
+      any_plans_seen = any_plans_seen || had_plans;
+      if (result.ok()) break;
     }
-    TraceBegin("plan.enumerate");
-    Result<std::vector<Plan>> plans =
-        generator_.Generate(query_site, content, bounds);
-    if (!plans.ok()) {
-      TraceEnd();
-      return plans.status();
-    }
-    stats_.plans_generated += plans->size();
-    if (metrics_.generated != nullptr) {
-      metrics_.generated->Increment(static_cast<double>(plans->size()));
-    }
-    TraceEnd({{"plans", std::to_string(plans->size())}});
-    any_plans_seen = any_plans_seen || !plans->empty();
-    if (plans->empty()) continue;
-    evaluator_.Rank(*plans, qos_api_->pool());
-    for (Plan& plan : *plans) {
-      Status status = adopt(plan.resources);
-      if (!status.ok()) continue;
-      Admitted admitted;
-      admitted.plan = std::move(plan);
-      admitted.reservation = reservation;
-      admitted.renegotiated = true;
-      result = std::move(admitted);
-      break;
-    }
-    if (result.ok()) break;
   }
+  AccountStreamPruning(stream);
   if (!result.ok() && !any_plans_seen) {
     return Status::NotFound("no plan satisfies the new QoS bounds");
   }

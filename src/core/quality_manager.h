@@ -28,15 +28,15 @@
 // the QoS bounds are relaxed along the user's least-valued axis and the
 // query gets a "second chance" (renegotiation).
 //
-// By default the ranking is walked through a lazy best-first PlanStream
+// The ranking is walked through a lazy best-first PlanStream
 // (core/plan_stream.h): plans are materialized only as far as admission
 // control actually looks, and branches whose LRB lower bound exceeds
-// the first admitted cost are never generated. Relaxation rounds reuse
-// the query's still-open stream (PlanStream::Reset) instead of
-// re-seeding enumeration — and so do mid-playback renegotiations. The
-// eager materialize-and-sort path is kept behind
-// PlanGenerator::Options::lazy_enumeration for the ablation benches;
-// both paths admit the identical plan.
+// the first admitted cost are never generated. The stream yields the
+// exact order of PlanGenerator::Generate followed by a full ranking, so
+// the admitted plan is the one the eager materialize-and-sort walk
+// would pick. Relaxation rounds reuse the query's still-open stream
+// (PlanStream::Reset) instead of re-seeding enumeration — and so do
+// mid-playback renegotiations.
 //
 // Thread-safety: Admit/Renegotiate/Explain may run concurrently from
 // many threads when (a) the optimization goal is kThroughput (a gain
@@ -80,11 +80,10 @@ class QualityManager {
     uint64_t rejected_no_plan = 0;      // QoS unsatisfiable from storage
     uint64_t rejected_no_resources = 0; // all plans failed admission
     uint64_t renegotiated = 0;          // admitted at relaxed QoS
-    // Plans materialized and costed. On the eager path this is the full
-    // search space per query; on the streamed path only the expanded
-    // prefix, so the difference is the pruning win.
+    // Plans materialized and costed (admissions, renegotiations and
+    // EXPLAIN): only the prefix of the ranking the walk expanded.
     uint64_t plans_generated = 0;
-    uint64_t groups_pruned = 0;  // streamed path: branches never expanded
+    uint64_t groups_pruned = 0;  // branches never expanded
   };
 
   // A successfully admitted query.
@@ -151,9 +150,9 @@ class QualityManager {
   };
 
   /// Enumerates and ranks the plans for `content` under `qos` without
-  /// reserving anything — the EXPLAIN path. At most `limit` entries; on
-  /// the streamed path enumeration stops as soon as `limit` plans have
-  /// been yielded instead of ranking the whole space first.
+  /// reserving anything — the EXPLAIN path. At most `limit` entries;
+  /// enumeration stops as soon as `limit` plans have been yielded
+  /// instead of ranking the whole space first.
   Result<std::vector<RankedPlan>> ExplainPlans(
       SiteId query_site, LogicalOid content,
       const query::QosRequirement& qos, size_t limit = 10);
@@ -222,19 +221,18 @@ class QualityManager {
   // first call), so concurrent throughput-goal admissions do not race
   // on the evaluator.
   void ConfigureGain(const query::QosRequirement& qos);
-  // One plan-and-admit attempt at fixed QoS bounds against an open
-  // stream (create or Reset it first). Fills `had_plans`; accounts the
-  // round's generated-plan delta. Does NOT account groups_pruned —
-  // that is cumulative stream state, accounted once per stream by
+  // One plan-and-admit attempt at fixed QoS bounds against a stream
+  // (create or Reset it first). Fills `had_plans`; accounts the round's
+  // generated-plan delta. Does NOT account groups_pruned — that is
+  // cumulative stream state, accounted once per stream by
   // AccountStreamPruning.
   Result<Admitted> TryAdmitWithStream(PlanStream& stream, bool* had_plans);
-  Result<Admitted> TryAdmitEager(SiteId query_site, LogicalOid content,
-                                 const query::QosRequirement& qos,
-                                 bool* had_plans);
+  // Adds `generated` materialized plans to stats and metrics.
+  void AccountGenerated(size_t generated);
   // Folds the finished stream's pruning win into stats/metrics.
   void AccountStreamPruning(const PlanStream& stream);
-  // Shared renegotiation walk: streamed (with relaxation rounds reusing
-  // the stream) or eager; `adopt` applies an admittable resource vector
+  // Shared renegotiation walk, relaxation rounds reusing the stream;
+  // `adopt` applies an admittable resource vector
   // (swap-in-place for live sessions, reserve-probe for paused ones)
   // and `reservation` is what the returned Admitted carries.
   Result<Admitted> RenegotiateImpl(

@@ -28,16 +28,9 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
       qos_api_(&pool_),
-      session_manager_(simulator, &qos_api_,
-                       std::max(1, options.session_shards)) {
+      session_manager_(simulator, &qos_api_) {
   assert(simulator_ != nullptr);
   std::vector<SiteId> sites = options_.topology.SiteIds();
-  if (session_manager_.shard_count() > 1) {
-    // Per-shard registries: session counters (and, below, the per-site
-    // cache counters) report shard-locally; TakeObservabilitySnapshot
-    // merges them back into one document.
-    observability_.AllocateShardRegistries(session_manager_.shard_count());
-  }
   session_manager_.set_observability(&observability_);
   qos_api_.set_metrics(&observability_.metrics());
   session_manager_.set_on_complete([this](SessionId id, SimTime now) {
@@ -99,17 +92,7 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
     if (options_.cache.enabled) {
       cache_manager_ = std::make_unique<cache::CacheManager>(
           sites, options_.cache.manager);
-      if (session_manager_.shard_count() > 1) {
-        // Each site's cache reports into the same shard-local registry
-        // its sessions land in, so a busy site never contends with the
-        // others on a counter cache line.
-        cache_manager_->set_metrics([this](SiteId site) {
-          return &observability_.shard_metrics(
-              session_manager_.ShardOfSite(site));
-        });
-      } else {
-        cache_manager_->set_metrics(&observability_.metrics());
-      }
+      cache_manager_->set_metrics(&observability_.metrics());
       quality_manager_->generator().set_cache_view(cache_manager_.get());
     }
 
@@ -396,11 +379,8 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
 MediaDbSystem::ObservabilitySnapshot
 MediaDbSystem::TakeObservabilitySnapshot() const {
   ObservabilitySnapshot snapshot;
-  // Merged exposition: with per-shard registries (session_shards > 1)
-  // the main + shard registries render as one document; unsharded this
-  // is byte-identical to the plain exposition.
-  snapshot.prometheus = observability_.MergedPrometheusText();
-  snapshot.metrics_json = observability_.MergedJsonSnapshot();
+  snapshot.prometheus = observability_.metrics().PrometheusText();
+  snapshot.metrics_json = observability_.metrics().JsonSnapshot();
   if (options_.observability.tracing) {
     snapshot.trace_json = observability_.tracer().ChromeTraceJson();
   }

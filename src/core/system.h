@@ -76,12 +76,6 @@ class MediaDbSystem {
     std::string cost_model = "lrb";
     uint64_t seed = 1;
     QualityManager::Options quality;
-    // Number of session-table shards (core/session_manager.h). 1 (the
-    // default) reproduces the unsharded behavior exactly, session IDs
-    // included. > 1 also gives each shard its own metrics registry
-    // (merged on snapshot) so concurrent admissions on different sites
-    // never contend on a session-table lock or a counter cache line.
-    int session_shards = 1;
     // CPU capacity of one server, as a fraction (1.0 = one CPU).
     double cpu_capacity = 1.0;
     // Oversubscribed VDBMS links stretch session time up to this factor.

@@ -325,210 +325,100 @@ std::vector<std::string> MetricsRegistry::MetricNames() const {
   return names;
 }
 
-MetricsRegistry::MergedView MetricsRegistry::BuildMergedView(
-    const std::vector<const MetricsRegistry*>& parts) {
-  MergedView view;
-  for (const MetricsRegistry* part : parts) {
-    if (part == nullptr) continue;
-    MutexLock lock(&part->mu_);
-    for (const auto& [name, family] : part->families_) {
-      auto [entry, inserted] = view.try_emplace(name);
-      MergedFamily& merged = entry->second;
-      if (inserted) {
-        merged.type = family.type;
-        merged.help = family.help;
-      } else if (merged.type != family.type) {
-        continue;  // one name, one meaning: first part wins
-      }
-      auto series_for = [&](const std::string& key) -> MergedSeries& {
-        auto [it, fresh] = merged.series.try_emplace(key);
-        if (fresh) it->second.labels = family.label_sets.at(key);
-        return it->second;
-      };
-      switch (family.type) {
-        case MetricType::kCounter:
-          for (const auto& [key, counter] : family.counters) {
-            series_for(key).value += counter->value();
-          }
-          break;
-        case MetricType::kGauge:
-          for (const auto& [key, gauge] : family.gauges) {
-            MergedSeries& series = series_for(key);
-            series.value += gauge->value();
-            TimeSeries history = gauge->history();
-            for (const TimeSeries::Sample& s : history.samples()) {
-              series.history.Add(s.time, s.value);
-            }
-          }
-          break;
-        case MetricType::kHistogram:
-          for (const auto& [key, histogram] : family.histograms) {
-            MergedSeries& series = series_for(key);
-            Histogram::Snapshot snap = histogram->snapshot();
-            if (!series.histogram_init) {
-              series.histogram = std::move(snap);
-              series.histogram_init = true;
-              continue;
-            }
-            if (snap.bounds != series.histogram.bounds) continue;
-            for (size_t i = 0; i < snap.counts.size(); ++i) {
-              series.histogram.counts[i] += snap.counts[i];
-            }
-            if (snap.count > 0) {
-              if (series.histogram.count == 0) {
-                series.histogram.min = snap.min;
-                series.histogram.max = snap.max;
-              } else {
-                series.histogram.min =
-                    std::min(series.histogram.min, snap.min);
-                series.histogram.max =
-                    std::max(series.histogram.max, snap.max);
-              }
-            }
-            series.histogram.count += snap.count;
-            series.histogram.sum += snap.sum;
-          }
-          break;
-      }
-    }
-  }
-  if (parts.size() > 1) {
-    // Shard histories interleave; time-order the merged series. A
-    // single part keeps its raw append order (byte-identical to the
-    // instance exposition).
-    for (auto& [name, family] : view) {
-      if (family.type != MetricType::kGauge) continue;
-      for (auto& [key, series] : family.series) {
-        if (series.history.empty()) continue;
-        std::vector<TimeSeries::Sample> samples = series.history.samples();
-        std::stable_sort(samples.begin(), samples.end(),
-                         [](const TimeSeries::Sample& a,
-                            const TimeSeries::Sample& b) {
-                           return a.time < b.time;
-                         });
-        series.history = TimeSeries();
-        for (const TimeSeries::Sample& s : samples) {
-          series.history.Add(s.time, s.value);
-        }
-      }
-    }
-  }
-  return view;
-}
-
-std::string MetricsRegistry::RenderPrometheus(const MergedView& view) {
+std::string MetricsRegistry::PrometheusText() const {
   std::string out;
-  for (const auto& [name, family] : view) {
+  MutexLock lock(&mu_);
+  for (const auto& [name, family] : families_) {
     out += "# HELP " + name + " " + family.help + "\n";
     out += "# TYPE " + name + " " +
            std::string(MetricTypeName(family.type)) + "\n";
-    for (const auto& [key, series] : family.series) {
-      switch (family.type) {
-        case MetricType::kCounter:
-        case MetricType::kGauge:
-          out += name + PromLabelSuffix(series.labels) + " " +
-                 RenderNumber(series.value) + "\n";
-          break;
-        case MetricType::kHistogram: {
-          const Histogram::Snapshot& snap = series.histogram;
-          uint64_t cumulative = 0;
-          for (size_t i = 0; i < snap.counts.size(); ++i) {
-            cumulative += snap.counts[i];
-            std::string le = i < snap.bounds.size()
-                                 ? RenderNumber(snap.bounds[i])
-                                 : "+Inf";
-            out += name + "_bucket" +
-                   PromLabelSuffixWith(series.labels, "le", le) + " " +
-                   std::to_string(cumulative) + "\n";
-          }
-          out += name + "_sum" + PromLabelSuffix(series.labels) + " " +
-                 RenderNumber(snap.sum) + "\n";
-          out += name + "_count" + PromLabelSuffix(series.labels) + " " +
-                 std::to_string(snap.count) + "\n";
-          break;
-        }
+    for (const auto& [key, counter] : family.counters) {
+      out += name + PromLabelSuffix(family.label_sets.at(key)) + " " +
+             RenderNumber(counter->value()) + "\n";
+    }
+    for (const auto& [key, gauge] : family.gauges) {
+      out += name + PromLabelSuffix(family.label_sets.at(key)) + " " +
+             RenderNumber(gauge->value()) + "\n";
+    }
+    for (const auto& [key, histogram] : family.histograms) {
+      const Labels& labels = family.label_sets.at(key);
+      const Histogram::Snapshot snap = histogram->snapshot();
+      uint64_t cumulative = 0;
+      for (size_t i = 0; i < snap.counts.size(); ++i) {
+        cumulative += snap.counts[i];
+        std::string le =
+            i < snap.bounds.size() ? RenderNumber(snap.bounds[i]) : "+Inf";
+        out += name + "_bucket" + PromLabelSuffixWith(labels, "le", le) +
+               " " + std::to_string(cumulative) + "\n";
       }
+      out += name + "_sum" + PromLabelSuffix(labels) + " " +
+             RenderNumber(snap.sum) + "\n";
+      out += name + "_count" + PromLabelSuffix(labels) + " " +
+             std::to_string(snap.count) + "\n";
     }
   }
   return out;
 }
 
-std::string MetricsRegistry::RenderJson(const MergedView& view) {
+std::string MetricsRegistry::JsonSnapshot() const {
   std::string out = "{\n  \"metrics\": [";
   bool first_family = true;
-  for (const auto& [name, family] : view) {
+  MutexLock lock(&mu_);
+  for (const auto& [name, family] : families_) {
     if (!first_family) out += ',';
     first_family = false;
     out += "\n    {\"name\": \"" + JsonEscapeString(name) + "\", \"type\": \"" +
            std::string(MetricTypeName(family.type)) + "\", \"help\": \"" +
            JsonEscapeString(family.help) + "\", \"series\": [";
     bool first_series = true;
-    for (const auto& [key, series] : family.series) {
+    // Opens a series object; the caller appends its fields.
+    auto open_series = [&out, &first_series](const Labels& labels) {
       if (!first_series) out += ',';
       first_series = false;
-      out += "\n      {\"labels\": " + JsonLabelObject(series.labels);
-      switch (family.type) {
-        case MetricType::kCounter:
-          out += ", \"value\": " + JsonNumberOrNull(series.value) + "}";
-          break;
-        case MetricType::kGauge: {
-          out += ", \"value\": " + JsonNumberOrNull(series.value);
-          if (!series.history.empty()) {
-            out += ", \"history\": [";
-            bool first_sample = true;
-            for (const TimeSeries::Sample& s : series.history.samples()) {
-              if (!first_sample) out += ", ";
-              first_sample = false;
-              out += "[" + JsonNumberOrNull(SimTimeToSeconds(s.time)) + ", " +
-                     JsonNumberOrNull(s.value) + "]";
-            }
-            out += ']';
-          }
-          out += '}';
-          break;
+      out += "\n      {\"labels\": " + JsonLabelObject(labels);
+    };
+    for (const auto& [key, counter] : family.counters) {
+      open_series(family.label_sets.at(key));
+      out += ", \"value\": " + JsonNumberOrNull(counter->value()) + "}";
+    }
+    for (const auto& [key, gauge] : family.gauges) {
+      open_series(family.label_sets.at(key));
+      out += ", \"value\": " + JsonNumberOrNull(gauge->value());
+      const TimeSeries history = gauge->history();
+      if (!history.empty()) {
+        out += ", \"history\": [";
+        bool first_sample = true;
+        for (const TimeSeries::Sample& s : history.samples()) {
+          if (!first_sample) out += ", ";
+          first_sample = false;
+          out += "[" + JsonNumberOrNull(SimTimeToSeconds(s.time)) + ", " +
+                 JsonNumberOrNull(s.value) + "]";
         }
-        case MetricType::kHistogram: {
-          const Histogram::Snapshot& snap = series.histogram;
-          out += ", \"count\": " + std::to_string(snap.count) +
-                 ", \"sum\": " + JsonNumberOrNull(snap.sum) +
-                 ", \"min\": " + JsonNumberOrNull(snap.min) +
-                 ", \"max\": " + JsonNumberOrNull(snap.max) +
-                 ", \"buckets\": [";
-          for (size_t i = 0; i < snap.counts.size(); ++i) {
-            if (i > 0) out += ", ";
-            std::string le = i < snap.bounds.size()
-                                 ? JsonNumberOrNull(snap.bounds[i])
-                                 : "\"+Inf\"";
-            out += "{\"le\": " + le +
-                   ", \"count\": " + std::to_string(snap.counts[i]) + "}";
-          }
-          out += "]}";
-          break;
-        }
+        out += ']';
       }
+      out += '}';
+    }
+    for (const auto& [key, histogram] : family.histograms) {
+      open_series(family.label_sets.at(key));
+      const Histogram::Snapshot snap = histogram->snapshot();
+      out += ", \"count\": " + std::to_string(snap.count) +
+             ", \"sum\": " + JsonNumberOrNull(snap.sum) +
+             ", \"min\": " + JsonNumberOrNull(snap.min) +
+             ", \"max\": " + JsonNumberOrNull(snap.max) + ", \"buckets\": [";
+      for (size_t i = 0; i < snap.counts.size(); ++i) {
+        if (i > 0) out += ", ";
+        std::string le = i < snap.bounds.size()
+                             ? JsonNumberOrNull(snap.bounds[i])
+                             : "\"+Inf\"";
+        out += "{\"le\": " + le +
+               ", \"count\": " + std::to_string(snap.counts[i]) + "}";
+      }
+      out += "]}";
     }
     out += "\n    ]}";
   }
   out += "\n  ]\n}\n";
   return out;
-}
-
-std::string MetricsRegistry::MergedPrometheusText(
-    const std::vector<const MetricsRegistry*>& parts) {
-  return RenderPrometheus(BuildMergedView(parts));
-}
-
-std::string MetricsRegistry::MergedJsonSnapshot(
-    const std::vector<const MetricsRegistry*>& parts) {
-  return RenderJson(BuildMergedView(parts));
-}
-
-std::string MetricsRegistry::PrometheusText() const {
-  return MergedPrometheusText({this});
-}
-
-std::string MetricsRegistry::JsonSnapshot() const {
-  return RenderJson(BuildMergedView({this}));
 }
 
 }  // namespace quasaq::obs

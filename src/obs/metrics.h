@@ -35,9 +35,10 @@
 //
 // Thread-safe: Counter and Gauge values are lock-free atomics; the gauge
 // history, each histogram, and the family table take a quasaq::Mutex.
-// All obs locks are leaves — nothing else is acquired while they are
-// held — so any subsystem may report from inside its own critical
-// section (docs/ARCHITECTURE.md "Threading model").
+// All obs locks are leaves to the rest of the system — exposition nests
+// only a gauge's or histogram's lock under the family-table lock — so
+// any subsystem may report from inside its own critical section
+// (docs/ARCHITECTURE.md "Threading model").
 
 namespace quasaq::obs {
 
@@ -187,19 +188,6 @@ class MetricsRegistry {
   /// pairs; histogram series include per-bucket counts.
   std::string JsonSnapshot() const QUASAQ_EXCLUDES(mu_);
 
-  // Merge-on-snapshot exposition for sharded registries: renders the
-  // union of `parts` as one document. Counter and gauge values sum per
-  // series, histograms merge per-bucket, gauge histories concatenate
-  // (time-sorted when merging more than one part). With a single part
-  // the output is byte-identical to the instance methods — which are in
-  // fact implemented on top of these. When parts disagree on a family's
-  // type (or a histogram's bucket layout) the first part wins and the
-  // conflicting series are skipped.
-  static std::string MergedPrometheusText(
-      const std::vector<const MetricsRegistry*>& parts);
-  static std::string MergedJsonSnapshot(
-      const std::vector<const MetricsRegistry*>& parts);
-
  private:
   // Transparent child-map comparator: compares stored canonical keys
   // ("k=v,k=v", label pairs sorted) against a *sorted* label set without
@@ -230,26 +218,6 @@ class MetricsRegistry {
     // renders labels as the instrumentation passed them).
     std::map<std::string, Labels> label_sets;
   };
-
-  // One series' state accumulated across the merged parts.
-  struct MergedSeries {
-    Labels labels;
-    double value = 0.0;  // counter / gauge sum
-    TimeSeries history;  // gauge history, parts concatenated
-    Histogram::Snapshot histogram;
-    bool histogram_init = false;
-  };
-  struct MergedFamily {
-    MetricType type = MetricType::kCounter;
-    std::string help;
-    std::map<std::string, MergedSeries> series;  // canonical key order
-  };
-  using MergedView = std::map<std::string, MergedFamily>;
-
-  static MergedView BuildMergedView(
-      const std::vector<const MetricsRegistry*>& parts);
-  static std::string RenderPrometheus(const MergedView& view);
-  static std::string RenderJson(const MergedView& view);
 
   Family* ResolveFamily(std::string_view name, std::string_view help,
                         MetricType type) QUASAQ_REQUIRES(mu_);

@@ -1,9 +1,6 @@
 #ifndef QUASAQ_OBS_OBSERVABILITY_H_
 #define QUASAQ_OBS_OBSERVABILITY_H_
 
-#include <memory>
-#include <vector>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -12,13 +9,6 @@
 // subsystem reports into the same exposition surface. Instrumented
 // components take an `Observability*` (or a `MetricsRegistry*` when
 // they only count) and treat nullptr as "not observed".
-//
-// When the session table shards (core/session_manager.h), each shard
-// gets its own MetricsRegistry so per-session counters stop contending
-// on shared atomics' cache lines; MergedPrometheusText/MergedJsonSnapshot
-// render the main registry and every shard registry as one document.
-// With no shard registries the merged exposition is byte-identical to
-// the plain one.
 
 namespace quasaq::obs {
 
@@ -33,51 +23,8 @@ class Observability {
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
-  /// Allocates `count` per-shard registries (idempotent for the same
-  /// count; growing re-allocation is not supported). Call once at
-  /// construction time, before any thread resolves shard handles.
-  void AllocateShardRegistries(int count) {
-    if (static_cast<int>(shard_metrics_.size()) == count) return;
-    shard_metrics_.clear();
-    shard_metrics_.reserve(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      shard_metrics_.push_back(std::make_unique<MetricsRegistry>());
-    }
-  }
-
-  int shard_registry_count() const {
-    return static_cast<int>(shard_metrics_.size());
-  }
-
-  /// Registry of shard `index` (must be < shard_registry_count()).
-  MetricsRegistry& shard_metrics(int index) {
-    return *shard_metrics_[static_cast<size_t>(index)];
-  }
-
-  /// Main + shard registries rendered as one Prometheus document /
-  /// JSON snapshot: counters sum per series, histograms merge
-  /// per-bucket (obs/metrics.h). With zero shard registries this is
-  /// byte-identical to metrics().PrometheusText() / JsonSnapshot().
-  std::string MergedPrometheusText() const {
-    return MetricsRegistry::MergedPrometheusText(AllRegistries());
-  }
-  std::string MergedJsonSnapshot() const {
-    return MetricsRegistry::MergedJsonSnapshot(AllRegistries());
-  }
-
  private:
-  std::vector<const MetricsRegistry*> AllRegistries() const {
-    std::vector<const MetricsRegistry*> parts;
-    parts.reserve(1 + shard_metrics_.size());
-    parts.push_back(&metrics_);
-    for (const auto& shard : shard_metrics_) parts.push_back(shard.get());
-    return parts;
-  }
-
   MetricsRegistry metrics_;
-  // unique_ptr keeps registry addresses stable across the vector —
-  // instrumented code caches raw Counter*/Histogram* handles into them.
-  std::vector<std::unique_ptr<MetricsRegistry>> shard_metrics_;
   Tracer tracer_;
 };
 

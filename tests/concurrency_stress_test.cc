@@ -307,19 +307,17 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
 }
 
 // The full admission pipeline under 8 submitter threads: concurrent
-// admit / renegotiate / probe / cancel through the sharded MediaDbSystem
-// facade, tracing off (traced admissions are single-threaded by
-// contract). Each thread owns the sessions it starts, so the races under
-// test are the shared layers — the composite QoS API, the sharded
-// session table and the per-shard metrics registries — not cross-thread
-// session ownership.
-TEST(ConcurrencyStressTest, ShardedAdmitRenegotiateCancelPipeline) {
+// admit / renegotiate / probe / cancel through the MediaDbSystem facade,
+// tracing off (traced admissions are single-threaded by contract). Each
+// thread owns the sessions it starts, so the races under test are the
+// shared layers — the composite QoS API, the session table and the
+// metrics registry — not cross-thread session ownership.
+TEST(ConcurrencyStressTest, AdmitRenegotiateCancelPipeline) {
   constexpr int kOpsPerThread = 150;
   sim::Simulator simulator;
   core::MediaDbSystem::Options options;
   options.kind = core::SystemKind::kVdbmsQuasaq;
   options.topology = net::Topology::Uniform(4);
-  options.session_shards = 4;
   options.seed = 17;
   core::MediaDbSystem system(&simulator, options);
   const std::vector<SiteId> sites = system.topology().SiteIds();
@@ -371,7 +369,7 @@ TEST(ConcurrencyStressTest, ShardedAdmitRenegotiateCancelPipeline) {
   EXPECT_EQ(plan_stats.queries, stats.submitted);
   EXPECT_EQ(plan_stats.admitted, admitted.load());
   EXPECT_GT(renegotiated.load(), 0u);
-  // Merged exposition renders cleanly after the dust settles.
+  // The exposition renders cleanly after the dust settles.
   core::MediaDbSystem::ObservabilitySnapshot snapshot =
       system.TakeObservabilitySnapshot();
   EXPECT_NE(snapshot.prometheus.find("quasaq_session_started_total"),

@@ -108,6 +108,37 @@ TEST_F(ExplainTest, ToStringListsEveryPlan) {
   EXPECT_NE(text.find("KB/s"), std::string::npos);
 }
 
+// EXPLAIN materializes and costs plans like an admission, so the plan
+// counters of stats() and of the registry must agree after any mix of
+// admissions, renegotiations and EXPLAINs.
+TEST_F(ExplainTest, PlanCountersAgreeWithTheRegistry) {
+  Result<MediaDbSystem::TextQueryOutcome> admitted =
+      system_->SubmitTextQuery(SiteId(0), Query(false));
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  ASSERT_TRUE(admitted->delivery.status.ok());
+  query::QosRequirement lower;
+  lower.range.min_frame_rate = 1.0;
+  ASSERT_TRUE(
+      system_->ChangeSessionQos(admitted->delivery.session, lower).ok());
+  ASSERT_TRUE(system_->ExplainTextQuery(SiteId(0), Query(true)).ok());
+
+  const QualityManager::Stats stats = system_->quality_manager()->stats();
+  obs::MetricsRegistry& registry = system_->observability().metrics();
+  const double generated =
+      registry
+          .GetCounter("quasaq_plan_generated_total",
+                      "Plans materialized and costed")
+          ->value();
+  const double pruned =
+      registry
+          .GetCounter("quasaq_plan_groups_pruned_total",
+                      "Search branches the LRB lower bound cut off")
+          ->value();
+  EXPECT_GT(stats.plans_generated, 0u);
+  EXPECT_EQ(static_cast<double>(stats.plans_generated), generated);
+  EXPECT_EQ(static_cast<double>(stats.groups_pruned), pruned);
+}
+
 TEST(ExplainOnVdbmsTest, RequiresQuasaq) {
   sim::Simulator simulator;
   MediaDbSystem::Options options;

@@ -167,59 +167,69 @@ TEST(MetricsRegistryTest, JsonSnapshotMentionsEverySeries) {
   EXPECT_NE(json.find("[1, 0.5]"), std::string::npos);
 }
 
-// The merged exposition is what TakeObservabilitySnapshot renders when
-// per-shard registries exist: same-name families combine, counters sum
-// per label set, histograms merge per-bucket.
-TEST(MetricsRegistryTest, MergedExpositionSumsAcrossRegistries) {
-  MetricsRegistry main_registry, shard0, shard1;
-  main_registry.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "0"}})
-      ->Increment(1.0);
-  shard0.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "0"}})
-      ->Increment(2.0);
-  shard1.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "1"}})
-      ->Increment(4.0);
-  shard0
-      .GetHistogram("quasaq_test_wait_ms", "Waiting",
-                    HistogramOptions{1.0, 2.0, 2})
-      ->Observe(0.5);
-  shard1
-      .GetHistogram("quasaq_test_wait_ms", "Waiting",
-                    HistogramOptions{1.0, 2.0, 2})
-      ->Observe(3.0);
-  const std::string text = MetricsRegistry::MergedPrometheusText(
-      {&main_registry, &shard0, &shard1});
-  // Same label set sums across registries; distinct label sets stay
-  // separate series of one family.
-  EXPECT_NE(text.find("quasaq_test_hits_total{site=\"0\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("quasaq_test_hits_total{site=\"1\"} 4"),
-            std::string::npos);
-  // The family header renders once, not per contributing registry.
-  const size_t first = text.find("# TYPE quasaq_test_hits_total counter");
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(text.find("# TYPE quasaq_test_hits_total counter", first + 1),
-            std::string::npos);
-  // Histogram buckets merge: both observations land in one series.
-  EXPECT_NE(text.find("quasaq_test_wait_ms_bucket{le=\"1\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("quasaq_test_wait_ms_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("quasaq_test_wait_ms_count 2"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, MergedExpositionOfOneRegistryIsPlainExposition) {
+// Exact bytes of both expositions for one registry of each metric type:
+// series order, label order, number formatting and the gauge history
+// (including a 0 sample) are all part of the format the bench sidecars
+// and dashboards read.
+TEST(MetricsRegistryTest, ExpositionMatchesGoldenBytes) {
   MetricsRegistry registry;
-  registry.GetCounter("quasaq_test_hits_total", "Hits", {{"site", "2"}})
-      ->Increment(5.0);
-  registry.GetGauge("quasaq_test_fill_ratio", "Fill")->Set(0.25);
   registry
-      .GetHistogram("quasaq_test_wait_ms", "Waiting",
-                    HistogramOptions{1.0, 2.0, 2})
-      ->Observe(0.5);
-  EXPECT_EQ(MetricsRegistry::MergedPrometheusText({&registry}),
-            registry.PrometheusText());
-  EXPECT_EQ(MetricsRegistry::MergedJsonSnapshot({&registry}),
-            registry.JsonSnapshot());
+      .GetCounter("quasaq_test_hits_total", "Hits",
+                  {{"site", "2"}, {"kind", "disk"}})
+      ->Increment(5.0);
+  registry
+      .GetCounter("quasaq_test_hits_total", "Hits",
+                  {{"site", "10"}, {"kind", "cpu"}})
+      ->Increment(0.5);
+  Gauge* fill = registry.GetGauge("quasaq_test_fill_ratio", "Fill");
+  fill->Sample(SecondsToSimTime(1.0), 0.5);
+  fill->Sample(SecondsToSimTime(2.0), 0.0);
+  fill->Sample(SecondsToSimTime(3.5), 0.25);
+  Histogram* wait = registry.GetHistogram("quasaq_test_wait_ms", "Waiting",
+                                          HistogramOptions{1.0, 2.0, 2});
+  wait->Observe(0.5);
+  wait->Observe(3.0);
+  wait->Observe(10.0);
+
+  EXPECT_EQ(registry.PrometheusText(),
+            "# HELP quasaq_test_fill_ratio Fill\n"
+            "# TYPE quasaq_test_fill_ratio gauge\n"
+            "quasaq_test_fill_ratio 0.25\n"
+            "# HELP quasaq_test_hits_total Hits\n"
+            "# TYPE quasaq_test_hits_total counter\n"
+            "quasaq_test_hits_total{site=\"10\",kind=\"cpu\"} 0.5\n"
+            "quasaq_test_hits_total{site=\"2\",kind=\"disk\"} 5\n"
+            "# HELP quasaq_test_wait_ms Waiting\n"
+            "# TYPE quasaq_test_wait_ms histogram\n"
+            "quasaq_test_wait_ms_bucket{le=\"1\"} 1\n"
+            "quasaq_test_wait_ms_bucket{le=\"2\"} 1\n"
+            "quasaq_test_wait_ms_bucket{le=\"+Inf\"} 3\n"
+            "quasaq_test_wait_ms_sum 13.5\n"
+            "quasaq_test_wait_ms_count 3\n");
+  EXPECT_EQ(
+      registry.JsonSnapshot(),
+      "{\n"
+      "  \"metrics\": [\n"
+      "    {\"name\": \"quasaq_test_fill_ratio\", \"type\": \"gauge\", "
+      "\"help\": \"Fill\", \"series\": [\n"
+      "      {\"labels\": {}, \"value\": 0.25, \"history\": "
+      "[[1, 0.5], [2, 0], [3.5, 0.25]]}\n"
+      "    ]},\n"
+      "    {\"name\": \"quasaq_test_hits_total\", \"type\": \"counter\", "
+      "\"help\": \"Hits\", \"series\": [\n"
+      "      {\"labels\": {\"site\": \"10\", \"kind\": \"cpu\"}, "
+      "\"value\": 0.5},\n"
+      "      {\"labels\": {\"site\": \"2\", \"kind\": \"disk\"}, "
+      "\"value\": 5}\n"
+      "    ]},\n"
+      "    {\"name\": \"quasaq_test_wait_ms\", \"type\": \"histogram\", "
+      "\"help\": \"Waiting\", \"series\": [\n"
+      "      {\"labels\": {}, \"count\": 3, \"sum\": 13.5, \"min\": 0.5, "
+      "\"max\": 10, \"buckets\": [{\"le\": 1, \"count\": 1}, "
+      "{\"le\": 2, \"count\": 0}, {\"le\": \"+Inf\", \"count\": 2}]}\n"
+      "    ]}\n"
+      "  ]\n"
+      "}\n");
 }
 
 TEST(JsonEscapeStringTest, EscapesQuotesBackslashesAndControlChars) {

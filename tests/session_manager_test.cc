@@ -59,14 +59,35 @@ TEST_F(SessionManagerTest, StartCapturesVectorAndCompletesOnce) {
   EXPECT_EQ(manager_.outstanding(), 1);
   const SessionManager::Record* record = manager_.Find(id);
   ASSERT_NE(record, nullptr);
-  EXPECT_FALSE(record->reserved_vector.empty());
+  // While the session runs, the API holds its vector and the record
+  // keeps no copy.
+  const ResourceVector* held = api_.Find(record->reservation);
+  ASSERT_NE(held, nullptr);
+  const ResourceVector running = *held;
+  EXPECT_FALSE(running.empty());
+  EXPECT_TRUE(record->reserved_vector.empty());
+
+  // Pause captures the vector into the record before releasing it.
+  ASSERT_TRUE(manager_.Pause(id).ok());
+  record = manager_.Find(id);
+  ASSERT_NE(record, nullptr);
+  ASSERT_EQ(record->reserved_vector.size(), running.size());
+  for (size_t i = 0; i < running.size(); ++i) {
+    EXPECT_EQ(record->reserved_vector.entries()[i].bucket,
+              running.entries()[i].bucket);
+    EXPECT_EQ(record->reserved_vector.entries()[i].amount,
+              running.entries()[i].amount);
+  }
+  ASSERT_TRUE(manager_.Resume(id).ok());
+  EXPECT_TRUE(manager_.Find(id)->reserved_vector.empty());
 
   simulator_.RunAll();
   EXPECT_EQ(manager_.outstanding(), 0);
   EXPECT_EQ(manager_.completed(), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(completed_id, id);
-  EXPECT_EQ(api_.stats().released, 1u);
+  // Pause and completion each released once.
+  EXPECT_EQ(api_.stats().released, 2u);
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
 
@@ -148,14 +169,12 @@ TEST_F(SessionManagerTest, AdoptedPlanIsWhatResumeReadmits) {
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
 
-// Sharded session table: ID routing, cross-shard lookup and aggregation.
-class ShardedSessionManagerTest : public ::testing::Test {
+// Lookup and aggregation over sessions on many sites.
+class MultiSiteSessionManagerTest : public ::testing::Test {
  protected:
-  static constexpr int kShards = 4;
   static constexpr int kSites = 8;
 
-  ShardedSessionManagerTest()
-      : api_(&pool_), manager_(&simulator_, &api_, kShards) {
+  MultiSiteSessionManagerTest() : api_(&pool_), manager_(&simulator_, &api_) {
     for (int site = 0; site < kSites; ++site) {
       EXPECT_TRUE(pool_.DeclareBucket(
                           {SiteId(site), ResourceKind::kNetworkBandwidth},
@@ -182,24 +201,15 @@ class ShardedSessionManagerTest : public ::testing::Test {
   SessionManager manager_;
 };
 
-TEST_F(ShardedSessionManagerTest, SessionIdsEncodeTheOwningShard) {
-  for (int site = 0; site < kSites; ++site) {
-    SessionId id = StartOn(site);
-    EXPECT_EQ(manager_.ShardOfSession(id), manager_.ShardOfSite(SiteId(site)))
-        << "site " << site;
-  }
-}
-
-TEST_F(ShardedSessionManagerTest, CrossShardLookupFindsEverySession) {
+TEST_F(MultiSiteSessionManagerTest, LookupFindsEverySession) {
   std::vector<SessionId> ids;
   for (int site = 0; site < kSites; ++site) ids.push_back(StartOn(site));
-  // IDs are distinct even though every shard runs its own sequence.
   for (size_t i = 0; i < ids.size(); ++i) {
     for (size_t j = i + 1; j < ids.size(); ++j) {
       EXPECT_NE(ids[i], ids[j]);
     }
   }
-  EXPECT_EQ(manager_.outstanding(), kSites);  // aggregated across shards
+  EXPECT_EQ(manager_.outstanding(), kSites);
   for (int site = 0; site < kSites; ++site) {
     const SessionManager::Record* record = manager_.Find(ids[site]);
     ASSERT_NE(record, nullptr) << "site " << site;
@@ -209,8 +219,6 @@ TEST_F(ShardedSessionManagerTest, CrossShardLookupFindsEverySession) {
     ASSERT_TRUE(copy.has_value());
     EXPECT_EQ(copy->content, LogicalOid(site));
   }
-  // Lifecycle calls route by the ID's encoded shard, whatever site the
-  // caller is on.
   ASSERT_TRUE(manager_.Pause(ids[3]).ok());
   ASSERT_TRUE(manager_.Resume(ids[3]).ok());
   ASSERT_TRUE(manager_.Cancel(ids[5]).ok());
@@ -221,10 +229,9 @@ TEST_F(ShardedSessionManagerTest, CrossShardLookupFindsEverySession) {
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
 
-TEST_F(SessionManagerTest, ShardCountOneReproducesPreShardingIds) {
-  // The default single-shard manager must hand out the dense 1, 2, 3...
-  // sequence earlier releases did — harnesses key logs on those IDs.
-  EXPECT_EQ(manager_.shard_count(), 1);
+TEST_F(SessionManagerTest, SessionIdsAreDense) {
+  // The manager hands out the dense 1, 2, 3... sequence — harnesses key
+  // logs on those IDs.
   EXPECT_EQ(manager_.Start(ReservedRecord(Reserve(10.0)), 60.0),
             SessionId(1));
   EXPECT_EQ(manager_.Start(ReservedRecord(Reserve(10.0)), 60.0),
