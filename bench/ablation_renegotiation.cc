@@ -21,7 +21,6 @@ void RunOne(const char* label, bool renegotiate) {
   options.system.seed = 7;
   options.system.library.max_duration_seconds = 120.0;
   options.system.quality.max_admission_attempts = 1;
-  options.system.quality.enable_renegotiation = renegotiate;
   options.enable_renegotiation_profile = renegotiate;
   options.traffic.seed = 42;
   options.horizon = kHorizon;

@@ -144,7 +144,8 @@ int main() {
     declare(ResourceKind::kMemory, server.memory_kb);
     declare(ResourceKind::kMemoryBandwidth, server.memory_bandwidth_kbps);
   }
-  res::CompositeQosApi api(&pool);
+  obs::MetricsRegistry registry;
+  res::CompositeQosApi api(&pool, registry);
   core::LrbCostModel lrb;
   core::RuntimeCostEvaluator evaluator(&lrb);
   core::PlanGenerator generator(&metadata, sites,

@@ -74,7 +74,7 @@ Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
     // Cache warmth of this replica at its source site: a positive
     // fraction yields a cache-served twin of every plan in the group.
     double cache_fraction = 0.0;
-    if (cache_view_ != nullptr && options_.enable_cache_plans) {
+    if (cache_view_ != nullptr) {
       cache_fraction = cache_view_->CachedFraction(replica.site, replica);
       if (cache_fraction < options_.min_cache_fraction) cache_fraction = 0.0;
     }

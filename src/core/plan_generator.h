@@ -63,13 +63,12 @@ class PlanGenerator {
     bool apply_static_pruning = true;
     // Candidate transcode targets (defaults to the standard ladder).
     std::vector<media::AppQos> transcode_targets;
-    // Cache-served plan variants (requires a cache view, see below):
+    // Cache-served plan variants (only with a cache view, see below):
     // when a replica's source site has at least `min_cache_fraction` of
     // the object resident in its segment cache, every plan for that
     // replica is additionally emitted as a cache-served variant whose
     // resource vector swaps that share of disk bandwidth for memory
     // bandwidth.
-    bool enable_cache_plans = true;
     double min_cache_fraction = 0.05;
     PlanCostConstants constants;
   };

@@ -11,86 +11,79 @@ QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
                                res::CompositeQosApi* qos_api,
                                CostModel* cost_model,
                                std::vector<SiteId> sites,
-                               const Options& options)
+                               const Options& options,
+                               obs::Observability& observability)
     : qos_api_(qos_api),
       generator_(metadata, std::move(sites), options.generator),
       evaluator_(cost_model),
-      options_(options) {
+      options_(options),
+      metrics_(observability.metrics()),
+      tracer_(&observability.tracer()) {
   assert(qos_api_ != nullptr);
 }
 
+QualityManager::Metrics::Metrics(obs::MetricsRegistry& registry)
+    : queries(registry.GetCounter("quasaq_plan_queries_total",
+                                  "Delivery queries planned")),
+      admitted(registry.GetCounter("quasaq_plan_admitted_total",
+                                   "Queries that passed admission control")),
+      admitted_relaxed(
+          registry.GetCounter("quasaq_plan_admitted_relaxed_total",
+                              "Queries admitted only after QoS relaxation")),
+      rejected_no_plan(
+          registry.GetCounter("quasaq_plan_rejected_no_plan_total",
+                              "Queries whose QoS no stored replica satisfies")),
+      rejected_no_resources(
+          registry.GetCounter("quasaq_plan_rejected_no_resources_total",
+                              "Queries whose every plan failed admission")),
+      relaxations(
+          registry.GetCounter("quasaq_plan_relaxations_total",
+                              "Second-chance QoS relaxation rounds attempted")),
+      renegotiations(registry.GetCounter(
+          "quasaq_plan_renegotiations_total",
+          "Mid-playback renegotiations planned (counted once per "
+          "renegotiation, however many relaxation rounds it retried)")),
+      generated(registry.GetCounter("quasaq_plan_generated_total",
+                                    "Plans materialized and costed")),
+      groups_pruned(
+          registry.GetCounter("quasaq_plan_groups_pruned_total",
+                              "Search branches the LRB lower bound cut off")),
+      per_query(registry.GetHistogram(
+          "quasaq_plan_generated_per_query_count",
+          "Plans materialized per query (prefix the admission walk expanded)",
+          obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
+                                /*bucket_count=*/12})),
+      cutoff_margin(registry.GetHistogram(
+          "quasaq_plan_cutoff_margin_ratio",
+          "Frontier lower bound over admitted cost when enumeration stopped",
+          obs::HistogramOptions{/*first_bound=*/0.25, /*growth=*/1.5,
+                                /*bucket_count=*/12})) {}
+
 QualityManager::Stats QualityManager::stats() const {
+  auto read = [](const obs::Counter* counter) {
+    return static_cast<uint64_t>(counter->value());
+  };
   Stats snapshot;
-  snapshot.queries = stats_.queries.load(std::memory_order_relaxed);
-  snapshot.admitted = stats_.admitted.load(std::memory_order_relaxed);
-  snapshot.rejected_no_plan =
-      stats_.rejected_no_plan.load(std::memory_order_relaxed);
-  snapshot.rejected_no_resources =
-      stats_.rejected_no_resources.load(std::memory_order_relaxed);
-  snapshot.renegotiated = stats_.renegotiated.load(std::memory_order_relaxed);
-  snapshot.plans_generated =
-      stats_.plans_generated.load(std::memory_order_relaxed);
-  snapshot.groups_pruned =
-      stats_.groups_pruned.load(std::memory_order_relaxed);
+  snapshot.queries = read(metrics_.queries);
+  snapshot.admitted = read(metrics_.admitted);
+  snapshot.rejected_no_plan = read(metrics_.rejected_no_plan);
+  snapshot.rejected_no_resources = read(metrics_.rejected_no_resources);
+  snapshot.renegotiated = read(metrics_.admitted_relaxed);
+  snapshot.plans_generated = read(metrics_.generated);
+  snapshot.groups_pruned = read(metrics_.groups_pruned);
   return snapshot;
 }
 
-void QualityManager::set_observability(obs::Observability* observability) {
-  if (observability == nullptr) {
-    metrics_ = Metrics{};
-    tracer_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& reg = observability->metrics();
-  metrics_.queries = reg.GetCounter("quasaq_plan_queries_total",
-                                    "Delivery queries planned");
-  metrics_.admitted = reg.GetCounter("quasaq_plan_admitted_total",
-                                     "Queries that passed admission control");
-  metrics_.rejected_no_plan =
-      reg.GetCounter("quasaq_plan_rejected_no_plan_total",
-                     "Queries whose QoS no stored replica satisfies");
-  metrics_.rejected_no_resources =
-      reg.GetCounter("quasaq_plan_rejected_no_resources_total",
-                     "Queries whose every plan failed admission");
-  metrics_.relaxations =
-      reg.GetCounter("quasaq_plan_relaxations_total",
-                     "Second-chance QoS relaxation rounds attempted");
-  metrics_.renegotiations =
-      reg.GetCounter("quasaq_plan_renegotiations_total",
-                     "Mid-playback renegotiations planned (counted once "
-                     "per renegotiation, however many relaxation rounds "
-                     "it retried)");
-  metrics_.generated = reg.GetCounter("quasaq_plan_generated_total",
-                                      "Plans materialized and costed");
-  metrics_.groups_pruned =
-      reg.GetCounter("quasaq_plan_groups_pruned_total",
-                     "Search branches the LRB lower bound cut off");
-  metrics_.per_query = reg.GetHistogram(
-      "quasaq_plan_generated_per_query_count",
-      "Plans materialized per query (prefix the admission walk expanded)",
-      obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
-                            /*bucket_count=*/12});
-  metrics_.cutoff_margin = reg.GetHistogram(
-      "quasaq_plan_cutoff_margin_ratio",
-      "Frontier lower bound over admitted cost when enumeration stopped",
-      obs::HistogramOptions{/*first_bound=*/0.25, /*growth=*/1.5,
-                            /*bucket_count=*/12});
-  tracer_ = &observability->tracer();
-}
-
-void QualityManager::TraceBegin(const char* name, obs::Tracer::Args args) {
-  if (tracer_ == nullptr || trace_track_ == 0) return;
-  tracer_->Begin(trace_track_, name, trace_now_, std::move(args));
+void QualityManager::TraceBegin(const char* name) {
+  if (traced()) tracer_->Begin(trace_track_, name, trace_now_);
 }
 
 void QualityManager::TraceEnd(obs::Tracer::Args args) {
-  if (tracer_ == nullptr || trace_track_ == 0) return;
-  tracer_->End(trace_track_, trace_now_, std::move(args));
+  if (traced()) tracer_->End(trace_track_, trace_now_, std::move(args));
 }
 
 void QualityManager::TraceInstant(const char* name) {
-  if (tracer_ == nullptr || trace_track_ == 0) return;
-  tracer_->Instant(trace_track_, name, trace_now_);
+  if (traced()) tracer_->Instant(trace_track_, name, trace_now_);
 }
 
 void QualityManager::PopulateDefaultTranscodeTargets(
@@ -128,19 +121,13 @@ void QualityManager::ConfigureGain(const query::QosRequirement& qos) {
   }
 }
 
-Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
-    PlanStream& stream, bool* had_plans) {
-  // A stream that failed to open (no replica registered) has nothing to
-  // walk in any round.
-  if (!stream.status().ok()) return stream.status();
-  const size_t generated_before = stream.stats().plans_generated;
-  // On the streamed path enumeration and admission interleave, so one
-  // plan.enumerate span covers the whole walk; reservation of the
-  // winning plan still gets its own nested plan.reserve span.
+std::optional<QualityManager::Admitted> QualityManager::WalkRound(
+    PlanStream& stream, const Adopt& adopt, bool* had_plans) {
+  // Enumeration and adoption interleave, so one plan.enumerate span
+  // covers the round; each adopt attempt nests a plan.reserve span.
   TraceBegin("plan.enumerate");
-  Result<Admitted> result =
-      Status::ResourceExhausted("no admittable plan");
-  double admitted_cost = 0.0;
+  const size_t generated_before = stream.stats().plans_generated;
+  std::optional<Admitted> adopted;
   int attempts = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
     *had_plans = true;
@@ -149,134 +136,126 @@ Result<QualityManager::Admitted> QualityManager::TryAdmitWithStream(
       break;
     }
     ++attempts;
-    if (!qos_api_->Admissible(ranked->plan.resources)) continue;
     TraceBegin("plan.reserve");
-    Result<res::ReservationId> reservation =
-        qos_api_->Reserve(ranked->plan.resources);
-    if (!reservation.ok()) {  // raced/edge: try the next plan
-      TraceEnd({{"outcome", "rejected"}});
+    std::optional<res::ReservationId> reservation =
+        adopt(ranked->plan.resources);
+    if (!reservation.has_value()) {
+      if (traced()) TraceEnd({{"outcome", "rejected"}});
       continue;
     }
-    Admitted admitted;
-    admitted.plan = std::move(ranked->plan);
-    admitted.reservation = *reservation;
-    admitted_cost = ranked->cost;
-    TraceEnd({{"attempts", std::to_string(attempts)},
-              {"site", std::to_string(admitted.plan.delivery_site.value())}});
-    result = std::move(admitted);
+    if (traced()) {
+      TraceEnd({{"attempts", std::to_string(attempts)},
+                {"site", std::to_string(ranked->plan.delivery_site.value())}});
+    }
+    // How decisively the lower bound cut the rest of the space off: the
+    // frontier's best remaining bound relative to the adopted cost.
+    std::optional<double> bound = stream.FrontierBound();
+    if (bound.has_value() && ranked->cost > 0.0) {
+      metrics_.cutoff_margin->Observe(*bound / ranked->cost);
+    }
+    adopted.emplace();
+    adopted->plan = std::move(ranked->plan);
+    adopted->reservation = *reservation;
     break;
   }
-  const size_t generated =
-      stream.stats().plans_generated - generated_before;
-  AccountGenerated(generated);
-  if (metrics_.cutoff_margin != nullptr) {
-    // How decisively the lower bound cut the rest of the space off: the
-    // frontier's best remaining bound relative to the admitted cost.
-    std::optional<double> bound = stream.FrontierBound();
-    if (result.ok() && bound.has_value() && admitted_cost > 0.0) {
-      metrics_.cutoff_margin->Observe(*bound / admitted_cost);
-    }
+  if (traced()) {
+    TraceEnd({{"plans", std::to_string(stream.stats().plans_generated -
+                                       generated_before)},
+              {"pruned", std::to_string(stream.groups_pruned())}});
   }
-  TraceEnd({{"plans", std::to_string(generated)},
-            {"pruned", std::to_string(stream.groups_pruned())}});
-  return result;
+  return adopted;
 }
 
-void QualityManager::AccountGenerated(size_t generated) {
-  stats_.plans_generated += generated;
-  if (metrics_.generated != nullptr) {
-    metrics_.generated->Increment(static_cast<double>(generated));
+QualityManager::Walked QualityManager::Walk(SiteId query_site,
+                                            LogicalOid content,
+                                            const query::QosRequirement& qos,
+                                            const UserProfile* profile,
+                                            const Adopt& adopt) {
+  ConfigureGain(qos);
+  // One PlanStream serves the whole walk — relaxation rounds Reset() it
+  // over the already-enumerated groups instead of re-fetching metadata
+  // and re-seeding per round.
+  PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
+                    content, qos);
+  // A stream that failed to open (no replica registered) has nothing to
+  // walk in any round.
+  if (!stream.status().ok()) return Walked{stream.status()};
+  bool had_plans = false;
+  int rounds = 0;
+  std::optional<Admitted> adopted = WalkRound(stream, adopt, &had_plans);
+  // Second chance: relax the QoS bounds along the axis this user values
+  // least and retry (paper §3.2's renegotiation on admission failure).
+  query::QosRequirement relaxed = qos;
+  while (!adopted.has_value() && profile != nullptr &&
+         rounds < options_.max_renegotiation_rounds &&
+         profile->RelaxForRenegotiation(relaxed.range)) {
+    ++rounds;
+    metrics_.relaxations->Increment();
+    TraceInstant("plan.relax");
+    ConfigureGain(relaxed);
+    stream.Reset(relaxed);
+    adopted = WalkRound(stream, adopt, &had_plans);
   }
+  AccountStream(stream);
+  const size_t generated = stream.stats().plans_generated;
+  if (adopted.has_value()) {
+    adopted->renegotiated = rounds > 0;
+    return Walked{std::move(*adopted), rounds, generated};
+  }
+  return Walked{had_plans
+                    ? Status::ResourceExhausted("no admittable plan")
+                    : Status::NotFound("no plan satisfies the QoS bounds"),
+                rounds, generated};
 }
 
-void QualityManager::AccountStreamPruning(const PlanStream& stream) {
-  if (!stream.status().ok()) return;
-  stats_.groups_pruned += stream.groups_pruned();
-  if (metrics_.groups_pruned != nullptr) {
-    metrics_.groups_pruned->Increment(
-        static_cast<double>(stream.groups_pruned()));
-  }
+void QualityManager::AccountStream(const PlanStream& stream) {
+  metrics_.generated->Increment(
+      static_cast<double>(stream.stats().plans_generated));
+  metrics_.groups_pruned->Increment(
+      static_cast<double>(stream.groups_pruned()));
 }
 
 Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile) {
-  ++stats_.queries;
-  if (metrics_.queries != nullptr) metrics_.queries->Increment();
+  metrics_.queries->Increment();
   TraceBegin("delivery.admit");
-  const uint64_t generated_before =
-      stats_.plans_generated.load(std::memory_order_relaxed);
-  auto observe_per_query = [&] {
-    if (metrics_.per_query != nullptr) {
-      metrics_.per_query->Observe(static_cast<double>(
-          stats_.plans_generated.load(std::memory_order_relaxed) -
-          generated_before));
+  Walked walked = Walk(
+      query_site, content, qos, profile,
+      [this](const ResourceVector& resources)
+          -> std::optional<res::ReservationId> {
+        if (!qos_api_->Admissible(resources)) return std::nullopt;
+        Result<res::ReservationId> reservation = qos_api_->Reserve(resources);
+        if (!reservation.ok()) return std::nullopt;  // raced: walk on
+        return *reservation;
+      });
+  // This admission's own plans: a manager-wide delta would also count
+  // concurrent admissions and EXPLAINs.
+  metrics_.per_query->Observe(static_cast<double>(walked.plans_generated));
+  const char* outcome = nullptr;
+  if (walked.result.ok()) {
+    metrics_.admitted->Increment();
+    outcome = "admitted";
+    if (walked.result->renegotiated) {
+      metrics_.admitted_relaxed->Increment();
+      outcome = "admitted_relaxed";
     }
-  };
-  ConfigureGain(qos);
-  // One PlanStream serves the whole admission — relaxation rounds
-  // Reset() it over the already-enumerated groups instead of
-  // re-fetching metadata and re-seeding per round.
-  PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                    content, qos);
-  bool had_plans = false;
-  Result<Admitted> attempt = TryAdmitWithStream(stream, &had_plans);
-  if (attempt.ok()) {
-    ++stats_.admitted;
-    if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-    AccountStreamPruning(stream);
-    observe_per_query();
-    TraceEnd({{"outcome", "admitted"}});
-    return attempt;
-  }
-
-  // Second chance: relax the QoS bounds along the axis this user values
-  // least and retry (paper §3.2's renegotiation on admission failure).
-  bool any_plans_seen = had_plans;
-  if (options_.enable_renegotiation && profile != nullptr) {
-    query::QosRequirement relaxed = qos;
-    for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
-      if (!profile->RelaxForRenegotiation(relaxed.range)) break;
-      if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
-      TraceInstant("plan.relax");
-      ConfigureGain(relaxed);
-      had_plans = false;
-      stream.Reset(relaxed);
-      Result<Admitted> retry = TryAdmitWithStream(stream, &had_plans);
-      any_plans_seen = any_plans_seen || had_plans;
-      if (retry.ok()) {
-        ++stats_.admitted;
-        ++stats_.renegotiated;
-        if (metrics_.admitted != nullptr) metrics_.admitted->Increment();
-        AccountStreamPruning(stream);
-        observe_per_query();
-        retry->renegotiated = true;
-        TraceEnd({{"outcome", "admitted_relaxed"},
-                  {"rounds", std::to_string(round + 1)}});
-        return retry;
-      }
-    }
-  }
-
-  AccountStreamPruning(stream);
-  observe_per_query();
-  if (any_plans_seen) {
-    ++stats_.rejected_no_resources;
-    if (metrics_.rejected_no_resources != nullptr) {
-      metrics_.rejected_no_resources->Increment();
-    }
-    TraceEnd({{"outcome", "rejected_no_resources"}});
-    return Status::ResourceExhausted("no admittable plan after " +
-                                     std::string(profile != nullptr
-                                                     ? "renegotiation"
-                                                     : "admission control"));
-  }
-  ++stats_.rejected_no_plan;
-  if (metrics_.rejected_no_plan != nullptr) {
+  } else if (walked.result.status().code() ==
+             StatusCode::kResourceExhausted) {
+    metrics_.rejected_no_resources->Increment();
+    outcome = "rejected_no_resources";
+  } else {
     metrics_.rejected_no_plan->Increment();
+    outcome = "rejected_no_plan";
   }
-  TraceEnd({{"outcome", "rejected_no_plan"}});
-  return Status::NotFound("no plan satisfies the QoS bounds");
+  if (traced()) {
+    obs::Tracer::Args args = {{"outcome", outcome}};
+    if (walked.rounds > 0 && walked.result.ok()) {
+      args.emplace_back("rounds", std::to_string(walked.rounds));
+    }
+    TraceEnd(std::move(args));
+  }
+  return std::move(walked.result);
 }
 
 Status QualityManager::CompleteDelivery(const Admitted& admitted) {
@@ -303,8 +282,7 @@ Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
   }
   // EXPLAIN materializes and costs plans like an admission does, so it
   // feeds the same plan counters (but not the per-query ones).
-  AccountGenerated(stream.stats().plans_generated);
-  AccountStreamPruning(stream);
+  AccountStream(stream);
   return ranked;
 }
 
@@ -327,77 +305,16 @@ std::string QualityManager::FormatPlanListing(
   return out;
 }
 
-Result<QualityManager::Admitted> QualityManager::RenegotiateImpl(
+Result<QualityManager::Admitted> QualityManager::Renegotiate(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile,
-    const std::function<Status(const ResourceVector&)>& adopt,
-    res::ReservationId reservation) {
-  // One renegotiation — however many relaxation rounds it retries below
-  // — counts once. Counting per round double-counted retried
+    const UserProfile* profile, const Adopt& adopt) {
+  // One renegotiation — however many relaxation rounds it retries —
+  // counts once. Counting per round double-counted retried
   // renegotiations in the exposition.
-  if (metrics_.renegotiations != nullptr) {
-    metrics_.renegotiations->Increment();
-  }
-  ConfigureGain(qos);
-
-  // One admission walk at fixed bounds; used per relaxation round.
-  auto walk = [&](PlanStream& stream, bool* had_plans) -> Result<Admitted> {
-    const size_t generated_before = stream.stats().plans_generated;
-    TraceBegin("plan.enumerate");
-    Result<Admitted> result = Status::ResourceExhausted(
-        "no admittable plan for the renegotiated QoS");
-    while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
-      *had_plans = true;
-      TraceBegin("plan.reserve");
-      Status status = adopt(ranked->plan.resources);
-      if (!status.ok()) {
-        TraceEnd({{"outcome", "rejected"}});
-        continue;
-      }
-      Admitted admitted;
-      admitted.plan = std::move(ranked->plan);
-      admitted.reservation = reservation;
-      admitted.renegotiated = true;
-      TraceEnd({{"site",
-                 std::to_string(admitted.plan.delivery_site.value())}});
-      result = std::move(admitted);
-      break;
-    }
-    const size_t generated =
-        stream.stats().plans_generated - generated_before;
-    AccountGenerated(generated);
-    TraceEnd({{"plans", std::to_string(generated)}});
-    return result;
-  };
-
-  PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                    content, qos);
-  if (!stream.status().ok()) return stream.status();
-  bool had_plans = false;
-  Result<Admitted> result = walk(stream, &had_plans);
-  bool any_plans_seen = had_plans;
-  if (!result.ok() && options_.enable_renegotiation && profile != nullptr) {
-    // Relaxation rounds reuse the session's still-open stream: the
-    // (replica, site) groups stay enumerated, only the QoS window and
-    // the frontier re-arm.
-    query::QosRequirement relaxed = qos;
-    for (int round = 0; round < options_.max_renegotiation_rounds; ++round) {
-      if (!profile->RelaxForRenegotiation(relaxed.range)) break;
-      if (metrics_.relaxations != nullptr) metrics_.relaxations->Increment();
-      TraceInstant("plan.relax");
-      ConfigureGain(relaxed);
-      stream.Reset(relaxed);
-      had_plans = false;
-      result = walk(stream, &had_plans);
-      any_plans_seen = any_plans_seen || had_plans;
-      if (result.ok()) break;
-    }
-  }
-  AccountStreamPruning(stream);
-  if (!result.ok() && !any_plans_seen) {
-    return Status::NotFound("no plan satisfies the new QoS bounds");
-  }
-  return result;
+  metrics_.renegotiations->Increment();
+  Walked walked = Walk(query_site, content, qos, profile, adopt);
+  if (walked.result.ok()) walked.result->renegotiated = true;
+  return std::move(walked.result);
 }
 
 Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
@@ -406,30 +323,33 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
   if (qos_api_->Find(id) == nullptr) {
     return Status::NotFound("unknown reservation");
   }
-  return RenegotiateImpl(
-      query_site, content, qos, profile,
-      [this, id](const ResourceVector& resources) {
-        return qos_api_->Renegotiate(id, resources);
-      },
-      id);
+  return Renegotiate(query_site, content, qos, profile,
+                     [this, id](const ResourceVector& resources)
+                         -> std::optional<res::ReservationId> {
+                       if (!qos_api_->Renegotiate(id, resources).ok()) {
+                         return std::nullopt;
+                       }
+                       return id;
+                     });
 }
 
 Result<QualityManager::Admitted> QualityManager::PlanPausedRenegotiation(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile) {
-  return RenegotiateImpl(
+  return Renegotiate(
       query_site, content, qos, profile,
-      [this](const ResourceVector& resources) {
+      [this](const ResourceVector& resources)
+          -> std::optional<res::ReservationId> {
         // Admission probe: the paused session must be able to carry the
         // plan *now*, but nothing may stay held — Resume re-admits the
         // adopted vector when playback actually restarts.
         Result<res::ReservationId> probe = qos_api_->Reserve(resources);
-        if (!probe.ok()) return probe.status();
+        if (!probe.ok()) return std::nullopt;
         Status released = qos_api_->Release(*probe);
         assert(released.ok());
-        return released;
-      },
-      res::kInvalidReservationId);
+        (void)released;
+        return res::kInvalidReservationId;
+      });
 }
 
 }  // namespace quasaq::core

@@ -1,10 +1,10 @@
 #ifndef QUASAQ_CORE_QUALITY_MANAGER_H_
 #define QUASAQ_CORE_QUALITY_MANAGER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -28,24 +28,30 @@
 // the QoS bounds are relaxed along the user's least-valued axis and the
 // query gets a "second chance" (renegotiation).
 //
-// The ranking is walked through a lazy best-first PlanStream
-// (core/plan_stream.h): plans are materialized only as far as admission
-// control actually looks, and branches whose LRB lower bound exceeds
-// the first admitted cost are never generated. The stream yields the
-// exact order of PlanGenerator::Generate followed by a full ranking, so
-// the admitted plan is the one the eager materialize-and-sort walk
-// would pick. Relaxation rounds reuse the query's still-open stream
-// (PlanStream::Reset) instead of re-seeding enumeration — and so do
-// mid-playback renegotiations.
+// Admissions and renegotiations share one walk (paper §3.4, §3.6): a
+// lazy best-first PlanStream (core/plan_stream.h) yields plans in
+// ranking order, each is handed to an *adopt* step until one is taken,
+// and relaxation rounds reuse the still-open stream (PlanStream::Reset)
+// instead of re-seeding enumeration. Only the adopt step differs:
+// admission pre-checks and reserves, a live renegotiation swaps the
+// running reservation through the Composite QoS API, and a paused one
+// probes with a reserve-then-release. max_admission_attempts caps every
+// round of every walk. Plans are materialized only as far as the walk
+// looks, and the stream yields the exact order of
+// PlanGenerator::Generate followed by a full ranking, so the adopted
+// plan is the one an eager materialize-and-sort walk would pick.
+//
+// The counters live only in the metrics registry passed at
+// construction; stats() reads them.
 //
 // Thread-safety: Admit/Renegotiate/Explain may run concurrently from
 // many threads when (a) the optimization goal is kThroughput (a gain
-// function is per-query evaluator state) and (b) configuration calls
-// (set_observability, set_trace_context with a non-zero track) happen
-// before threads fan out. Statistics are atomic; the planner state
-// (generator, evaluator, metadata read path) is either immutable or
-// internally synchronized. Traced (non-zero track) admissions remain
-// single-threaded — the trace context is shared state by design.
+// function is per-query evaluator state) and (b) set_trace_context with
+// a non-zero track is not called concurrently. Counters are registry
+// atomics; the planner state (generator, evaluator, metadata read path)
+// is either immutable or internally synchronized. Traced (non-zero
+// track) admissions remain single-threaded — the trace context is
+// shared state by design.
 
 namespace quasaq::core {
 
@@ -62,12 +68,13 @@ class QualityManager {
 
   struct Options {
     PlanGenerator::Options generator;
-    bool enable_renegotiation = true;
+    // Relaxation rounds a walk may retry when a UserProfile is passed.
     int max_renegotiation_rounds = 2;
-    // How many plans of the ranking admission control may try before the
-    // query is rejected. 0 = walk the entire ranking (engineering
-    // improvement); 1 = the paper's semantics, where only the first plan
-    // in ascending cost order is submitted for admission.
+    // How many plans of the ranking a walk may try per round before it
+    // gives up, for admissions and renegotiations alike. 0 = walk the
+    // entire ranking (engineering improvement); 1 = the paper's
+    // semantics, where only the first plan in ascending cost order is
+    // submitted for admission.
     int max_admission_attempts = 0;
     OptimizationGoal goal = OptimizationGoal::kThroughput;
     // Axis weights when goal == kUserSatisfaction.
@@ -93,10 +100,13 @@ class QualityManager {
     bool renegotiated = false;
   };
 
-  /// All pointers must outlive the manager.
+  /// All pointers and `observability` must outlive the manager. The
+  /// plan-search counters and histograms are registered in
+  /// `observability`'s registry here; spans go to its tracer.
   QualityManager(meta::DistributedMetadataEngine* metadata,
                  res::CompositeQosApi* qos_api, CostModel* cost_model,
-                 std::vector<SiteId> sites, const Options& options);
+                 std::vector<SiteId> sites, const Options& options,
+                 obs::Observability& observability);
 
   /// Populates `options.transcode_targets` (when empty) with the
   /// standard ladder plus reduced-color and reduced-audio variants so
@@ -105,7 +115,7 @@ class QualityManager {
   static void PopulateDefaultTranscodeTargets(PlanGenerator::Options& options);
 
   /// Plans, ranks and reserves the delivery of `content` under `qos`.
-  /// `profile` enables renegotiation (nullptr = none). Fails with
+  /// `profile` enables relaxation (nullptr = none). Fails with
   /// kNotFound when no plan satisfies the QoS from storage and
   /// kResourceExhausted when no satisfying plan passes admission.
   Result<Admitted> AdmitQuery(SiteId query_site, LogicalOid content,
@@ -119,10 +129,10 @@ class QualityManager {
   /// requirements are allowed to be modified during media playback"):
   /// re-plans `content` under `qos` and atomically swaps the running
   /// reservation `id` to the best admittable new plan. On failure the
-  /// old reservation stands untouched. When `profile` is non-null and
-  /// renegotiation is enabled, an unservable `qos` is relaxed along the
-  /// profile's least-valued axis for up to max_renegotiation_rounds
-  /// retries — each round reusing the same still-open plan stream.
+  /// old reservation stands untouched. When `profile` is non-null, an
+  /// unservable `qos` is relaxed along the profile's least-valued axis
+  /// for up to max_renegotiation_rounds retries — each round reusing
+  /// the same still-open plan stream.
   Result<Admitted> RenegotiateDelivery(res::ReservationId id,
                                        SiteId query_site, LogicalOid content,
                                        const query::QosRequirement& qos,
@@ -162,15 +172,10 @@ class QualityManager {
   static std::string FormatPlanListing(LogicalOid content,
                                        const std::vector<RankedPlan>& plans);
 
-  /// Consistent snapshot of the counters (fields are accumulated
-  /// atomically, so concurrent admissions never tear it).
+  /// Reads the registry counters (each field is one atomic read).
   Stats stats() const;
   res::CompositeQosApi& qos_api() { return *qos_api_; }
   PlanGenerator& generator() { return generator_; }
-
-  /// Attaches plan-search counters/histograms and span emission
-  /// (nullptr detaches). The pointer must outlive the manager.
-  void set_observability(obs::Observability* observability);
 
   /// Trace context for the next Admit/Renegotiate call: the owning
   /// delivery's track and the sim time to stamp spans with (the sim
@@ -185,35 +190,41 @@ class QualityManager {
   }
 
  private:
-  // Registry handles resolved once in set_observability; all nullptr
-  // when unobserved.
+  // Registry handles, resolved at construction.
   struct Metrics {
-    obs::Counter* queries = nullptr;
-    obs::Counter* admitted = nullptr;
-    obs::Counter* rejected_no_plan = nullptr;
-    obs::Counter* rejected_no_resources = nullptr;
-    obs::Counter* relaxations = nullptr;
-    obs::Counter* renegotiations = nullptr;
-    obs::Counter* generated = nullptr;
-    obs::Counter* groups_pruned = nullptr;
-    obs::Histogram* per_query = nullptr;
-    obs::Histogram* cutoff_margin = nullptr;
+    explicit Metrics(obs::MetricsRegistry& registry);
+    obs::Counter* queries;
+    obs::Counter* admitted;
+    obs::Counter* admitted_relaxed;
+    obs::Counter* rejected_no_plan;
+    obs::Counter* rejected_no_resources;
+    obs::Counter* relaxations;
+    obs::Counter* renegotiations;
+    obs::Counter* generated;
+    obs::Counter* groups_pruned;
+    obs::Histogram* per_query;
+    obs::Histogram* cutoff_margin;
   };
 
-  // The Stats fields, accumulated with relaxed atomics so concurrent
-  // admissions from many threads never race; stats() snapshots them
-  // into the plain public struct.
-  struct AtomicStats {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> rejected_no_plan{0};
-    std::atomic<uint64_t> rejected_no_resources{0};
-    std::atomic<uint64_t> renegotiated{0};
-    std::atomic<uint64_t> plans_generated{0};
-    std::atomic<uint64_t> groups_pruned{0};
+  // The step that takes a plan once the walk has chosen it: the
+  // reservation the plan now holds, or nullopt to walk on.
+  using Adopt = std::function<std::optional<res::ReservationId>(
+      const ResourceVector&)>;
+
+  // What one walk ended with.
+  struct Walked {
+    // The adopted plan (renegotiated = taken in a relaxation round);
+    // otherwise the stream's failure, kResourceExhausted when plans
+    // existed but none was adopted, or kNotFound when no round yielded
+    // a plan.
+    Result<Admitted> result;
+    int rounds = 0;               // relaxation rounds run
+    size_t plans_generated = 0;   // over every round
   };
 
-  void TraceBegin(const char* name, obs::Tracer::Args args = {});
+  bool traced() const { return trace_track_ != 0; }
+  // Span helpers; callers build arguments only when traced().
+  void TraceBegin(const char* name);
   void TraceEnd(obs::Tracer::Args args = {});
   void TraceInstant(const char* name);
   // Installs the gain function matching the optimization goal for a
@@ -221,33 +232,34 @@ class QualityManager {
   // first call), so concurrent throughput-goal admissions do not race
   // on the evaluator.
   void ConfigureGain(const query::QosRequirement& qos);
-  // One plan-and-admit attempt at fixed QoS bounds against a stream
-  // (create or Reset it first). Fills `had_plans`; accounts the round's
-  // generated-plan delta. Does NOT account groups_pruned — that is
-  // cumulative stream state, accounted once per stream by
-  // AccountStreamPruning.
-  Result<Admitted> TryAdmitWithStream(PlanStream& stream, bool* had_plans);
-  // Adds `generated` materialized plans to stats and metrics.
-  void AccountGenerated(size_t generated);
-  // Folds the finished stream's pruning win into stats/metrics.
-  void AccountStreamPruning(const PlanStream& stream);
-  // Shared renegotiation walk, relaxation rounds reusing the stream;
-  // `adopt` applies an admittable resource vector
-  // (swap-in-place for live sessions, reserve-probe for paused ones)
-  // and `reservation` is what the returned Admitted carries.
-  Result<Admitted> RenegotiateImpl(
-      SiteId query_site, LogicalOid content,
-      const query::QosRequirement& qos, const UserProfile* profile,
-      const std::function<Status(const ResourceVector&)>& adopt,
-      res::ReservationId reservation);
+  // The one plan → rank → adopt walk behind every admission and
+  // renegotiation: walks the ranking of `content` under `qos`, handing
+  // at most max_admission_attempts plans per round to `adopt`, and
+  // relaxes along `profile` (when non-null) for up to
+  // max_renegotiation_rounds rounds while nothing is adopted. Accounts
+  // plans generated, groups pruned and the cutoff margin.
+  Walked Walk(SiteId query_site, LogicalOid content,
+              const query::QosRequirement& qos, const UserProfile* profile,
+              const Adopt& adopt);
+  // One round of Walk at fixed bounds: the adopted plan, or nullopt.
+  // Sets `*had_plans` when the stream yielded a plan.
+  std::optional<Admitted> WalkRound(PlanStream& stream, const Adopt& adopt,
+                                    bool* had_plans);
+  // The renegotiation flavors of Walk: counted once, whatever the
+  // number of rounds.
+  Result<Admitted> Renegotiate(SiteId query_site, LogicalOid content,
+                               const query::QosRequirement& qos,
+                               const UserProfile* profile,
+                               const Adopt& adopt);
+  // Folds a finished stream's plans and pruning into the counters.
+  void AccountStream(const PlanStream& stream);
 
   res::CompositeQosApi* qos_api_;
   PlanGenerator generator_;
   RuntimeCostEvaluator evaluator_;
   Options options_;
-  AtomicStats stats_;
-  Metrics metrics_;
-  obs::Tracer* tracer_ = nullptr;
+  const Metrics metrics_;
+  obs::Tracer* tracer_;
   int64_t trace_track_ = 0;
   SimTime trace_now_ = 0;
 };

@@ -6,48 +6,41 @@
 
 namespace quasaq::core {
 
+SessionManager::Metrics::Metrics(obs::MetricsRegistry& registry)
+    : started(registry.GetCounter("quasaq_session_started_total",
+                                  "Deliveries admitted and started")),
+      completed(registry.GetCounter("quasaq_session_completed_total",
+                                    "Sessions that played to the end")),
+      cancelled(registry.GetCounter("quasaq_session_cancelled_total",
+                                    "Sessions aborted before completion")),
+      paused(registry.GetCounter("quasaq_session_paused_total",
+                                 "Pause operations")),
+      resumed(registry.GetCounter("quasaq_session_resumed_total",
+                                  "Successful resume operations")),
+      resume_failed(registry.GetCounter("quasaq_session_resume_failed_total",
+                                        "Resumes rejected by re-admission")),
+      duration_seconds(registry.GetHistogram(
+          "quasaq_session_duration_seconds",
+          "Wall-clock (simulated) session length from start to completion",
+          obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
+                                /*bucket_count=*/16})),
+      active(registry.GetGauge("quasaq_session_active_count",
+                               "Sessions currently streaming or paused")),
+      peak(registry.GetGauge("quasaq_session_peak_count",
+                             "High-water mark of concurrent sessions")) {}
+
 SessionManager::SessionManager(sim::Simulator* simulator,
-                               res::CompositeQosApi* qos_api)
-    : simulator_(simulator), qos_api_(qos_api) {
+                               res::CompositeQosApi* qos_api,
+                               obs::Observability& observability)
+    : simulator_(simulator),
+      qos_api_(qos_api),
+      tracer_(&observability.tracer()),
+      metrics_(observability.metrics()) {
   assert(simulator_ != nullptr);
   assert(qos_api_ != nullptr);
 }
 
-void SessionManager::set_observability(obs::Observability* observability) {
-  MutexLock lock(&mu_);
-  if (observability == nullptr) {
-    metrics_ = Metrics{};
-    tracer_ = nullptr;
-    return;
-  }
-  obs::MetricsRegistry& reg = observability->metrics();
-  metrics_.started = reg.GetCounter("quasaq_session_started_total",
-                                    "Deliveries admitted and started");
-  metrics_.completed = reg.GetCounter("quasaq_session_completed_total",
-                                      "Sessions that played to the end");
-  metrics_.cancelled = reg.GetCounter("quasaq_session_cancelled_total",
-                                      "Sessions aborted before completion");
-  metrics_.paused =
-      reg.GetCounter("quasaq_session_paused_total", "Pause operations");
-  metrics_.resumed = reg.GetCounter("quasaq_session_resumed_total",
-                                    "Successful resume operations");
-  metrics_.resume_failed =
-      reg.GetCounter("quasaq_session_resume_failed_total",
-                     "Resumes rejected by re-admission");
-  metrics_.duration_seconds = reg.GetHistogram(
-      "quasaq_session_duration_seconds",
-      "Wall-clock (simulated) session length from start to completion",
-      obs::HistogramOptions{/*first_bound=*/1.0, /*growth=*/2.0,
-                            /*bucket_count=*/16});
-  metrics_.active = reg.GetGauge("quasaq_session_active_count",
-                                 "Sessions currently streaming or paused");
-  metrics_.peak = reg.GetGauge("quasaq_session_peak_count",
-                               "High-water mark of concurrent sessions");
-  tracer_ = &observability->tracer();
-}
-
 void SessionManager::SampleActive(SimTime now) {
-  if (metrics_.active == nullptr) return;
   metrics_.active->Sample(now, outstanding_);
   metrics_.peak->SampleMax(now, outstanding_);
 }
@@ -63,14 +56,14 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
   }
   record.completion_event =
       simulator_->ScheduleAt(record.expected_end, [this, id] { Complete(id); });
-  if (tracer_ != nullptr && record.trace_track != 0) {
+  if (record.trace_track != 0) {
     tracer_->Begin(record.trace_track, "session.stream", now,
                    {{"session", std::to_string(id.value())},
                     {"site", std::to_string(record.site.value())}});
   }
   sessions_.emplace(id, std::move(record));
   ++outstanding_;
-  if (metrics_.started != nullptr) metrics_.started->Increment();
+  metrics_.started->Increment();
   SampleActive(now);
   return id;
 }
@@ -100,11 +93,6 @@ double SessionManager::vdbms_active_kbps(SiteId site) const {
 int SessionManager::outstanding() const {
   MutexLock lock(&mu_);
   return outstanding_;
-}
-
-uint64_t SessionManager::completed() const {
-  MutexLock lock(&mu_);
-  return completed_;
 }
 
 void SessionManager::UnpinVdbms(const Record& record) {
@@ -138,8 +126,8 @@ Status SessionManager::Pause(SessionId session) {
   record.completion_event = sim::kInvalidEventId;
   record.remaining_at_pause = record.expected_end - simulator_->Now();
   record.paused = true;
-  if (metrics_.paused != nullptr) metrics_.paused->Increment();
-  if (tracer_ != nullptr && record.trace_track != 0) {
+  metrics_.paused->Increment();
+  if (record.trace_track != 0) {
     tracer_->Begin(record.trace_track, "session.paused", simulator_->Now());
   }
   return Status::Ok();
@@ -158,10 +146,8 @@ Status SessionManager::Resume(SessionId session) {
     Result<res::ReservationId> reservation =
         qos_api_->Reserve(record.reserved_vector);
     if (!reservation.ok()) {
-      if (metrics_.resume_failed != nullptr) {
-        metrics_.resume_failed->Increment();
-      }
-      if (tracer_ != nullptr && record.trace_track != 0) {
+      metrics_.resume_failed->Increment();
+      if (record.trace_track != 0) {
         tracer_->Instant(record.trace_track, "session.resume_failed",
                          simulator_->Now());
       }
@@ -177,8 +163,8 @@ Status SessionManager::Resume(SessionId session) {
   record.expected_end = simulator_->Now() + record.remaining_at_pause;
   record.completion_event = simulator_->ScheduleAt(
       record.expected_end, [this, session] { Complete(session); });
-  if (metrics_.resumed != nullptr) metrics_.resumed->Increment();
-  if (tracer_ != nullptr && record.trace_track != 0) {
+  metrics_.resumed->Increment();
+  if (record.trace_track != 0) {
     // Closes the session.paused span opened by Pause.
     tracer_->End(record.trace_track, simulator_->Now());
   }
@@ -198,13 +184,13 @@ Status SessionManager::Cancel(SessionId session) {
   // Paused sessions already returned their resources.
   if (!record.paused) UnpinVdbms(record);
   const SimTime now = simulator_->Now();
-  if (tracer_ != nullptr && record.trace_track != 0) {
+  if (record.trace_track != 0) {
     tracer_->Instant(record.trace_track, "session.cancelled", now);
     tracer_->EndAll(record.trace_track, now);
   }
   sessions_.erase(it);
   --outstanding_;
-  if (metrics_.cancelled != nullptr) metrics_.cancelled->Increment();
+  metrics_.cancelled->Increment();
   SampleActive(now);
   return Status::Ok();
 }
@@ -235,19 +221,17 @@ void SessionManager::Complete(SessionId id) {
     }
     UnpinVdbms(record);
     completed_at = simulator_->Now();
-    if (metrics_.completed != nullptr) {
-      metrics_.completed->Increment();
-      metrics_.duration_seconds->Observe(
-          SimTimeToSeconds(completed_at - record.start));
-    }
-    if (tracer_ != nullptr && record.trace_track != 0) {
+    metrics_.completed->Increment();
+    metrics_.duration_seconds->Observe(
+        SimTimeToSeconds(completed_at - record.start));
+    if (record.trace_track != 0) {
       // Closes session.stream (and a dangling session.paused, if the
       // caller completed a paused session) plus the delivery root span.
       tracer_->EndAll(record.trace_track, completed_at);
     }
     sessions_.erase(it);
     --outstanding_;
-    ++completed_;
+    SampleActive(completed_at);
   }
   CompleteCallback callback;
   {

@@ -34,8 +34,8 @@
 // other threads; the clock itself stays single-threaded. Lock order:
 // SessionManager::mu_ → CompositeQosApi::mu_ → ResourcePool::mu_
 // (docs/ARCHITECTURE.md "Threading model").
-// set_observability/set_on_complete are configuration: call them before
-// lifecycle calls run concurrently.
+// set_on_complete is configuration: call it before lifecycle calls run
+// concurrently.
 
 namespace quasaq::core {
 
@@ -64,8 +64,11 @@ class SessionManager {
 
   using CompleteCallback = std::function<void(SessionId, SimTime)>;
 
-  /// Both pointers must outlive the manager.
-  SessionManager(sim::Simulator* simulator, res::CompositeQosApi* qos_api);
+  /// Both pointers and `observability` must outlive the manager. The
+  /// lifecycle counters, active/peak gauges and duration histogram are
+  /// registered in `observability`'s registry here.
+  SessionManager(sim::Simulator* simulator, res::CompositeQosApi* qos_api,
+                 obs::Observability& observability);
 
   /// Registers a delivery and schedules its completion, and pins
   /// `record.vdbms_milli_kbps` on the record's site. IDs are the dense
@@ -117,39 +120,39 @@ class SessionManager {
 
   /// Sessions currently streaming or paused.
   int outstanding() const QUASAQ_EXCLUDES(mu_);
-  /// Sessions that ran to completion.
-  uint64_t completed() const QUASAQ_EXCLUDES(mu_);
+  /// Sessions that ran to completion (the registry counter).
+  uint64_t completed() const {
+    return static_cast<uint64_t>(metrics_.completed->value());
+  }
+  /// Sessions started (the registry counter).
+  uint64_t started() const {
+    return static_cast<uint64_t>(metrics_.started->value());
+  }
 
   void set_on_complete(CompleteCallback callback) {
     MutexLock lock(&config_mu_);
     on_complete_ = std::move(callback);
   }
 
-  /// Attaches lifecycle counters, active/peak gauges, the duration
-  /// histogram, and span emission to `observability` (nullptr
-  /// detaches). Call before the first Start; the pointer must outlive
-  /// the manager.
-  void set_observability(obs::Observability* observability)
-      QUASAQ_EXCLUDES(mu_);
-
  private:
-  // Registry handles resolved once in set_observability; all nullptr
-  // when unobserved.
+  // Registry handles, resolved at construction. Counters and gauge
+  // values are lock-free; the histogram and gauge history take leaf
+  // locks, so they are emitted while mu_ is held.
   struct Metrics {
-    obs::Counter* started = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* paused = nullptr;
-    obs::Counter* resumed = nullptr;
-    obs::Counter* resume_failed = nullptr;
-    obs::Histogram* duration_seconds = nullptr;
-    obs::Gauge* active = nullptr;
-    obs::Gauge* peak = nullptr;
+    explicit Metrics(obs::MetricsRegistry& registry);
+    obs::Counter* started;
+    obs::Counter* completed;
+    obs::Counter* cancelled;
+    obs::Counter* paused;
+    obs::Counter* resumed;
+    obs::Counter* resume_failed;
+    obs::Histogram* duration_seconds;
+    obs::Gauge* active;
+    obs::Gauge* peak;
   };
 
   // Samples the active-session gauge (and bumps the peak) after
-  // `outstanding_` changed: Start and Cancel sample, Complete only
-  // adjusts the count.
+  // `outstanding_` changed: Start, Cancel and Complete.
   void SampleActive(SimTime now) QUASAQ_REQUIRES(mu_);
   void Complete(SessionId id) QUASAQ_EXCLUDES(mu_);
   // Returns the session's pinned VDBMS bitrate to its site (no-op for
@@ -158,18 +161,15 @@ class SessionManager {
 
   sim::Simulator* simulator_;      // set at construction, never reassigned
   res::CompositeQosApi* qos_api_;  // likewise
+  obs::Tracer* tracer_;            // likewise
+  const Metrics metrics_;
   mutable Mutex mu_;
   int64_t next_seq_ QUASAQ_GUARDED_BY(mu_) = 1;
   int outstanding_ QUASAQ_GUARDED_BY(mu_) = 0;
-  uint64_t completed_ QUASAQ_GUARDED_BY(mu_) = 0;
   std::unordered_map<SessionId, Record> sessions_ QUASAQ_GUARDED_BY(mu_);
   // Sum of the live pins per site, milli-KB/s.
   std::unordered_map<SiteId, int64_t> vdbms_site_milli_kbps_
       QUASAQ_GUARDED_BY(mu_);
-  // Observability is emitted while mu_ is held; the obs mutexes are
-  // strict leaves in the lock order, below ResourcePool::mu_.
-  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
-  obs::Tracer* tracer_ QUASAQ_GUARDED_BY(mu_) = nullptr;
   mutable Mutex config_mu_;
   CompleteCallback on_complete_ QUASAQ_GUARDED_BY(config_mu_);
 };

@@ -27,14 +27,16 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
           options.observability.trace_max_events}),
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
-      qos_api_(&pool_),
-      session_manager_(simulator, &qos_api_) {
+      qos_api_(&pool_, observability_.metrics()),
+      session_manager_(simulator, &qos_api_, observability_),
+      submitted_(observability_.metrics().GetCounter(
+          "quasaq_delivery_submitted_total", "Deliveries submitted")),
+      rejected_(observability_.metrics().GetCounter(
+          "quasaq_delivery_rejected_total",
+          "Deliveries refused (no plan, no resources or no replica)")) {
   assert(simulator_ != nullptr);
   std::vector<SiteId> sites = options_.topology.SiteIds();
-  session_manager_.set_observability(&observability_);
-  qos_api_.set_metrics(&observability_.metrics());
   session_manager_.set_on_complete([this](SessionId id, SimTime now) {
-    ++stats_.completed;
     SampleResourceTelemetry();
     if (on_session_complete_) on_session_complete_(id, now);
   });
@@ -87,8 +89,8 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
       quality.generator.min_cache_fraction = options_.cache.min_plan_fraction;
     }
     quality_manager_ = std::make_unique<QualityManager>(
-        metadata_.get(), &qos_api_, cost_model_.get(), sites, quality);
-    quality_manager_->set_observability(&observability_);
+        metadata_.get(), &qos_api_, cost_model_.get(), sites, quality,
+        observability_);
     if (options_.cache.enabled) {
       cache_manager_ = std::make_unique<cache::CacheManager>(
           sites, options_.cache.manager);
@@ -139,7 +141,7 @@ std::vector<LogicalOid> MediaDbSystem::ResolveContent(
 MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
     SiteId client_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile) {
-  ++stats_.submitted;
+  submitted_->Increment();
   obs::Tracer& tracer = observability_.tracer();
   const SimTime now = simulator_->Now();
   // The trace context (tracer track + quality-manager span state) is
@@ -172,11 +174,10 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
       break;
   }
   if (outcome.status.ok()) {
-    ++stats_.admitted;
     // The new reservation moved utilization; record the step.
     SampleResourceTelemetry();
   } else {
-    ++stats_.rejected;
+    rejected_->Increment();
     if (trace_track != 0) {
       // A rejected delivery never reaches the session layer; close the
       // root span here so the track is complete.
@@ -389,10 +390,10 @@ MediaDbSystem::TakeObservabilitySnapshot() const {
 
 MediaDbSystem::Stats MediaDbSystem::stats() const {
   Stats snapshot;
-  snapshot.submitted = stats_.submitted.load(std::memory_order_relaxed);
-  snapshot.admitted = stats_.admitted.load(std::memory_order_relaxed);
-  snapshot.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  snapshot.completed = stats_.completed.load(std::memory_order_relaxed);
+  snapshot.submitted = static_cast<uint64_t>(submitted_->value());
+  snapshot.admitted = session_manager_.started();
+  snapshot.rejected = static_cast<uint64_t>(rejected_->value());
+  snapshot.completed = session_manager_.completed();
   return snapshot;
 }
 

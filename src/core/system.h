@@ -1,7 +1,6 @@
 #ifndef QUASAQ_CORE_SYSTEM_H_
 #define QUASAQ_CORE_SYSTEM_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -222,8 +221,8 @@ class MediaDbSystem {
   }
 
   int outstanding_sessions() const { return session_manager_.outstanding(); }
-  /// Consistent snapshot of the query counters (accumulated with
-  /// relaxed atomics, so concurrent submissions never tear it).
+  /// Reads the query counters from the registry: admitted and completed
+  /// are the session layer's started and completed counters.
   Stats stats() const;
   SystemKind kind() const { return options_.kind; }
 
@@ -305,16 +304,9 @@ class MediaDbSystem {
   std::unique_ptr<repl::ReplicationManager> replication_manager_;
   std::unique_ptr<cache::CacheManager> cache_manager_;
   std::unique_ptr<res::PoolTelemetry> pool_telemetry_;
-
-  // The Stats fields, accumulated with relaxed atomics (stats()
-  // snapshots them) so concurrent submissions never race.
-  struct AtomicStats {
-    std::atomic<uint64_t> submitted{0};
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> completed{0};
-  };
-  AtomicStats stats_;
+  // Registry handles for the deliveries no lower layer counts.
+  obs::Counter* submitted_;
+  obs::Counter* rejected_;
   SessionCompleteCallback on_session_complete_;
 };
 

@@ -6,9 +6,11 @@
 
 // The observability context one system instance threads through its
 // layers: a metrics registry and a tracer, created together so every
-// subsystem reports into the same exposition surface. Instrumented
-// components take an `Observability*` (or a `MetricsRegistry*` when
-// they only count) and treat nullptr as "not observed".
+// subsystem reports into the same exposition surface. The admission
+// path's components take an `Observability&` (or a `MetricsRegistry&`
+// when they only count) at construction and keep their counters only
+// there; the segment caches attach through `set_metrics`, where
+// nullptr means "not observed".
 
 namespace quasaq::obs {
 

@@ -5,19 +5,14 @@
 
 namespace quasaq::res {
 
-void CompositeQosApi::AccountAttempt(const ResourceVector& demand,
-                                     bool admitted) {
+void CompositeQosApi::AccountAttempt(
+    const ResourceVector& demand, const ResourcePool::KindCounts& overflowed) {
   for (const ResourceVector::Entry& e : demand.entries()) {
-    KindStats& kind = kind_stats_[static_cast<size_t>(e.bucket.kind)];
-    ++kind.requests;
-    if (!admitted) {
-      // Charge the denial to every kind whose bucket would overflow.
-      double capacity = pool_->Capacity(e.bucket);
-      if (capacity > 0.0 &&
-          pool_->Used(e.bucket) + e.amount > capacity * (1.0 + 1e-9)) {
-        ++kind.denials;
-      }
-    }
+    ++kind_stats_[static_cast<size_t>(e.bucket.kind)].requests;
+  }
+  // A denial is charged to the kind of every entry that overflowed.
+  for (int i = 0; i < kNumResourceKinds; ++i) {
+    kind_stats_[i].denials += overflowed[static_cast<size_t>(i)];
   }
 }
 
@@ -42,30 +37,41 @@ std::string CompositeQosApi::BottleneckReport() const {
   return std::string(buf);
 }
 
-CompositeQosApi::CompositeQosApi(ResourcePool* pool) : pool_(pool) {
+CompositeQosApi::Metrics::Metrics(obs::MetricsRegistry& registry)
+    : reserve_accepted(
+          registry.GetCounter("quasaq_resource_reserve_accepted_total",
+                              "Reservations admission control granted")),
+      reserve_rejected(
+          registry.GetCounter("quasaq_resource_reserve_rejected_total",
+                              "Reservations admission control denied")),
+      released(registry.GetCounter("quasaq_resource_released_total",
+                                   "Reservations released")),
+      renegotiate_accepted(
+          registry.GetCounter("quasaq_resource_renegotiate_accepted_total",
+                              "In-place reservation swaps that fit")),
+      renegotiate_rejected(
+          registry.GetCounter("quasaq_resource_renegotiate_rejected_total",
+                              "In-place reservation swaps that did not fit")) {}
+
+CompositeQosApi::CompositeQosApi(ResourcePool* pool,
+                                 obs::MetricsRegistry& registry)
+    : pool_(pool), metrics_(registry) {
   assert(pool_ != nullptr);
 }
 
-void CompositeQosApi::set_metrics(obs::MetricsRegistry* registry) {
+CompositeQosApi::Stats CompositeQosApi::stats() const {
   MutexLock lock(&mu_);
-  if (registry == nullptr) {
-    metrics_ = Metrics{};
-    return;
-  }
-  metrics_.reserve_accepted =
-      registry->GetCounter("quasaq_resource_reserve_accepted_total",
-                           "Reservations admission control granted");
-  metrics_.reserve_rejected =
-      registry->GetCounter("quasaq_resource_reserve_rejected_total",
-                           "Reservations admission control denied");
-  metrics_.released = registry->GetCounter(
-      "quasaq_resource_released_total", "Reservations released");
-  metrics_.renegotiate_accepted =
-      registry->GetCounter("quasaq_resource_renegotiate_accepted_total",
-                           "In-place reservation swaps that fit");
-  metrics_.renegotiate_rejected =
-      registry->GetCounter("quasaq_resource_renegotiate_rejected_total",
-                           "In-place reservation swaps that did not fit");
+  Stats snapshot;
+  snapshot.admitted =
+      static_cast<uint64_t>(metrics_.reserve_accepted->value());
+  snapshot.rejected =
+      static_cast<uint64_t>(metrics_.reserve_rejected->value());
+  snapshot.released = static_cast<uint64_t>(metrics_.released->value());
+  snapshot.renegotiations =
+      static_cast<uint64_t>(metrics_.renegotiate_accepted->value());
+  snapshot.renegotiation_failures =
+      static_cast<uint64_t>(metrics_.renegotiate_rejected->value());
+  return snapshot;
 }
 
 bool CompositeQosApi::Admissible(const ResourceVector& demand) const {
@@ -74,19 +80,14 @@ bool CompositeQosApi::Admissible(const ResourceVector& demand) const {
 
 Result<ReservationId> CompositeQosApi::Reserve(const ResourceVector& demand) {
   MutexLock lock(&mu_);
-  Status status = pool_->Acquire(demand);
-  AccountAttempt(demand, status.ok());
+  ResourcePool::KindCounts overflowed{};
+  Status status = pool_->Acquire(demand, &overflowed);
+  AccountAttempt(demand, overflowed);
   if (!status.ok()) {
-    ++stats_.rejected;
-    if (metrics_.reserve_rejected != nullptr) {
-      metrics_.reserve_rejected->Increment();
-    }
+    metrics_.reserve_rejected->Increment();
     return status;
   }
-  ++stats_.admitted;
-  if (metrics_.reserve_accepted != nullptr) {
-    metrics_.reserve_accepted->Increment();
-  }
+  metrics_.reserve_accepted->Increment();
   ReservationId id = next_id_++;
   reservations_.emplace(id, demand);
   return id;
@@ -102,8 +103,7 @@ Status CompositeQosApi::Release(ReservationId id) {
   // vectors disagree — surface it instead of reporting a clean release.
   Status released = pool_->Release(it->second);
   reservations_.erase(it);
-  ++stats_.released;
-  if (metrics_.released != nullptr) metrics_.released->Increment();
+  metrics_.released->Increment();
   return released;
 }
 
@@ -126,17 +126,11 @@ Status CompositeQosApi::Renegotiate(ReservationId id,
     Status restored = pool_->Acquire(it->second);
     assert(restored.ok());
     (void)restored;
-    ++stats_.renegotiation_failures;
-    if (metrics_.renegotiate_rejected != nullptr) {
-      metrics_.renegotiate_rejected->Increment();
-    }
+    metrics_.renegotiate_rejected->Increment();
     return status;
   }
   it->second = new_demand;
-  ++stats_.renegotiations;
-  if (metrics_.renegotiate_accepted != nullptr) {
-    metrics_.renegotiate_accepted->Increment();
-  }
+  metrics_.renegotiate_accepted->Increment();
   return Status::Ok();
 }
 

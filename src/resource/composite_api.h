@@ -17,11 +17,12 @@
 // Reservations are all-or-nothing across every bucket a plan touches.
 //
 // Thread-safe: one mutex guards the reservation table and the
-// admission/denial statistics. The pool's own leaf lock is acquired
-// while this one is held (lock order: CompositeQosApi::mu_ →
-// ResourcePool::mu_, see docs/ARCHITECTURE.md), which keeps
-// release-then-acquire renegotiation atomic with respect to other
-// reservations.
+// per-kind statistics. The pool's own leaf lock is acquired while this
+// one is held (lock order: CompositeQosApi::mu_ → ResourcePool::mu_,
+// see docs/ARCHITECTURE.md), which keeps release-then-acquire
+// renegotiation atomic with respect to other reservations. The
+// reservation counters live only in the metrics registry; they are
+// bumped under mu_, so stats() (which also takes mu_) never tears.
 
 namespace quasaq::res {
 
@@ -47,8 +48,9 @@ class CompositeQosApi {
     uint64_t denials = 0;
   };
 
-  /// `pool` must outlive the API object.
-  explicit CompositeQosApi(ResourcePool* pool);
+  /// `pool` and `registry` must outlive the API object. The
+  /// reservation counters are registered in `registry` here.
+  CompositeQosApi(ResourcePool* pool, obs::MetricsRegistry& registry);
 
   /// Admission control: true when `demand` fits the current system
   /// status without reserving anything.
@@ -77,10 +79,8 @@ class CompositeQosApi {
     MutexLock lock(&mu_);
     return reservations_.size();
   }
-  Stats stats() const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  /// Reads the registry counters.
+  Stats stats() const QUASAQ_EXCLUDES(mu_);
   KindStats kind_stats(ResourceKind kind) const QUASAQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return kind_stats_[static_cast<size_t>(kind)];
@@ -92,34 +92,31 @@ class CompositeQosApi {
   /// to "what do we buy more of?".
   std::string BottleneckReport() const QUASAQ_EXCLUDES(mu_);
 
-  /// Mirrors reservation accept/reject/release/renegotiate accounting
-  /// into `registry` (nullptr detaches). The registry must outlive the
-  /// API object; call before the first Reserve.
-  void set_metrics(obs::MetricsRegistry* registry) QUASAQ_EXCLUDES(mu_);
-
  private:
-  // Registry handles resolved once in set_metrics; all nullptr when
-  // unobserved. Emitted under mu_ — the registry's locks are leaves.
+  // Registry handles, resolved at construction. Lock-free counters, so
+  // they need no guard.
   struct Metrics {
-    obs::Counter* reserve_accepted = nullptr;
-    obs::Counter* reserve_rejected = nullptr;
-    obs::Counter* released = nullptr;
-    obs::Counter* renegotiate_accepted = nullptr;
-    obs::Counter* renegotiate_rejected = nullptr;
+    explicit Metrics(obs::MetricsRegistry& registry);
+    obs::Counter* reserve_accepted;
+    obs::Counter* reserve_rejected;
+    obs::Counter* released;
+    obs::Counter* renegotiate_accepted;
+    obs::Counter* renegotiate_rejected;
   };
 
-  // Charges per-kind request/denial accounting for one attempt.
-  void AccountAttempt(const ResourceVector& demand, bool admitted)
+  // Charges per-kind request/denial accounting for one attempt;
+  // `overflowed` is what the pool reported for a failed Acquire.
+  void AccountAttempt(const ResourceVector& demand,
+                      const ResourcePool::KindCounts& overflowed)
       QUASAQ_REQUIRES(mu_);
 
   ResourcePool* pool_;  // set at construction, never reassigned
+  const Metrics metrics_;
   mutable Mutex mu_;
   ReservationId next_id_ QUASAQ_GUARDED_BY(mu_) = 1;
   std::unordered_map<ReservationId, ResourceVector> reservations_
       QUASAQ_GUARDED_BY(mu_);
-  Stats stats_ QUASAQ_GUARDED_BY(mu_);
   KindStats kind_stats_[kNumResourceKinds] QUASAQ_GUARDED_BY(mu_) = {};
-  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
 };
 
 }  // namespace quasaq::res

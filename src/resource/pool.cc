@@ -126,15 +126,19 @@ double ResourcePool::Utilization(const BucketId& bucket) const {
   return it->second.used / it->second.capacity;
 }
 
-bool ResourcePool::FitsLocked(const ResourceVector& demand) const {
+bool ResourcePool::FitsLocked(const ResourceVector& demand,
+                              KindCounts* overflowed) const {
+  bool fits = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
     auto it = buckets_.find(e.bucket);
     if (it == buckets_.end()) return false;
     if (it->second.used + e.amount > it->second.capacity * (1.0 + kSlack)) {
-      return false;
+      if (overflowed == nullptr) return false;
+      ++(*overflowed)[static_cast<size_t>(e.bucket.kind)];
+      fits = false;
     }
   }
-  return true;
+  return fits;
 }
 
 bool ResourcePool::Fits(const ResourceVector& demand) const {
@@ -142,7 +146,8 @@ bool ResourcePool::Fits(const ResourceVector& demand) const {
   return FitsLocked(demand);
 }
 
-Status ResourcePool::Acquire(const ResourceVector& demand) {
+Status ResourcePool::Acquire(const ResourceVector& demand,
+                             KindCounts* overflowed) {
   MutexLock lock(&mu_);
   for (const ResourceVector::Entry& e : demand.entries()) {
     if (buckets_.count(e.bucket) == 0) {
@@ -150,7 +155,7 @@ Status ResourcePool::Acquire(const ResourceVector& demand) {
                               BucketIdToString(e.bucket));
     }
   }
-  if (!FitsLocked(demand)) {
+  if (!FitsLocked(demand, overflowed)) {
     return Status::ResourceExhausted("bucket would overflow");
   }
   for (const ResourceVector::Entry& e : demand.entries()) {

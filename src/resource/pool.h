@@ -1,6 +1,8 @@
 #ifndef QUASAQ_RESOURCE_POOL_H_
 #define QUASAQ_RESOURCE_POOL_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -45,10 +47,17 @@ class ResourcePool {
   /// Acquire, which re-validates atomically.
   bool Fits(const ResourceVector& demand) const QUASAQ_EXCLUDES(mu_);
 
+  // Per resource kind, how many entries of a demand overflow their
+  // bucket.
+  using KindCounts = std::array<uint64_t, kNumResourceKinds>;
+
   /// Atomically adds `demand` to usage. Fails with kResourceExhausted
   /// (nothing is changed) when any bucket would overflow, and
-  /// kNotFound when `demand` touches an undeclared bucket.
-  Status Acquire(const ResourceVector& demand) QUASAQ_EXCLUDES(mu_);
+  /// kNotFound when `demand` touches an undeclared bucket. On
+  /// kResourceExhausted, adds to `overflowed` (when non-null) the
+  /// entries that overflowed, by kind, judged by the same fit test.
+  Status Acquire(const ResourceVector& demand,
+                 KindCounts* overflowed = nullptr) QUASAQ_EXCLUDES(mu_);
 
   /// Subtracts `demand` from usage. Usage never goes negative: an
   /// over-release is clamped to zero and reported as
@@ -106,7 +115,11 @@ class ResourcePool {
   };
 
   // Lock-assuming bodies of the public entry points above.
-  bool FitsLocked(const ResourceVector& demand) const QUASAQ_REQUIRES(mu_);
+  // Stops at the first overflow unless `overflowed` is non-null, in
+  // which case every overflowing entry is counted into it.
+  bool FitsLocked(const ResourceVector& demand,
+                  KindCounts* overflowed = nullptr) const
+      QUASAQ_REQUIRES(mu_);
   std::vector<BucketId> BucketsLocked() const QUASAQ_REQUIRES(mu_);
   // The declared buckets by descending fill, rebuilt when stale.
   const std::vector<Fill>& FillIndexLocked() const QUASAQ_REQUIRES(mu_);

@@ -159,12 +159,9 @@ TEST_F(CachePlanTest, ColdOrBelowThresholdEmitsNoCachedVariants) {
     EXPECT_FALSE(plan.IsCacheServed());
   }
 
-  PlanGenerator::Options disabled;
-  disabled.enable_cache_plans = false;
-  FakeCacheView fully_warm(1.0);
-  PlanGenerator off = MakeGenerator(disabled);
-  off.set_cache_view(&fully_warm);
-  plans = off.Generate(SiteId(0), LogicalOid(0), AnyQos());
+  // Without a cache view the generator emits no cache-served plans.
+  PlanGenerator viewless = MakeGenerator();
+  plans = viewless.Generate(SiteId(0), LogicalOid(0), AnyQos());
   ASSERT_TRUE(plans.ok());
   for (const Plan& plan : *plans) {
     EXPECT_FALSE(plan.IsCacheServed());

@@ -12,7 +12,7 @@ BucketId Net(int site) {
 
 class CompositeQosApiTest : public ::testing::Test {
  protected:
-  CompositeQosApiTest() : api_(&pool_) {
+  CompositeQosApiTest() : api_(&pool_, registry_) {
     EXPECT_TRUE(pool_.DeclareBucket(Cpu(0), 1.0).ok());
     EXPECT_TRUE(pool_.DeclareBucket(Net(0), 100.0).ok());
   }
@@ -25,6 +25,7 @@ class CompositeQosApiTest : public ::testing::Test {
   }
 
   ResourcePool pool_;
+  obs::MetricsRegistry registry_;
   CompositeQosApi api_;
 };
 

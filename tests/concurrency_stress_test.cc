@@ -78,7 +78,8 @@ TEST(ConcurrencyStressTest, PoolAcquireReleaseNeverCorruptsUsage) {
 TEST(ConcurrencyStressTest, CompositeApiReserveReleaseBalances) {
   res::ResourcePool pool;
   ASSERT_TRUE(pool.DeclareBucket(Net(0), 500.0).ok());
-  res::CompositeQosApi api(&pool);
+  obs::MetricsRegistry registry;
+  res::CompositeQosApi api(&pool, registry);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -206,8 +207,9 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
   // the invariant under test is bookkeeping, not admission pressure.
   ASSERT_TRUE(
       pool.DeclareBucket(Net(0), 1e9).ok());
-  res::CompositeQosApi api(&pool);
-  core::SessionManager manager(&simulator, &api);
+  obs::Observability observability;
+  res::CompositeQosApi api(&pool, observability.metrics());
+  core::SessionManager manager(&simulator, &api, observability);
   std::atomic<uint64_t> completions{0};
   manager.set_on_complete(
       [&completions](SessionId, SimTime) { ++completions; });
@@ -374,6 +376,53 @@ TEST(ConcurrencyStressTest, AdmitRenegotiateCancelPipeline) {
       system.TakeObservabilitySnapshot();
   EXPECT_NE(snapshot.prometheus.find("quasaq_session_started_total"),
             std::string::npos);
+}
+
+// Each admission observes its own stream's plans into the per-query
+// histogram, however many admissions run beside it: the histogram's sum
+// is the plan counter and its count the query counter.
+TEST(ConcurrencyStressTest, PerQueryPlanHistogramCountsEachAdmissionOnce) {
+  constexpr int kAdmissionsPerThread = 60;
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  options.topology = net::Topology::Uniform(4);
+  options.seed = 23;
+  core::MediaDbSystem system(&simulator, options);
+  const std::vector<SiteId> sites = system.topology().SiteIds();
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const SiteId site = sites[static_cast<size_t>(t) % sites.size()];
+      query::QosRequirement wide;
+      wide.range.min_frame_rate = 1.0;
+      for (int i = 0; i < kAdmissionsPerThread; ++i) {
+        LogicalOid content(static_cast<int64_t>((i + 5 * t) % 15));
+        (void)system.SubmitDelivery(site, content, wide);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  obs::MetricsRegistry& registry = system.observability().metrics();
+  const obs::Histogram::Snapshot per_query =
+      registry
+          .GetHistogram("quasaq_plan_generated_per_query_count", "",
+                        obs::HistogramOptions{1.0, 2.0, 12})
+          ->snapshot();
+  const double generated =
+      registry.GetCounter("quasaq_plan_generated_total", "")->value();
+  const double queries =
+      registry.GetCounter("quasaq_plan_queries_total", "")->value();
+  EXPECT_EQ(queries, static_cast<double>(kThreads * kAdmissionsPerThread));
+  EXPECT_GT(generated, 0.0);
+  // The histogram keeps its sum as mean * count, so it matches to
+  // within rounding; a plan counted into another admission's sample
+  // would move it by at least 1.
+  EXPECT_NEAR(per_query.sum, generated, 0.5);
+  EXPECT_EQ(static_cast<double>(per_query.count), queries);
 }
 
 // The metrics registry is the one object every instrumented subsystem

@@ -111,18 +111,31 @@ TEST_F(ExplainTest, ToStringListsEveryPlan) {
 // EXPLAIN materializes and costs plans like an admission, so the plan
 // counters of stats() and of the registry must agree after any mix of
 // admissions, renegotiations and EXPLAINs.
+// Admissions, renegotiations and EXPLAIN each feed the plan counters,
+// and stats() reads those counters from the registry.
 TEST_F(ExplainTest, PlanCountersAgreeWithTheRegistry) {
+  const QualityManager& manager = *system_->quality_manager();
+  uint64_t generated_so_far = 0;
+  auto generated_grew = [&] {
+    const uint64_t now = manager.stats().plans_generated;
+    const bool grew = now > generated_so_far;
+    generated_so_far = now;
+    return grew;
+  };
   Result<MediaDbSystem::TextQueryOutcome> admitted =
       system_->SubmitTextQuery(SiteId(0), Query(false));
   ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
   ASSERT_TRUE(admitted->delivery.status.ok());
+  EXPECT_TRUE(generated_grew());
   query::QosRequirement lower;
   lower.range.min_frame_rate = 1.0;
   ASSERT_TRUE(
       system_->ChangeSessionQos(admitted->delivery.session, lower).ok());
+  EXPECT_TRUE(generated_grew());
   ASSERT_TRUE(system_->ExplainTextQuery(SiteId(0), Query(true)).ok());
+  EXPECT_TRUE(generated_grew());
 
-  const QualityManager::Stats stats = system_->quality_manager()->stats();
+  const QualityManager::Stats stats = manager.stats();
   obs::MetricsRegistry& registry = system_->observability().metrics();
   const double generated =
       registry

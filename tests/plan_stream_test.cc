@@ -454,7 +454,7 @@ class EagerAdmissionOracle {
     bool any_plans_seen = false;
     for (int round = 0; round <= options_.max_renegotiation_rounds; ++round) {
       if (round > 0 &&
-          (!options_.enable_renegotiation || profile == nullptr ||
+          (profile == nullptr ||
            !profile->RelaxForRenegotiation(bounds.range))) {
         break;
       }
@@ -526,7 +526,8 @@ class EagerAdmissionOracle {
 class StreamedVsEagerTest : public PlanStreamTest {
  protected:
   StreamedVsEagerTest()
-      : eager_api_(&eager_pool_), streamed_api_(&streamed_pool_) {
+      : eager_api_(&eager_pool_, eager_observability_.metrics()),
+        streamed_api_(&streamed_pool_, streamed_observability_.metrics()) {
     DeclareBuckets(eager_pool_);
     DeclareBuckets(streamed_pool_);
     QualityManager::Options options;
@@ -534,7 +535,8 @@ class StreamedVsEagerTest : public PlanStreamTest {
                                                     &eager_api_, &lrb_,
                                                     options);
     streamed_ = std::make_unique<QualityManager>(
-        &metadata_, &streamed_api_, &lrb_, sites_, options);
+        &metadata_, &streamed_api_, &lrb_, sites_, options,
+        streamed_observability_);
   }
 
   void ExpectSameOutcome(const query::QosRequirement& qos,
@@ -560,6 +562,8 @@ class StreamedVsEagerTest : public PlanStreamTest {
 
   res::ResourcePool eager_pool_;
   res::ResourcePool streamed_pool_;
+  obs::Observability eager_observability_;
+  obs::Observability streamed_observability_;
   res::CompositeQosApi eager_api_;
   res::CompositeQosApi streamed_api_;
   std::unique_ptr<EagerAdmissionOracle> eager_;
@@ -648,13 +652,15 @@ TEST(ExplainLimitTest, GenerationStopsAtTheLimit) {
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kNetworkBandwidth}, 1e9).ok());
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kDiskBandwidth}, 2000.0).ok());
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kMemory}, 1e12).ok());
-  res::CompositeQosApi api(&pool);
+  obs::Observability observability;
+  res::CompositeQosApi api(&pool, observability.metrics());
   LrbCostModel lrb;
   QualityManager::Options options;
   options.generator.enable_frame_dropping = false;
   options.generator.enable_transcoding = false;
   options.generator.enable_relay = false;
-  QualityManager manager(&metadata, &api, &lrb, sites, options);
+  QualityManager manager(&metadata, &api, &lrb, sites, options,
+                         observability);
 
   const size_t limit = 2;
   Result<std::vector<QualityManager::RankedPlan>> plans =

@@ -52,6 +52,33 @@ TEST(ResourcePoolTest, AcquireIsAtomicOnOverflow) {
   EXPECT_DOUBLE_EQ(pool.Used(Net(0)), 0.0);
 }
 
+TEST(ResourcePoolTest, FailedAcquireReportsEveryOverflowingKind) {
+  ResourcePool pool;
+  for (int site = 0; site < 2; ++site) {
+    ASSERT_TRUE(pool.DeclareBucket(Cpu(site), 1.0).ok());
+    ASSERT_TRUE(pool.DeclareBucket(Net(site), 100.0).ok());
+  }
+  ResourceVector demand;
+  demand.Add(Cpu(0), 0.5);    // fits
+  demand.Add(Cpu(1), 1.5);    // overflows
+  demand.Add(Net(0), 150.0);  // overflows
+  demand.Add(Net(1), 101.0);  // overflows
+  ResourcePool::KindCounts overflowed{};
+  EXPECT_EQ(pool.Acquire(demand, &overflowed).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(overflowed[static_cast<size_t>(ResourceKind::kCpu)], 1u);
+  EXPECT_EQ(
+      overflowed[static_cast<size_t>(ResourceKind::kNetworkBandwidth)], 2u);
+  EXPECT_EQ(overflowed[static_cast<size_t>(ResourceKind::kDiskBandwidth)],
+            0u);
+  // A demand that fits reports nothing.
+  ResourcePool::KindCounts none{};
+  ResourceVector fits;
+  fits.Add(Net(0), 100.0);  // exactly full is a fit
+  EXPECT_TRUE(pool.Acquire(fits, &none).ok());
+  EXPECT_EQ(none, ResourcePool::KindCounts{});
+}
+
 TEST(ResourcePoolTest, UndeclaredBucketIsNotFound) {
   ResourcePool pool;
   ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 1.0).ok());

@@ -35,7 +35,7 @@ class QualityManagerTest : public ::testing::Test {
   QualityManagerTest()
       : sites_({SiteId(0), SiteId(1)}),
         metadata_(sites_, meta::DistributedMetadataEngine::Options()),
-        api_(&pool_) {
+        api_(&pool_, observability_.metrics()) {
     for (SiteId site : sites_) {
       EXPECT_TRUE(pool_.DeclareBucket({site, ResourceKind::kCpu}, 1.0).ok());
       EXPECT_TRUE(pool_.DeclareBucket({site, ResourceKind::kNetworkBandwidth}, 3200.0).ok());
@@ -53,7 +53,8 @@ class QualityManagerTest : public ::testing::Test {
   }
 
   QualityManager MakeManager(QualityManager::Options options = {}) {
-    return QualityManager(&metadata_, &api_, &lrb_, sites_, options);
+    return QualityManager(&metadata_, &api_, &lrb_, sites_, options,
+                          observability_);
   }
 
   query::QosRequirement WideQos() {
@@ -65,6 +66,7 @@ class QualityManagerTest : public ::testing::Test {
   std::vector<SiteId> sites_;
   meta::DistributedMetadataEngine metadata_;
   res::ResourcePool pool_;
+  obs::Observability observability_;
   res::CompositeQosApi api_;
   LrbCostModel lrb_;
 };
@@ -163,7 +165,6 @@ TEST_F(QualityManagerTest, SingleAttemptSemanticsRejectsMore) {
   // With max_admission_attempts = 1 only the top-ranked plan is tried.
   QualityManager::Options options;
   options.max_admission_attempts = 1;
-  options.enable_renegotiation = false;
   QualityManager manager = MakeManager(options);
   // Saturate CPU on both sites so closely that even the leanest plan
   // (a maximally dropped SIF stream needs ~0.1% of a CPU) cannot fit.
@@ -214,6 +215,64 @@ TEST_F(QualityManagerTest, RenegotiationRoundsAreBounded) {
   Result<QualityManager::Admitted> admitted =
       manager.AdmitQuery(SiteId(0), LogicalOid(0), qos, &profile);
   EXPECT_FALSE(admitted.ok());
+}
+
+// The attempt cap binds renegotiations as it binds admissions: under
+// max_admission_attempts = 1 a live renegotiation submits only its
+// top-ranked plan, and when that one does not fit the renegotiation
+// fails and the running reservation stays as it was.
+TEST_F(QualityManagerTest, RenegotiationHonorsTheAttemptCap) {
+  query::QosRequirement high;
+  high.range.min_resolution = media::kResolutionSvcd;
+  high.range.min_color_depth_bits = 24;
+  high.range.min_frame_rate = 20.0;
+  QualityManager::Options single;
+  single.max_admission_attempts = 1;
+  QualityManager manager = MakeManager(single);
+  Result<QualityManager::Admitted> admitted =
+      manager.AdmitQuery(SiteId(0), LogicalOid(0), high);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  const SiteId own = admitted->plan.delivery_site;
+  const SiteId other = own == SiteId(0) ? SiteId(1) : SiteId(0);
+
+  // Both links end up nearly full, the session's own a little fuller
+  // (it carries the session). Counting the session, every plan
+  // overflows, so the least-full link ranks first: a plan there does
+  // not fit. Only a plan on the session's own link fits, once the
+  // session's share is released for the swap.
+  auto fill_to = [this](SiteId site, double used) {
+    const BucketId net{site, ResourceKind::kNetworkBandwidth};
+    ResourceVector load;
+    load.Add(net, used - pool_.Used(net));
+    ASSERT_TRUE(pool_.Acquire(load).ok());
+  };
+  fill_to(own, 3150.0);
+  fill_to(other, 3100.0);
+  const ResourceVector* held = api_.Find(admitted->reservation);
+  ASSERT_NE(held, nullptr);
+  const ResourceVector before = *held;
+  const std::string pool_before = pool_.DebugString();
+
+  Result<QualityManager::Admitted> capped = manager.RenegotiateDelivery(
+      admitted->reservation, SiteId(0), LogicalOid(0), high);
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+  held = api_.Find(admitted->reservation);
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held->size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(held->entries()[i].bucket, before.entries()[i].bucket);
+    EXPECT_EQ(held->entries()[i].amount, before.entries()[i].amount);
+  }
+  EXPECT_EQ(pool_.DebugString(), pool_before);
+
+  // Uncapped, the walk goes on to the plan that does fit.
+  obs::Observability uncapped_observability;
+  QualityManager uncapped(&metadata_, &api_, &lrb_, sites_,
+                          QualityManager::Options(), uncapped_observability);
+  Result<QualityManager::Admitted> swapped = uncapped.RenegotiateDelivery(
+      admitted->reservation, SiteId(0), LogicalOid(0), high);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_EQ(swapped->plan.delivery_site, own);
 }
 
 TEST_F(QualityManagerTest, StatsCountPlansGenerated) {

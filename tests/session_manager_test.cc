@@ -17,7 +17,9 @@ namespace {
 
 class SessionManagerTest : public ::testing::Test {
  protected:
-  SessionManagerTest() : api_(&pool_), manager_(&simulator_, &api_) {
+  SessionManagerTest()
+      : api_(&pool_, observability_.metrics()),
+        manager_(&simulator_, &api_, observability_) {
     EXPECT_TRUE(pool_.DeclareBucket({SiteId(0), ResourceKind::kNetworkBandwidth}, 1000.0).ok());
     EXPECT_TRUE(pool_.DeclareBucket({SiteId(1), ResourceKind::kNetworkBandwidth}, 1000.0).ok());
   }
@@ -44,6 +46,7 @@ class SessionManagerTest : public ::testing::Test {
 
   sim::Simulator simulator_;
   res::ResourcePool pool_;
+  obs::Observability observability_;
   res::CompositeQosApi api_;
   SessionManager manager_;
 };
@@ -89,6 +92,27 @@ TEST_F(SessionManagerTest, StartCapturesVectorAndCompletesOnce) {
   // Pause and completion each released once.
   EXPECT_EQ(api_.stats().released, 2u);
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
+}
+
+// The active-session gauge is sampled on every change of the live
+// count: start, cancel and completion alike.
+TEST_F(SessionManagerTest, ActiveGaugeFollowsCompletions) {
+  const obs::Gauge* active = observability_.metrics().GetGauge(
+      "quasaq_session_active_count", "Sessions currently streaming or paused");
+  ASSERT_NE(active, nullptr);
+  int completions = 0;
+  manager_.set_on_complete([&](SessionId, SimTime) {
+    ++completions;
+    EXPECT_EQ(active->value(), manager_.outstanding());
+  });
+  for (int i = 1; i <= 4; ++i) {
+    manager_.Start(ReservedRecord(Reserve(10.0)), 10.0 * i);
+  }
+  EXPECT_EQ(active->value(), 4.0);
+  simulator_.RunAll();
+  EXPECT_EQ(completions, 4);
+  EXPECT_EQ(manager_.outstanding(), 0);
+  EXPECT_EQ(active->value(), 0.0);
 }
 
 TEST_F(SessionManagerTest, CancelWhilePausedDoesNotDoubleRelease) {
@@ -174,7 +198,9 @@ class MultiSiteSessionManagerTest : public ::testing::Test {
  protected:
   static constexpr int kSites = 8;
 
-  MultiSiteSessionManagerTest() : api_(&pool_), manager_(&simulator_, &api_) {
+  MultiSiteSessionManagerTest()
+      : api_(&pool_, observability_.metrics()),
+        manager_(&simulator_, &api_, observability_) {
     for (int site = 0; site < kSites; ++site) {
       EXPECT_TRUE(pool_.DeclareBucket(
                           {SiteId(site), ResourceKind::kNetworkBandwidth},
@@ -197,6 +223,7 @@ class MultiSiteSessionManagerTest : public ::testing::Test {
 
   sim::Simulator simulator_;
   res::ResourcePool pool_;
+  obs::Observability observability_;
   res::CompositeQosApi api_;
   SessionManager manager_;
 };

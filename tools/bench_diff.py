@@ -226,8 +226,9 @@ def main() -> int:
     if args.self_test:
         return self_test()
 
-    bench_dir = Path(args.bench_dir)
-    baselines = Path(args.baselines)
+    # Absolute, because each bench runs with its temp dir as cwd.
+    bench_dir = Path(args.bench_dir).resolve()
+    baselines = Path(args.baselines).resolve()
     missing = [b for b in BENCHES if not (bench_dir / f"bench_{b}").exists()]
     if missing:
         print(f"error: not built in {bench_dir}: {', '.join(missing)}",

@@ -14,6 +14,10 @@ conventions documented in docs/OBSERVABILITY.md:
     either a copy-pasted registration (two subsystems fighting over
     one series) or a stringly-typed lookup that will silently drift
     when the registration is renamed.
+  * The "## Metric catalog" section of docs/OBSERVABILITY.md lists
+    exactly the names registered in src/: every registered name has a
+    catalog row (the first cell of a table row), and every catalog row
+    names a registered metric.
 
 Test code (tests/, bench/) is deliberately out of scope: tests mint
 throwaway names like quasaq_stress_* that never reach an exposition.
@@ -65,11 +69,42 @@ def check_files(files: dict[str, str]) -> list[str]:
     return violations
 
 
-def metric_count(files: dict[str, str]) -> int:
+def registered_names(files: dict[str, str]) -> set[str]:
     names = set()
     for text in files.values():
         names.update(LITERAL_RE.findall(text))
-    return len(names)
+    return names
+
+
+CATALOG_HEADING = "## Metric catalog"
+DOC_NAME_RE = re.compile(r"`(quasaq_[A-Za-z0-9_]+)`")
+
+
+def catalog_names(doc: str) -> set[str]:
+    """Names in the first cell of the catalog section's table rows."""
+    names = set()
+    in_catalog = False
+    for line in doc.splitlines():
+        if line.startswith("## "):
+            in_catalog = line.strip() == CATALOG_HEADING
+        elif in_catalog and line.startswith("|"):
+            names.update(DOC_NAME_RE.findall(line.split("|")[1]))
+    return names
+
+
+def check_catalog(files: dict[str, str], doc: str) -> list[str]:
+    """Compares the registered names with the docs catalog, both ways."""
+    registered = registered_names(files)
+    documented = catalog_names(doc)
+    violations = [
+        f"metric '{name}' is registered in src/ but has no row in the "
+        f"docs/OBSERVABILITY.md catalog"
+        for name in sorted(registered - documented)]
+    violations += [
+        f"docs/OBSERVABILITY.md catalog lists '{name}', which src/ does "
+        f"not register"
+        for name in sorted(documented - registered)]
+    return violations
 
 
 def load_tree(src_root: Path) -> dict[str, str]:
@@ -104,6 +139,18 @@ def self_test() -> int:
                        '"quasaq_cache_used_kb"\n'),
         "core/b.cc": '"quasaq_session_duration_seconds"\n',
     }
+    catalog = ("## Metric catalog\n\n"
+               "| name | type | meaning |\n|---|---|---|\n"
+               "| `quasaq_cache_hits_total` / `quasaq_cache_used_kb` | c | x |\n"
+               "| `quasaq_session_duration_seconds` | histogram | y |\n"
+               "\n## Trace span hierarchy\n\n"
+               "| `quasaq_plan_stale_total` | outside the catalog |\n")
+    # A registered name mentioned only in another row's meaning cell has
+    # no row of its own.
+    mentioned_only = catalog.replace(
+        "| `quasaq_session_duration_seconds` | histogram | y |",
+        "| `quasaq_plan_other_total` | counter | "
+        "see `quasaq_session_duration_seconds` |")
     failures = []
     if len(check_files(duplicate)) != 1:
         failures.append("duplicate registration not flagged")
@@ -113,11 +160,24 @@ def self_test() -> int:
         failures.append("malformed names not flagged")
     if check_files(clean):
         failures.append("conforming tree wrongly flagged")
+    if check_catalog(clean, catalog):
+        failures.append("matching catalog wrongly flagged")
+    undocumented = dict(clean, **{"net/c.cc": '"quasaq_net_sent_kb"\n'})
+    if len(check_catalog(undocumented, catalog)) != 1:
+        failures.append("registered name missing from the catalog not "
+                        "flagged")
+    stale = {"cache/a.cc": clean["cache/a.cc"]}
+    if len(check_catalog(stale, catalog)) != 1:
+        failures.append("catalog row for an unregistered name not flagged")
+    if len(check_catalog(clean, mentioned_only)) != 2:
+        failures.append("name mentioned outside a first cell counted as a "
+                        "catalog row")
     for f in failures:
         print(f"self-test FAILED: {f}", file=sys.stderr)
     if not failures:
-        print("self-test ok: duplicates, bad units and malformed names "
-              "are flagged, conforming names pass")
+        print("self-test ok: duplicates, bad units, malformed names and "
+              "catalog drift in either direction are flagged, conforming "
+              "trees pass")
     return 1 if failures else 0
 
 
@@ -134,21 +194,28 @@ def main() -> int:
 
     src_root = Path(args.src) if args.src else (
         Path(__file__).resolve().parent.parent / "src")
+    # The catalog of the same checkout as the scanned src/.
+    docs = src_root.resolve().parent / "docs" / "OBSERVABILITY.md"
     if not src_root.is_dir():
         print(f"error: src root not found: {src_root}", file=sys.stderr)
         return 2
+    if not docs.is_file():
+        print(f"error: metric catalog not found: {docs}", file=sys.stderr)
+        return 2
 
     files = load_tree(src_root)
-    violations = check_files(files)
+    violations = check_files(files) + check_catalog(
+        files, docs.read_text(encoding="utf-8"))
     for v in violations:
         print(v, file=sys.stderr)
     if violations:
-        print(f"\n{len(violations)} metric naming violation(s); the "
-              "convention is documented in docs/OBSERVABILITY.md",
+        print(f"\n{len(violations)} metric naming/catalog violation(s); "
+              "the convention is documented in docs/OBSERVABILITY.md",
               file=sys.stderr)
         return 1
-    print(f"metrics ok: {metric_count(files)} metric names are unique "
-          "and follow quasaq_<subsystem>_<noun>_<unit>")
+    print(f"metrics ok: {len(registered_names(files))} metric names are "
+          "unique, follow quasaq_<subsystem>_<noun>_<unit> and match the "
+          "docs/OBSERVABILITY.md catalog")
     return 0
 
 
