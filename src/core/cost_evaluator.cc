@@ -10,12 +10,13 @@ RuntimeCostEvaluator::RuntimeCostEvaluator(CostModel* model) : model_(model) {
   assert(model_ != nullptr);
 }
 
-double RuntimeCostEvaluator::EfficiencyCost(
-    const Plan& plan, const res::ResourcePool& pool) const {
+double RuntimeCostEvaluator::EfficiencyCost(const Plan& plan,
+                                            const res::ResourcePool& pool,
+                                            const GainFunction& gain) const {
   double cost = model_->Cost(plan.resources, pool);
-  double gain = gain_ ? gain_(plan) : 1.0;
-  assert(gain > 0.0);
-  return cost / gain;
+  double g = gain ? gain(plan) : 1.0;
+  assert(g > 0.0);
+  return cost / g;
 }
 
 double RuntimeCostEvaluator::NormalizedDemand(const Plan& plan,
@@ -23,12 +24,14 @@ double RuntimeCostEvaluator::NormalizedDemand(const Plan& plan,
   return pool.FractionalDemand(plan.resources);
 }
 
-bool RuntimeCostEvaluator::SupportsCostLowerBound() const {
-  return !gain_ && model_->name() == "LRB";
+bool RuntimeCostEvaluator::SupportsCostLowerBound(
+    const GainFunction& gain) const {
+  return !gain && model_->name() == "LRB";
 }
 
 void RuntimeCostEvaluator::Rank(std::vector<Plan>& plans,
-                                const res::ResourcePool& pool) const {
+                                const res::ResourcePool& pool,
+                                const GainFunction& gain) const {
   struct Key {
     double efficiency_cost;  // C(r) / G
     double demand;           // total normalized demand (tie-break)
@@ -37,7 +40,7 @@ void RuntimeCostEvaluator::Rank(std::vector<Plan>& plans,
   std::vector<Key> keys;
   keys.reserve(plans.size());
   for (size_t i = 0; i < plans.size(); ++i) {
-    keys.push_back(Key{EfficiencyCost(plans[i], pool),
+    keys.push_back(Key{EfficiencyCost(plans[i], pool, gain),
                        NormalizedDemand(plans[i], pool), i});
   }
   std::vector<size_t> order(plans.size());

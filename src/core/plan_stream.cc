@@ -9,16 +9,17 @@ PlanStream::PlanStream(const PlanGenerator* generator,
                        const RuntimeCostEvaluator* evaluator,
                        const res::ResourcePool* pool, SiteId query_site,
                        LogicalOid content, const query::QosRequirement& qos,
-                       SimTime* metadata_latency)
+                       RuntimeCostEvaluator::GainFunction gain)
     : generator_(generator),
       evaluator_(evaluator),
       pool_(pool),
-      qos_(qos) {
+      qos_(qos),
+      gain_(std::move(gain)) {
   assert(generator_ != nullptr);
   assert(evaluator_ != nullptr);
   assert(pool_ != nullptr);
   Result<std::vector<PlanGenerator::GroupSeed>> groups =
-      generator_->EnumerateGroups(query_site, content, metadata_latency);
+      generator_->EnumerateGroups(query_site, content);
   if (!groups.ok()) {
     status_ = groups.status();
     return;
@@ -29,7 +30,7 @@ PlanStream::PlanStream(const PlanGenerator* generator,
 }
 
 void PlanStream::SeedFrontier() {
-  const bool bounded = evaluator_->SupportsCostLowerBound();
+  const bool bounded = evaluator_->SupportsCostLowerBound(gain_);
   tables_.clear();
   group_table_.resize(groups_.size());
   for (size_t i = 0; i < groups_.size(); ++i) {
@@ -60,9 +61,11 @@ void PlanStream::SeedFrontier() {
   }
 }
 
-void PlanStream::Reset(const query::QosRequirement& qos) {
+void PlanStream::Reset(const query::QosRequirement& qos,
+                       RuntimeCostEvaluator::GainFunction gain) {
   if (!status_.ok()) return;
   qos_ = qos;
+  gain_ = std::move(gain);
   plans_.clear();
   frontier_ = {};
   // Each round enters every group again; groups_expanded keeps
@@ -81,7 +84,7 @@ void PlanStream::ExpandGroup(size_t group_index) {
   size_t within = 0;
   for (Plan& plan : expanded) {
     Ranked ranked;
-    ranked.cost = evaluator_->EfficiencyCost(plan, *pool_);
+    ranked.cost = evaluator_->EfficiencyCost(plan, *pool_, gain_);
     ranked.demand = RuntimeCostEvaluator::NormalizedDemand(plan, *pool_);
     ranked.plan = std::move(plan);
     plans_.push_back(std::move(ranked));

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/sim_time.h"
 #include "common/status.h"
 #include "core/cost_evaluator.h"
 #include "core/plan.h"
@@ -70,31 +69,31 @@ class PlanStream {
   };
 
   /// All pointers must outlive the stream. The stream captures the
-  /// search space of `content` under `qos` as seen from `query_site`;
-  /// costs are evaluated against `pool`'s usage at expansion time, so a
+  /// search space of `content` under `qos` as seen from `query_site`
+  /// and ranks it by C(r)/G under the query's `gain` (empty = 1); costs
+  /// are evaluated against `pool`'s usage at expansion time, so a
   /// stream must be consumed before reservations move the pool.
-  ///
   PlanStream(const PlanGenerator* generator,
              const RuntimeCostEvaluator* evaluator,
              const res::ResourcePool* pool, SiteId query_site,
              LogicalOid content, const query::QosRequirement& qos,
-             SimTime* metadata_latency = nullptr);
+             RuntimeCostEvaluator::GainFunction gain = {});
 
   /// Construction failure (kNotFound when no replica exists). A failed
   /// stream yields nothing.
   const Status& status() const { return status_; }
 
   /// Re-arms the stream over the already-enumerated (replica, site)
-  /// groups for a new QoS window: pending plans, choice tables and
-  /// frontier state are discarded, group bounds are recomputed against
-  /// the pool's current usage, and enumeration restarts from scratch —
-  /// without re-fetching metadata. This is how a renegotiation's
-  /// relaxation rounds reuse one stream instead of re-seeding
-  /// enumeration per round. The
-  /// cumulative stats keep counting across rounds (groups grows by the
-  /// group count per round, so groups_pruned() stays consistent).
-  /// No-op on a failed stream.
-  void Reset(const query::QosRequirement& qos);
+  /// groups for a new QoS window and its gain: pending plans, choice
+  /// tables and frontier state are discarded, group bounds are
+  /// recomputed against the pool's current usage, and enumeration
+  /// restarts from scratch — without re-fetching metadata. This is how a
+  /// renegotiation's relaxation rounds reuse one stream instead of
+  /// re-seeding enumeration per round. The cumulative stats keep
+  /// counting across rounds (groups grows by the group count per round,
+  /// so groups_pruned() stays consistent). No-op on a failed stream.
+  void Reset(const query::QosRequirement& qos,
+             RuntimeCostEvaluator::GainFunction gain = {});
 
   /// The next plan in ranking order, or nullopt when the space is
   /// exhausted.
@@ -139,8 +138,7 @@ class PlanStream {
   };
 
   // Builds this round's choice tables and pushes every group's
-  // lower-bound entry onto the frontier (a gain function installed since
-  // the last round disables the bound).
+  // lower-bound entry onto the frontier (a gain disables the bound).
   void SeedFrontier();
   void ExpandGroup(size_t group_index);
 
@@ -148,6 +146,7 @@ class PlanStream {
   const RuntimeCostEvaluator* evaluator_;
   const res::ResourcePool* pool_;
   query::QosRequirement qos_;
+  RuntimeCostEvaluator::GainFunction gain_;
   Status status_;
   std::vector<PlanGenerator::GroupSeed> groups_;
   // This round's tables, one per distinct key, and each group's slot in

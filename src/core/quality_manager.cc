@@ -74,16 +74,18 @@ QualityManager::Stats QualityManager::stats() const {
   return snapshot;
 }
 
-void QualityManager::TraceBegin(const char* name) {
-  if (traced()) tracer_->Begin(trace_track_, name, trace_now_);
+void QualityManager::TraceBegin(const TraceContext& trace, const char* name) {
+  if (trace.track != 0) tracer_->Begin(trace.track, name, trace.now);
 }
 
-void QualityManager::TraceEnd(obs::Tracer::Args args) {
-  if (traced()) tracer_->End(trace_track_, trace_now_, std::move(args));
+void QualityManager::TraceEnd(const TraceContext& trace,
+                              obs::Tracer::Args args) {
+  if (trace.track != 0) tracer_->End(trace.track, trace.now, std::move(args));
 }
 
-void QualityManager::TraceInstant(const char* name) {
-  if (traced()) tracer_->Instant(trace_track_, name, trace_now_);
+void QualityManager::TraceInstant(const TraceContext& trace,
+                                  const char* name) {
+  if (trace.track != 0) tracer_->Instant(trace.track, name, trace.now);
 }
 
 void QualityManager::PopulateDefaultTranscodeTargets(
@@ -109,23 +111,18 @@ void QualityManager::PopulateDefaultTranscodeTargets(
   }
 }
 
-void QualityManager::ConfigureGain(const query::QosRequirement& qos) {
-  if (options_.goal == OptimizationGoal::kUserSatisfaction) {
-    evaluator_.set_gain_function(
-        MakeSatisfactionGain(qos.range, options_.utility_weights));
-  } else if (evaluator_.has_gain_function()) {
-    // Throughput goal: the gain stays null. Skipping the redundant
-    // clear keeps concurrent throughput-goal admissions write-free on
-    // the evaluator.
-    evaluator_.set_gain_function(nullptr);
-  }
+RuntimeCostEvaluator::GainFunction QualityManager::GainFor(
+    const query::QosRequirement& qos) const {
+  if (options_.goal != OptimizationGoal::kUserSatisfaction) return {};
+  return MakeSatisfactionGain(qos.range, options_.utility_weights);
 }
 
 std::optional<QualityManager::Admitted> QualityManager::WalkRound(
-    PlanStream& stream, const Adopt& adopt, bool* had_plans) {
+    PlanStream& stream, const TraceContext& trace, const Adopt& adopt,
+    bool* had_plans) {
   // Enumeration and adoption interleave, so one plan.enumerate span
   // covers the round; each adopt attempt nests a plan.reserve span.
-  TraceBegin("plan.enumerate");
+  TraceBegin(trace, "plan.enumerate");
   const size_t generated_before = stream.stats().plans_generated;
   std::optional<Admitted> adopted;
   int attempts = 0;
@@ -136,15 +133,16 @@ std::optional<QualityManager::Admitted> QualityManager::WalkRound(
       break;
     }
     ++attempts;
-    TraceBegin("plan.reserve");
+    TraceBegin(trace, "plan.reserve");
     std::optional<res::ReservationId> reservation =
         adopt(ranked->plan.resources);
     if (!reservation.has_value()) {
-      if (traced()) TraceEnd({{"outcome", "rejected"}});
+      if (trace.track != 0) TraceEnd(trace, {{"outcome", "rejected"}});
       continue;
     }
-    if (traced()) {
-      TraceEnd({{"attempts", std::to_string(attempts)},
+    if (trace.track != 0) {
+      TraceEnd(trace,
+               {{"attempts", std::to_string(attempts)},
                 {"site", std::to_string(ranked->plan.delivery_site.value())}});
     }
     // How decisively the lower bound cut the rest of the space off: the
@@ -158,10 +156,10 @@ std::optional<QualityManager::Admitted> QualityManager::WalkRound(
     adopted->reservation = *reservation;
     break;
   }
-  if (traced()) {
-    TraceEnd({{"plans", std::to_string(stream.stats().plans_generated -
-                                       generated_before)},
-              {"pruned", std::to_string(stream.groups_pruned())}});
+  if (trace.track != 0) {
+    TraceEnd(trace, {{"plans", std::to_string(stream.stats().plans_generated -
+                                              generated_before)},
+                     {"pruned", std::to_string(stream.groups_pruned())}});
   }
   return adopted;
 }
@@ -170,19 +168,20 @@ QualityManager::Walked QualityManager::Walk(SiteId query_site,
                                             LogicalOid content,
                                             const query::QosRequirement& qos,
                                             const UserProfile* profile,
+                                            const TraceContext& trace,
                                             const Adopt& adopt) {
-  ConfigureGain(qos);
   // One PlanStream serves the whole walk — relaxation rounds Reset() it
   // over the already-enumerated groups instead of re-fetching metadata
   // and re-seeding per round.
   PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                    content, qos);
+                    content, qos, GainFor(qos));
   // A stream that failed to open (no replica registered) has nothing to
   // walk in any round.
   if (!stream.status().ok()) return Walked{stream.status()};
   bool had_plans = false;
   int rounds = 0;
-  std::optional<Admitted> adopted = WalkRound(stream, adopt, &had_plans);
+  std::optional<Admitted> adopted =
+      WalkRound(stream, trace, adopt, &had_plans);
   // Second chance: relax the QoS bounds along the axis this user values
   // least and retry (paper §3.2's renegotiation on admission failure).
   query::QosRequirement relaxed = qos;
@@ -191,10 +190,9 @@ QualityManager::Walked QualityManager::Walk(SiteId query_site,
          profile->RelaxForRenegotiation(relaxed.range)) {
     ++rounds;
     metrics_.relaxations->Increment();
-    TraceInstant("plan.relax");
-    ConfigureGain(relaxed);
-    stream.Reset(relaxed);
-    adopted = WalkRound(stream, adopt, &had_plans);
+    TraceInstant(trace, "plan.relax");
+    stream.Reset(relaxed, GainFor(relaxed));
+    adopted = WalkRound(stream, trace, adopt, &had_plans);
   }
   AccountStream(stream);
   const size_t generated = stream.stats().plans_generated;
@@ -217,11 +215,11 @@ void QualityManager::AccountStream(const PlanStream& stream) {
 
 Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile) {
+    const UserProfile* profile, TraceContext trace) {
   metrics_.queries->Increment();
-  TraceBegin("delivery.admit");
+  TraceBegin(trace, "delivery.admit");
   Walked walked = Walk(
-      query_site, content, qos, profile,
+      query_site, content, qos, profile, trace,
       [this](const ResourceVector& resources)
           -> std::optional<res::ReservationId> {
         if (!qos_api_->Admissible(resources)) return std::nullopt;
@@ -248,12 +246,12 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     metrics_.rejected_no_plan->Increment();
     outcome = "rejected_no_plan";
   }
-  if (traced()) {
+  if (trace.track != 0) {
     obs::Tracer::Args args = {{"outcome", outcome}};
     if (walked.rounds > 0 && walked.result.ok()) {
       args.emplace_back("rounds", std::to_string(walked.rounds));
     }
-    TraceEnd(std::move(args));
+    TraceEnd(trace, std::move(args));
   }
   return std::move(walked.result);
 }
@@ -265,17 +263,15 @@ Status QualityManager::CompleteDelivery(const Admitted& admitted) {
 Result<std::vector<QualityManager::RankedPlan>> QualityManager::ExplainPlans(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     size_t limit) {
-  ConfigureGain(qos);
   PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                    content, qos);
+                    content, qos, GainFor(qos));
   if (!stream.status().ok()) return stream.status();
   std::vector<RankedPlan> ranked;
   while (ranked.size() < limit) {
     std::optional<PlanStream::Ranked> next = stream.Next();
     if (!next.has_value()) break;
     RankedPlan entry;
-    entry.cost =
-        evaluator_.model().Cost(next->plan.resources, qos_api_->pool());
+    entry.cost = next->cost;
     entry.admissible = qos_api_->Admissible(next->plan.resources);
     entry.plan = std::move(next->plan);
     ranked.push_back(std::move(entry));
@@ -307,23 +303,25 @@ std::string QualityManager::FormatPlanListing(
 
 Result<QualityManager::Admitted> QualityManager::Renegotiate(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile, const Adopt& adopt) {
+    const UserProfile* profile, const TraceContext& trace,
+    const Adopt& adopt) {
   // One renegotiation — however many relaxation rounds it retries —
   // counts once. Counting per round double-counted retried
   // renegotiations in the exposition.
   metrics_.renegotiations->Increment();
-  Walked walked = Walk(query_site, content, qos, profile, adopt);
+  Walked walked = Walk(query_site, content, qos, profile, trace, adopt);
   if (walked.result.ok()) walked.result->renegotiated = true;
   return std::move(walked.result);
 }
 
 Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
     res::ReservationId id, SiteId query_site, LogicalOid content,
-    const query::QosRequirement& qos, const UserProfile* profile) {
+    const query::QosRequirement& qos, const UserProfile* profile,
+    TraceContext trace) {
   if (qos_api_->Find(id) == nullptr) {
     return Status::NotFound("unknown reservation");
   }
-  return Renegotiate(query_site, content, qos, profile,
+  return Renegotiate(query_site, content, qos, profile, trace,
                      [this, id](const ResourceVector& resources)
                          -> std::optional<res::ReservationId> {
                        if (!qos_api_->Renegotiate(id, resources).ok()) {
@@ -335,19 +333,15 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
 
 Result<QualityManager::Admitted> QualityManager::PlanPausedRenegotiation(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    const UserProfile* profile) {
+    const UserProfile* profile, TraceContext trace) {
   return Renegotiate(
-      query_site, content, qos, profile,
+      query_site, content, qos, profile, trace,
       [this](const ResourceVector& resources)
           -> std::optional<res::ReservationId> {
-        // Admission probe: the paused session must be able to carry the
-        // plan *now*, but nothing may stay held — Resume re-admits the
-        // adopted vector when playback actually restarts.
-        Result<res::ReservationId> probe = qos_api_->Reserve(resources);
-        if (!probe.ok()) return std::nullopt;
-        Status released = qos_api_->Release(*probe);
-        assert(released.ok());
-        (void)released;
+        // The paused session must be able to carry the plan *now*, but
+        // nothing may be held — Resume re-admits the adopted vector when
+        // playback actually restarts.
+        if (!qos_api_->Admissible(resources)) return std::nullopt;
         return res::kInvalidReservationId;
       });
 }

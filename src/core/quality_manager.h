@@ -35,25 +35,35 @@
 // instead of re-seeding enumeration. Only the adopt step differs:
 // admission pre-checks and reserves, a live renegotiation swaps the
 // running reservation through the Composite QoS API, and a paused one
-// probes with a reserve-then-release. max_admission_attempts caps every
-// round of every walk. Plans are materialized only as far as the walk
-// looks, and the stream yields the exact order of
-// PlanGenerator::Generate followed by a full ranking, so the adopted
-// plan is the one an eager materialize-and-sort walk would pick.
+// only asks admission control (Admissible), reserving nothing.
+// max_admission_attempts caps every round of every walk. Plans are
+// materialized only as far as the walk looks, and the stream yields the
+// exact order of PlanGenerator::Generate followed by a full ranking, so
+// the adopted plan is the one an eager materialize-and-sort walk would
+// pick.
 //
 // The counters live only in the metrics registry passed at
 // construction; stats() reads them.
 //
 // Thread-safety: Admit/Renegotiate/Explain may run concurrently from
-// many threads when (a) the optimization goal is kThroughput (a gain
-// function is per-query evaluator state) and (b) set_trace_context with
-// a non-zero track is not called concurrently. Counters are registry
-// atomics; the planner state (generator, evaluator, metadata read path)
-// is either immutable or internally synchronized. Traced (non-zero
-// track) admissions remain single-threaded — the trace context is
-// shared state by design.
+// many threads, traced or not, under either optimization goal. What
+// belongs to one query — its gain and its trace context — travels as
+// arguments down the walk; the shared planner state (generator,
+// evaluator, metadata read path) is immutable or internally
+// synchronized, and the counters are registry atomics. One seam
+// remains: under the Random cost model, concurrent walks share the
+// model's RNG (docs/ARCHITECTURE.md).
 
 namespace quasaq::core {
+
+// Where one planner call's spans go: the owning delivery's trace track
+// and the sim time to stamp them with (the sim clock does not advance
+// during admission, so every span of one call shares a timestamp).
+// track 0, the default, emits nothing.
+struct TraceContext {
+  int64_t track = 0;
+  SimTime now = 0;
+};
 
 class QualityManager {
  public:
@@ -115,12 +125,14 @@ class QualityManager {
   static void PopulateDefaultTranscodeTargets(PlanGenerator::Options& options);
 
   /// Plans, ranks and reserves the delivery of `content` under `qos`.
-  /// `profile` enables relaxation (nullptr = none). Fails with
-  /// kNotFound when no plan satisfies the QoS from storage and
-  /// kResourceExhausted when no satisfying plan passes admission.
+  /// `profile` enables relaxation (nullptr = none); spans go to
+  /// `trace`. Fails with kNotFound when no plan satisfies the QoS from
+  /// storage and kResourceExhausted when no satisfying plan passes
+  /// admission.
   Result<Admitted> AdmitQuery(SiteId query_site, LogicalOid content,
                               const query::QosRequirement& qos,
-                              const UserProfile* profile = nullptr);
+                              const UserProfile* profile = nullptr,
+                              TraceContext trace = {});
 
   /// Releases the resources of a finished (or aborted) delivery.
   Status CompleteDelivery(const Admitted& admitted);
@@ -136,23 +148,27 @@ class QualityManager {
   Result<Admitted> RenegotiateDelivery(res::ReservationId id,
                                        SiteId query_site, LogicalOid content,
                                        const query::QosRequirement& qos,
-                                       const UserProfile* profile = nullptr);
+                                       const UserProfile* profile = nullptr,
+                                       TraceContext trace = {});
 
   /// Renegotiation flavor for *paused* sessions, which hold no
-  /// reservation to swap: plans `qos`, admission-probes the best plan
-  /// (reserve + immediate release, so nothing stays held — Resume
-  /// re-admits the adopted vector when playback restarts) and returns
-  /// it with an invalid reservation id. Counts as a renegotiation, not
-  /// as a fresh query: the plan.queries/admitted counters and the
-  /// delivery.admit span stay untouched.
+  /// reservation to swap: plans `qos`, adopts the best plan admission
+  /// control would take *now* (a read-only Admissible check: nothing is
+  /// reserved, nothing counted as a reservation — Resume re-admits the
+  /// adopted vector when playback restarts) and returns it with an
+  /// invalid reservation id. Counts as a renegotiation, not as a fresh
+  /// query: the plan.queries/admitted counters and the delivery.admit
+  /// span stay untouched.
   Result<Admitted> PlanPausedRenegotiation(SiteId query_site,
                                            LogicalOid content,
                                            const query::QosRequirement& qos,
                                            const UserProfile* profile =
-                                               nullptr);
+                                               nullptr,
+                                           TraceContext trace = {});
 
-  // One entry of an EXPLAIN listing: a ranked plan, its cost under the
-  // current system status, and whether admission control would take it.
+  // One entry of an EXPLAIN listing: a ranked plan, its ranking key
+  // C(r)/G under the current system status, and whether admission
+  // control would take it.
   struct RankedPlan {
     Plan plan;
     double cost = 0.0;
@@ -176,18 +192,6 @@ class QualityManager {
   Stats stats() const;
   res::CompositeQosApi& qos_api() { return *qos_api_; }
   PlanGenerator& generator() { return generator_; }
-
-  /// Trace context for the next Admit/Renegotiate call: the owning
-  /// delivery's track and the sim time to stamp spans with (the sim
-  /// clock does not advance during admission, so every span of one
-  /// admission shares a timestamp). track 0 disables span emission.
-  /// Not thread-safe: traced admissions belong to the single-threaded
-  /// driver; concurrent callers must leave the context untouched at its
-  /// default of 0 (docs/ARCHITECTURE.md).
-  void set_trace_context(int64_t track, SimTime now) {
-    trace_track_ = track;
-    trace_now_ = now;
-  }
 
  private:
   // Registry handles, resolved at construction.
@@ -222,16 +226,15 @@ class QualityManager {
     size_t plans_generated = 0;   // over every round
   };
 
-  bool traced() const { return trace_track_ != 0; }
-  // Span helpers; callers build arguments only when traced().
-  void TraceBegin(const char* name);
-  void TraceEnd(obs::Tracer::Args args = {});
-  void TraceInstant(const char* name);
-  // Installs the gain function matching the optimization goal for a
-  // query's QoS window. Write-free for the kThroughput goal (after the
-  // first call), so concurrent throughput-goal admissions do not race
-  // on the evaluator.
-  void ConfigureGain(const query::QosRequirement& qos);
+  // Span helpers; callers build arguments only when `trace.track` is
+  // set.
+  void TraceBegin(const TraceContext& trace, const char* name);
+  void TraceEnd(const TraceContext& trace, obs::Tracer::Args args = {});
+  void TraceInstant(const TraceContext& trace, const char* name);
+  // The gain the optimization goal gives a query with QoS window `qos`:
+  // empty (G = 1) for kThroughput.
+  RuntimeCostEvaluator::GainFunction GainFor(
+      const query::QosRequirement& qos) const;
   // The one plan → rank → adopt walk behind every admission and
   // renegotiation: walks the ranking of `content` under `qos`, handing
   // at most max_admission_attempts plans per round to `adopt`, and
@@ -240,28 +243,28 @@ class QualityManager {
   // plans generated, groups pruned and the cutoff margin.
   Walked Walk(SiteId query_site, LogicalOid content,
               const query::QosRequirement& qos, const UserProfile* profile,
-              const Adopt& adopt);
+              const TraceContext& trace, const Adopt& adopt);
   // One round of Walk at fixed bounds: the adopted plan, or nullopt.
   // Sets `*had_plans` when the stream yielded a plan.
-  std::optional<Admitted> WalkRound(PlanStream& stream, const Adopt& adopt,
-                                    bool* had_plans);
+  std::optional<Admitted> WalkRound(PlanStream& stream,
+                                    const TraceContext& trace,
+                                    const Adopt& adopt, bool* had_plans);
   // The renegotiation flavors of Walk: counted once, whatever the
   // number of rounds.
   Result<Admitted> Renegotiate(SiteId query_site, LogicalOid content,
                                const query::QosRequirement& qos,
                                const UserProfile* profile,
+                               const TraceContext& trace,
                                const Adopt& adopt);
   // Folds a finished stream's plans and pruning into the counters.
   void AccountStream(const PlanStream& stream);
 
   res::CompositeQosApi* qos_api_;
   PlanGenerator generator_;
-  RuntimeCostEvaluator evaluator_;
+  const RuntimeCostEvaluator evaluator_;
   Options options_;
   const Metrics metrics_;
   obs::Tracer* tracer_;
-  int64_t trace_track_ = 0;
-  SimTime trace_now_ = 0;
 };
 
 }  // namespace quasaq::core

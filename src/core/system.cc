@@ -144,9 +144,9 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
   submitted_->Increment();
   obs::Tracer& tracer = observability_.tracer();
   const SimTime now = simulator_->Now();
-  // The trace context (tracer track + quality-manager span state) is
-  // only touched when tracing is on; untraced submissions stay free of
-  // shared facade writes, which is what lets them run concurrently.
+  // The delivery's trace track (0 when tracing is off) travels down
+  // every layer as an argument, so concurrent submissions share no
+  // per-query state.
   int64_t trace_track = 0;
   if (options_.observability.tracing) {
     trace_track = tracer.NewTrack(
@@ -156,9 +156,6 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
                  {{"content", std::to_string(content.value())},
                   {"client_site", std::to_string(client_site.value())},
                   {"kind", std::string(SystemKindName(options_.kind))}});
-    if (quality_manager_ != nullptr) {
-      quality_manager_->set_trace_context(trace_track, now);
-    }
   }
   DeliveryOutcome outcome;
   switch (options_.kind) {
@@ -184,9 +181,6 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
       tracer.Instant(trace_track, "delivery.rejected", now);
       tracer.EndAll(trace_track, now);
     }
-  }
-  if (options_.observability.tracing && quality_manager_ != nullptr) {
-    quality_manager_->set_trace_context(0, now);
   }
   return outcome;
 }
@@ -286,7 +280,8 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverQuasaq(
     if (level >= 0) replication_manager_->RecordDemand(content, level);
   }
   Result<QualityManager::Admitted> admitted =
-      quality_manager_->AdmitQuery(site, content, qos, profile);
+      quality_manager_->AdmitQuery(site, content, qos, profile,
+                                   {trace_track, simulator_->Now()});
   if (!admitted.ok()) {
     outcome.status = admitted.status();
     return outcome;
@@ -338,24 +333,18 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
     tracer.Begin(track, "session.renegotiate", now,
                  {{"session", std::to_string(session.value())}});
   }
-  if (options_.observability.tracing) {
-    quality_manager_->set_trace_context(track, now);
-  }
   // A paused session holds no reservation to renegotiate in place: the
-  // quality manager admission-probes the new plan (reserve + immediate
-  // release, nothing stays held) — Resume re-admits the adopted vector
-  // when playback actually restarts.
+  // quality manager adopts the best plan admission control would take
+  // now, reserving nothing — Resume re-admits the adopted vector when
+  // playback actually restarts.
+  const TraceContext trace{track, now};
   Result<QualityManager::Admitted> admitted =
       record->paused
           ? quality_manager_->PlanPausedRenegotiation(
-                record->site, record->content, new_qos, profile)
-          : quality_manager_->RenegotiateDelivery(record->reservation,
-                                                  record->site,
-                                                  record->content, new_qos,
-                                                  profile);
-  if (options_.observability.tracing) {
-    quality_manager_->set_trace_context(0, now);
-  }
+                record->site, record->content, new_qos, profile, trace)
+          : quality_manager_->RenegotiateDelivery(
+                record->reservation, record->site, record->content, new_qos,
+                profile, trace);
   if (track != 0) {
     tracer.End(track, now,
                {{"outcome", admitted.ok() ? "adopted" : "rejected"}});

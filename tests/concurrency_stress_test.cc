@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -310,17 +311,41 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
 
 // The full admission pipeline under 8 submitter threads: concurrent
 // admit / renegotiate / probe / cancel through the MediaDbSystem facade,
-// tracing off (traced admissions are single-threaded by contract). Each
-// thread owns the sessions it starts, so the races under test are the
-// shared layers — the composite QoS API, the session table and the
-// metrics registry — not cross-thread session ownership.
-TEST(ConcurrencyStressTest, AdmitRenegotiateCancelPipeline) {
+// with tracing off or on and under either optimization goal (the gain
+// and the trace context are per-query arguments, not shared state).
+// Each thread owns the sessions it starts, so the races under test are
+// the shared layers — the composite QoS API, the session table, the
+// tracer and the metrics registry — not cross-thread session ownership.
+struct PipelineConfig {
+  const char* name;
+  bool tracing;
+  core::QualityManager::OptimizationGoal goal;
+};
+
+constexpr PipelineConfig kPipelineConfigs[] = {
+    {"untraced_throughput", false,
+     core::QualityManager::OptimizationGoal::kThroughput},
+    {"traced_satisfaction", true,
+     core::QualityManager::OptimizationGoal::kUserSatisfaction},
+};
+
+// The parameter indexes kPipelineConfigs, which keeps the listed test
+// names short.
+class ConcurrencyPipelineTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  const PipelineConfig& config() const { return kPipelineConfigs[GetParam()]; }
+};
+
+TEST_P(ConcurrencyPipelineTest, AdmitRenegotiateCancelPipeline) {
   constexpr int kOpsPerThread = 150;
+  const bool tracing = config().tracing;
   sim::Simulator simulator;
   core::MediaDbSystem::Options options;
   options.kind = core::SystemKind::kVdbmsQuasaq;
   options.topology = net::Topology::Uniform(4);
   options.seed = 17;
+  options.observability.tracing = tracing;
+  options.quality.goal = config().goal;
   core::MediaDbSystem system(&simulator, options);
   const std::vector<SiteId> sites = system.topology().SiteIds();
 
@@ -376,7 +401,19 @@ TEST(ConcurrencyStressTest, AdmitRenegotiateCancelPipeline) {
       system.TakeObservabilitySnapshot();
   EXPECT_NE(snapshot.prometheus.find("quasaq_session_started_total"),
             std::string::npos);
+  // Every span a walk opened on its delivery's track was closed there.
+  if (tracing) {
+    EXPECT_GT(system.observability().tracer().event_count(), 0u);
+    EXPECT_EQ(system.observability().tracer().unbalanced_ends(), 0u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ConcurrencyPipelineTest,
+    ::testing::Range<size_t>(0, std::size(kPipelineConfigs)),
+    [](const auto& info) {
+      return std::string(kPipelineConfigs[info.param].name);
+    });
 
 // Each admission observes its own stream's plans into the per-query
 // histogram, however many admissions run beside it: the histogram's sum

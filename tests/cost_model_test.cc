@@ -189,14 +189,18 @@ TEST(RuntimeCostEvaluatorTest, GainDividesCost) {
   LrbCostModel lrb;
   RuntimeCostEvaluator evaluator(&lrb);
   // Gain = delivered quality: mark one plan as twice as valuable.
-  evaluator.set_gain_function([](const Plan& plan) {
+  auto gain = [](const Plan& plan) {
     return plan.resources.Get(Cpu(0)) > 0.3 ? 4.0 : 1.0;
-  });
+  };
   std::vector<Plan> plans;
   plans.push_back(PlanWithDemand(0.2, 0.0));  // cost 0.2 / 1
   plans.push_back(PlanWithDemand(0.4, 0.0));  // cost 0.4 / 4 = 0.1
-  evaluator.Rank(plans, pool);
+  evaluator.Rank(plans, pool, gain);
   EXPECT_NEAR(plans[0].resources.Get(Cpu(0)), 0.4, 1e-12);
+  // The gain is the call's own: the next call without one ranks by pure
+  // cost again.
+  evaluator.Rank(plans, pool);
+  EXPECT_NEAR(plans[0].resources.Get(Cpu(0)), 0.2, 1e-12);
 }
 
 TEST(RuntimeCostEvaluatorTest, EmptyAndSingleInputsAreFine) {

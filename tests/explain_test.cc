@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "core/system.h"
 #include "query/parser.h"
 
@@ -10,10 +13,15 @@ namespace {
 
 class ExplainTest : public ::testing::Test {
  protected:
-  ExplainTest() {
+  ExplainTest()
+      : ExplainTest("lrb", QualityManager::OptimizationGoal::kThroughput) {}
+  ExplainTest(const std::string& cost_model,
+              QualityManager::OptimizationGoal goal) {
     MediaDbSystem::Options options;
     options.kind = SystemKind::kVdbmsQuasaq;
     options.seed = 3;
+    options.cost_model = cost_model;
+    options.quality.goal = goal;
     system_ = std::make_unique<MediaDbSystem>(&simulator_, options);
     keyword_ = system_->library().contents[0].keywords[0];
   }
@@ -38,7 +46,36 @@ TEST_F(ExplainTest, ParserRecognizesExplainPrefix) {
   EXPECT_FALSE(plain->explain);
 }
 
-TEST_F(ExplainTest, RanksPlansWithoutReservingAnything) {
+// The listing runs under every cost model and optimization goal, and
+// the cost it shows is the key the plans were ranked by: C(r)/G, drawn
+// once per plan (the Random model draws a fresh cost on every call).
+struct RankingConfig {
+  const char* name;
+  const char* cost_model;
+  QualityManager::OptimizationGoal goal;
+};
+
+constexpr RankingConfig kRankingConfigs[] = {
+    {"lrb_throughput", "lrb", QualityManager::OptimizationGoal::kThroughput},
+    {"lrb_satisfaction", "lrb",
+     QualityManager::OptimizationGoal::kUserSatisfaction},
+    {"random_throughput", "random",
+     QualityManager::OptimizationGoal::kThroughput},
+    {"random_satisfaction", "random",
+     QualityManager::OptimizationGoal::kUserSatisfaction},
+};
+
+// The parameter indexes kRankingConfigs, which keeps the listed test
+// names short.
+class ExplainRankingTest : public ExplainTest,
+                           public ::testing::WithParamInterface<size_t> {
+ protected:
+  ExplainRankingTest()
+      : ExplainTest(kRankingConfigs[GetParam()].cost_model,
+                    kRankingConfigs[GetParam()].goal) {}
+};
+
+TEST_P(ExplainRankingTest, RanksPlansWithoutReservingAnything) {
   Result<MediaDbSystem::Explanation> explanation =
       system_->ExplainTextQuery(SiteId(0), Query(true));
   ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
@@ -55,6 +92,13 @@ TEST_F(ExplainTest, RanksPlansWithoutReservingAnything) {
   EXPECT_EQ(system_->outstanding_sessions(), 0);
   EXPECT_DOUBLE_EQ(system_->pool().MaxUtilization(), 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, ExplainRankingTest,
+    ::testing::Range<size_t>(0, std::size(kRankingConfigs)),
+    [](const auto& info) {
+      return std::string(kRankingConfigs[info.param].name);
+    });
 
 TEST_F(ExplainTest, WorksWithoutThePrefixToo) {
   Result<MediaDbSystem::Explanation> explanation =

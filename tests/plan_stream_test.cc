@@ -101,14 +101,14 @@ class PlanStreamTest : public ::testing::Test {
   }
 
   // The eager reference ranking and its per-plan keys.
-  std::vector<Plan> EagerRanking(PlanGenerator& generator,
-                                 const RuntimeCostEvaluator& evaluator,
-                                 const query::QosRequirement& qos,
-                                 const res::ResourcePool& pool) {
+  std::vector<Plan> EagerRanking(
+      PlanGenerator& generator, const RuntimeCostEvaluator& evaluator,
+      const query::QosRequirement& qos, const res::ResourcePool& pool,
+      const RuntimeCostEvaluator::GainFunction& gain = {}) {
     Result<std::vector<Plan>> plans =
         generator.Generate(SiteId(0), LogicalOid(0), qos);
     EXPECT_TRUE(plans.ok()) << plans.status().ToString();
-    evaluator.Rank(*plans, pool);
+    evaluator.Rank(*plans, pool, gain);
     return std::move(*plans);
   }
 
@@ -209,13 +209,15 @@ TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
   RuntimeCostEvaluator evaluator(&lrb_);
   query::QosRequirement qos = WideQos();
   qos.range.min_frame_rate = 10.0;
-  evaluator.set_gain_function(
-      MakeSatisfactionGain(qos.range, UtilityWeights()));
-  EXPECT_FALSE(evaluator.SupportsCostLowerBound());
+  const RuntimeCostEvaluator::GainFunction gain =
+      MakeSatisfactionGain(qos.range, UtilityWeights());
+  EXPECT_FALSE(evaluator.SupportsCostLowerBound(gain));
+  EXPECT_TRUE(evaluator.SupportsCostLowerBound());
 
-  std::vector<Plan> eager = EagerRanking(generator, evaluator, qos, pool_);
+  std::vector<Plan> eager =
+      EagerRanking(generator, evaluator, qos, pool_, gain);
   PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
-                    qos);
+                    qos, gain);
   size_t i = 0;
   while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
     ASSERT_LT(i, eager.size());
@@ -223,6 +225,12 @@ TEST_F(PlanStreamTest, GainFunctionDisablesTheBoundButNotTheOrder) {
     ++i;
   }
   EXPECT_EQ(i, eager.size());
+
+  // Reset takes the round's gain with its window: without one, the
+  // stream ranks by pure cost again.
+  stream.Reset(qos);
+  ExpectDrainsAs(stream, EagerRanking(generator, evaluator, qos, pool_),
+                 evaluator, pool_);
 }
 
 TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
@@ -498,7 +506,7 @@ class EagerAdmissionOracle {
     for (Plan& plan : *plans) {
       if (ranked.size() >= limit) break;
       QualityManager::RankedPlan entry;
-      entry.cost = evaluator_.model().Cost(plan.resources, api_->pool());
+      entry.cost = evaluator_.EfficiencyCost(plan, api_->pool());
       entry.admissible = api_->Admissible(plan.resources);
       entry.plan = std::move(plan);
       ranked.push_back(std::move(entry));

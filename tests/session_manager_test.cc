@@ -310,13 +310,21 @@ TEST_F(SessionInterleavingTest, MidPauseQosChangeAppliesOnResume) {
   EXPECT_DOUBLE_EQ(system_->pool().MaxUtilization(), 0.0);
 
   // Renegotiate downward while paused: the new plan is adopted but
-  // nothing is acquired until the user hits play again.
+  // nothing is acquired until the user hits play again — not even a
+  // momentary reservation the Composite QoS API would count.
+  const res::CompositeQosApi::Stats before = system_->qos_api().stats();
   Result<MediaDbSystem::DeliveryOutcome> changed =
       system_->ChangeSessionQos(outcome.session, WideQos());
   ASSERT_TRUE(changed.ok()) << changed.status().ToString();
   EXPECT_TRUE(changed->renegotiated);
   EXPECT_LT(changed->wire_rate_kbps, outcome.wire_rate_kbps);
   EXPECT_DOUBLE_EQ(system_->pool().MaxUtilization(), 0.0);
+  const res::CompositeQosApi::Stats after = system_->qos_api().stats();
+  EXPECT_EQ(after.admitted, before.admitted);
+  EXPECT_EQ(after.rejected, before.rejected);
+  EXPECT_EQ(after.released, before.released);
+  EXPECT_EQ(after.renegotiations, before.renegotiations);
+  EXPECT_EQ(after.renegotiation_failures, before.renegotiation_failures);
   EXPECT_EQ(system_->outstanding_sessions(), 1);
 
   ASSERT_TRUE(system_->ResumeSession(outcome.session).ok());
