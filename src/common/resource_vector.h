@@ -2,7 +2,6 @@
 #define QUASAQ_COMMON_RESOURCE_VECTOR_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -86,17 +85,5 @@ class ResourceVector {
 };
 
 }  // namespace quasaq
-
-namespace std {
-
-template <>
-struct hash<quasaq::BucketId> {
-  size_t operator()(const quasaq::BucketId& id) const {
-    return std::hash<int64_t>()(id.site.value() * 31 +
-                                static_cast<int64_t>(id.kind));
-  }
-};
-
-}  // namespace std
 
 #endif  // QUASAQ_COMMON_RESOURCE_VECTOR_H_

@@ -41,8 +41,9 @@ SessionManager::SessionManager(sim::Simulator* simulator,
 }
 
 void SessionManager::SampleActive(SimTime now) {
-  metrics_.active->Sample(now, outstanding_);
-  metrics_.peak->SampleMax(now, outstanding_);
+  const auto active = static_cast<double>(sessions_.size());
+  metrics_.active->Sample(now, active);
+  metrics_.peak->SampleMax(now, active);
 }
 
 SessionId SessionManager::Start(Record record, double duration_seconds) {
@@ -62,7 +63,6 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
                     {"site", std::to_string(record.site.value())}});
   }
   sessions_.emplace(id, std::move(record));
-  ++outstanding_;
   metrics_.started->Increment();
   SampleActive(now);
   return id;
@@ -92,7 +92,7 @@ double SessionManager::vdbms_active_kbps(SiteId site) const {
 
 int SessionManager::outstanding() const {
   MutexLock lock(&mu_);
-  return outstanding_;
+  return static_cast<int>(sessions_.size());
 }
 
 void SessionManager::UnpinVdbms(const Record& record) {
@@ -189,7 +189,6 @@ Status SessionManager::Cancel(SessionId session) {
     tracer_->EndAll(record.trace_track, now);
   }
   sessions_.erase(it);
-  --outstanding_;
   metrics_.cancelled->Increment();
   SampleActive(now);
   return Status::Ok();
@@ -230,7 +229,6 @@ void SessionManager::Complete(SessionId id) {
       tracer_->EndAll(record.trace_track, completed_at);
     }
     sessions_.erase(it);
-    --outstanding_;
     SampleActive(completed_at);
   }
   CompleteCallback callback;

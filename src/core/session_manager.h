@@ -152,7 +152,7 @@ class SessionManager {
   };
 
   // Samples the active-session gauge (and bumps the peak) after
-  // `outstanding_` changed: Start, Cancel and Complete.
+  // the session table's size changed: Start, Cancel and Complete.
   void SampleActive(SimTime now) QUASAQ_REQUIRES(mu_);
   void Complete(SessionId id) QUASAQ_EXCLUDES(mu_);
   // Returns the session's pinned VDBMS bitrate to its site (no-op for
@@ -165,7 +165,6 @@ class SessionManager {
   const Metrics metrics_;
   mutable Mutex mu_;
   int64_t next_seq_ QUASAQ_GUARDED_BY(mu_) = 1;
-  int outstanding_ QUASAQ_GUARDED_BY(mu_) = 0;
   std::unordered_map<SessionId, Record> sessions_ QUASAQ_GUARDED_BY(mu_);
   // Sum of the live pins per site, milli-KB/s.
   std::unordered_map<SiteId, int64_t> vdbms_site_milli_kbps_

@@ -8,6 +8,11 @@ namespace quasaq::res {
 namespace {
 // Tolerance for floating-point accumulation when checking capacity.
 constexpr double kSlack = 1e-9;
+
+BucketId BucketAt(size_t slot) {
+  return BucketId{SiteId(static_cast<int64_t>(slot / kNumResourceKinds)),
+                  static_cast<ResourceKind>(slot % kNumResourceKinds)};
+}
 }  // namespace
 
 Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
@@ -15,52 +20,43 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
     return Status::InvalidArgument("bucket " + BucketIdToString(bucket) +
                                    " declared with non-positive capacity");
   }
-  MutexLock lock(&mu_);
-  auto [it, inserted] = buckets_.try_emplace(bucket);
-  it->second.capacity = capacity;
-  fill_index_stale_ = true;
-  if (inserted) {
-    ordered_buckets_.insert(std::lower_bound(ordered_buckets_.begin(),
-                                             ordered_buckets_.end(), bucket),
-                            bucket);
+  if (!bucket.site.valid()) {
+    return Status::InvalidArgument("bucket " + BucketIdToString(bucket) +
+                                   " declared at an invalid site");
   }
+  MutexLock lock(&mu_);
+  const size_t slot = Slot(bucket);
+  if (slot >= buckets_.size()) buckets_.resize(slot + 1);
+  buckets_[slot].capacity = capacity;
+  RescanMaxFillLocked();
   return Status::Ok();
 }
 
-const std::vector<ResourcePool::Fill>& ResourcePool::FillIndexLocked() const {
-  if (fill_index_stale_) {
-    fill_index_.clear();
-    fill_index_.reserve(ordered_buckets_.size());
-    for (const BucketId& bucket : ordered_buckets_) {
-      const BucketState& state = buckets_.find(bucket)->second;
-      if (state.capacity <= 0.0) continue;
-      fill_index_.push_back(Fill{state.used / state.capacity, bucket});
-    }
-    std::sort(fill_index_.begin(), fill_index_.end(),
-              [](const Fill& a, const Fill& b) { return a.fill > b.fill; });
-    fill_index_stale_ = false;
+const ResourcePool::BucketState* ResourcePool::FindLocked(
+    const BucketId& bucket) const {
+  if (!bucket.site.valid()) return nullptr;
+  const size_t slot = Slot(bucket);
+  if (slot >= buckets_.size() || buckets_[slot].capacity == 0.0) {
+    return nullptr;
   }
-  return fill_index_;
+  return &buckets_[slot];
+}
+
+void ResourcePool::RescanMaxFillLocked() {
+  max_fill_ = 0.0;
+  for (const BucketState& state : buckets_) {
+    if (state.capacity == 0.0) continue;
+    max_fill_ = std::max(max_fill_, state.used / state.capacity);
+  }
 }
 
 double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
   MutexLock lock(&mu_);
-  double max_fill = 0.0;
+  double max_fill = max_fill_;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end() || it->second.capacity <= 0.0) continue;
-    max_fill =
-        std::max(max_fill, (it->second.used + e.amount) / it->second.capacity);
-  }
-  // Every bucket `demand` leaves alone keeps its fill U_i / R_i, so the
-  // fullest of them bounds the rest.
-  const std::vector<ResourceVector::Entry>& entries = demand.entries();
-  for (const Fill& entry : FillIndexLocked()) {
-    bool touched = std::any_of(entries.begin(), entries.end(),
-                               [&](const ResourceVector::Entry& e) {
-                                 return e.bucket == entry.bucket;
-                               });
-    if (!touched) return std::max(max_fill, entry.fill);
+    const BucketState* state = FindLocked(e.bucket);
+    if (state == nullptr) continue;
+    max_fill = std::max(max_fill, (state->used + e.amount) / state->capacity);
   }
   return max_fill;
 }
@@ -68,10 +64,10 @@ double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
 double ResourcePool::OverlaySquaredFill(const ResourceVector& demand) const {
   MutexLock lock(&mu_);
   double total = 0.0;
-  for (const BucketId& bucket : ordered_buckets_) {
-    const BucketState& state = buckets_.find(bucket)->second;
-    if (state.capacity <= 0.0) continue;
-    double fill = (state.used + demand.Get(bucket)) / state.capacity;
+  for (size_t slot = 0; slot < buckets_.size(); ++slot) {
+    const BucketState& state = buckets_[slot];
+    if (state.capacity == 0.0) continue;
+    double fill = (state.used + demand.Get(BucketAt(slot))) / state.capacity;
     total += fill * fill;
   }
   return total;
@@ -81,9 +77,9 @@ double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
   MutexLock lock(&mu_);
   double total = 0.0;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end() || it->second.capacity <= 0.0) continue;
-    total += e.amount / it->second.capacity;
+    const BucketState* state = FindLocked(e.bucket);
+    if (state == nullptr) continue;
+    total += e.amount / state->capacity;
   }
   return total;
 }
@@ -92,47 +88,45 @@ std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
     const {
   MutexLock lock(&mu_);
   std::vector<std::pair<BucketId, double>> out;
-  out.reserve(ordered_buckets_.size());
-  for (const BucketId& bucket : ordered_buckets_) {
-    const BucketState& state = buckets_.find(bucket)->second;
-    out.emplace_back(bucket, state.capacity > 0.0
-                                 ? state.used / state.capacity
-                                 : 0.0);
+  out.reserve(buckets_.size());
+  for (size_t slot = 0; slot < buckets_.size(); ++slot) {
+    const BucketState& state = buckets_[slot];
+    if (state.capacity == 0.0) continue;
+    out.emplace_back(BucketAt(slot), state.used / state.capacity);
   }
   return out;
 }
 
 bool ResourcePool::HasBucket(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  return buckets_.count(bucket) > 0;
+  return FindLocked(bucket) != nullptr;
 }
 
 double ResourcePool::Capacity(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0.0 : it->second.capacity;
+  const BucketState* state = FindLocked(bucket);
+  return state == nullptr ? 0.0 : state->capacity;
 }
 
 double ResourcePool::Used(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  auto it = buckets_.find(bucket);
-  return it == buckets_.end() ? 0.0 : it->second.used;
+  const BucketState* state = FindLocked(bucket);
+  return state == nullptr ? 0.0 : state->used;
 }
 
 double ResourcePool::Utilization(const BucketId& bucket) const {
   MutexLock lock(&mu_);
-  auto it = buckets_.find(bucket);
-  if (it == buckets_.end() || it->second.capacity <= 0.0) return 0.0;
-  return it->second.used / it->second.capacity;
+  const BucketState* state = FindLocked(bucket);
+  return state == nullptr ? 0.0 : state->used / state->capacity;
 }
 
 bool ResourcePool::FitsLocked(const ResourceVector& demand,
                               KindCounts* overflowed) const {
   bool fits = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end()) return false;
-    if (it->second.used + e.amount > it->second.capacity * (1.0 + kSlack)) {
+    const BucketState* state = FindLocked(e.bucket);
+    if (state == nullptr) return false;
+    if (state->used + e.amount > state->capacity * (1.0 + kSlack)) {
       if (overflowed == nullptr) return false;
       ++(*overflowed)[static_cast<size_t>(e.bucket.kind)];
       fits = false;
@@ -150,7 +144,7 @@ Status ResourcePool::Acquire(const ResourceVector& demand,
                              KindCounts* overflowed) {
   MutexLock lock(&mu_);
   for (const ResourceVector::Entry& e : demand.entries()) {
-    if (buckets_.count(e.bucket) == 0) {
+    if (FindLocked(e.bucket) == nullptr) {
       return Status::NotFound("undeclared bucket " +
                               BucketIdToString(e.bucket));
     }
@@ -158,66 +152,57 @@ Status ResourcePool::Acquire(const ResourceVector& demand,
   if (!FitsLocked(demand, overflowed)) {
     return Status::ResourceExhausted("bucket would overflow");
   }
+  // Usage only grows here, so only the touched buckets can raise the
+  // max fill.
   for (const ResourceVector::Entry& e : demand.entries()) {
-    buckets_[e.bucket].used += e.amount;
+    BucketState& state = buckets_[Slot(e.bucket)];
+    state.used += e.amount;
+    max_fill_ = std::max(max_fill_, state.used / state.capacity);
   }
-  fill_index_stale_ = true;
   return Status::Ok();
 }
 
 Status ResourcePool::Release(const ResourceVector& demand) {
   MutexLock lock(&mu_);
   Status status = Status::Ok();
-  fill_index_stale_ = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    auto it = buckets_.find(e.bucket);
-    if (it == buckets_.end()) {
+    if (FindLocked(e.bucket) == nullptr) {
       status = Status::FailedPrecondition("release touches undeclared bucket " +
                                           BucketIdToString(e.bucket));
       continue;
     }
-    if (e.amount > it->second.used + it->second.capacity * kSlack) {
+    BucketState& state = buckets_[Slot(e.bucket)];
+    if (e.amount > state.used + state.capacity * kSlack) {
       status = Status::FailedPrecondition(
           "over-release on bucket " + BucketIdToString(e.bucket) +
           " (usage clamped to zero)");
     }
-    it->second.used = std::max(0.0, it->second.used - e.amount);
+    state.used = std::max(0.0, state.used - e.amount);
     // Snap accumulated floating-point residue to a clean zero; real
     // reservations are many orders of magnitude above this.
-    if (it->second.used < it->second.capacity * 1e-9) {
-      it->second.used = 0.0;
-    }
+    if (state.used < state.capacity * 1e-9) state.used = 0.0;
   }
+  RescanMaxFillLocked();
   return status;
-}
-
-std::vector<BucketId> ResourcePool::BucketsLocked() const {
-  return ordered_buckets_;
 }
 
 std::vector<BucketId> ResourcePool::Buckets() const {
   MutexLock lock(&mu_);
-  return BucketsLocked();
+  std::vector<BucketId> out;
+  for (size_t slot = 0; slot < buckets_.size(); ++slot) {
+    if (buckets_[slot].capacity != 0.0) out.push_back(BucketAt(slot));
+  }
+  return out;
 }
 
 double ResourcePool::MaxUtilization() const {
   MutexLock lock(&mu_);
-  double max_util = 0.0;
-  for (const auto& [id, state] : buckets_) {
-    if (state.capacity <= 0.0) continue;
-    max_util = std::max(max_util, state.used / state.capacity);
-  }
-  return max_util;
+  return max_fill_;
 }
 
 std::string ResourcePool::DebugString() const {
-  MutexLock lock(&mu_);
   std::string out;
-  for (const BucketId& id : BucketsLocked()) {
-    auto it = buckets_.find(id);
-    double util = it->second.capacity > 0.0
-                      ? it->second.used / it->second.capacity
-                      : 0.0;
+  for (const auto& [id, util] : UtilizationSnapshot()) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s=%.2f ",
                   BucketIdToString(id).c_str(), util);

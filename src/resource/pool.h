@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,7 +15,9 @@
 // has a fixed capacity R_i and a current usage U_i. This is the state
 // the LRB cost model reads ("the height of the filled part of bucket i
 // is the percentage of resource i being used", paper §3.4) and the
-// state admission control mutates.
+// state admission control mutates. The buckets live in one flat
+// vector indexed by the dense slot site * kNumResourceKinds + kind,
+// next to the pool's current max fill.
 //
 // Thread-safe: one mutex guards the whole bucket table, so concurrent
 // AdmitQuery calls cost plans against a consistent usage snapshot and
@@ -29,8 +30,9 @@ class ResourcePool {
  public:
   /// Declares a bucket with capacity `capacity` (> 0). Re-declaring an
   /// existing bucket resets its capacity but keeps its usage. Fails
-  /// with kInvalidArgument on a non-positive capacity (nothing is
-  /// declared).
+  /// with kInvalidArgument on a non-positive capacity or an invalid
+  /// site (nothing is declared). Storage is dense in the site id, so
+  /// sites are expected to be numbered from 0.
   Status DeclareBucket(const BucketId& bucket, double capacity)
       QUASAQ_EXCLUDES(mu_);
 
@@ -66,73 +68,74 @@ class ResourcePool {
   /// silently corrupting the usage vectors the cost model reads.
   Status Release(const ResourceVector& demand) QUASAQ_EXCLUDES(mu_);
 
-  /// All declared buckets in a stable order (sorted by id).
+  /// All declared buckets, sorted by id.
   std::vector<BucketId> Buckets() const QUASAQ_EXCLUDES(mu_);
 
   /// Overlay fill — the LRB inner loop: max over every declared bucket
-  /// of (U_i + demand_i) / R_i, skipping non-positive capacities. Only
-  /// the buckets `demand` touches can change their quotient, so it reads
-  /// those plus the fullest untouched bucket of a descending-fill index
-  /// (rebuilt after DeclareBucket/Acquire/Release): O(|demand|) per
-  /// call once the index is fresh, under one lock acquisition. Every
-  /// quotient is computed as the full scan over Buckets() with
-  /// Used()/Capacity() would compute it, so the result is the same
-  /// double.
+  /// of (U_i + demand_i) / R_i. A touched bucket's overlay is never
+  /// below its own fill U_i / R_i (amounts are >= 0 and IEEE addition
+  /// and division are monotone), so this is the max of the pool's
+  /// current max fill and the touched buckets' overlays: O(|demand|)
+  /// under one lock acquisition, and the same double the full scan over
+  /// Buckets() with Used()/Capacity() computes.
   double OverlayMaxFill(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
 
   /// Overlay quadratic fill: sum over declared buckets — in sorted id
   /// order, so the floating-point accumulation is reproducible — of
-  /// ((U_i + demand_i) / R_i)^2, skipping non-positive capacities.
+  /// ((U_i + demand_i) / R_i)^2.
   double OverlaySquaredFill(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
 
   /// Sum over `demand`'s entries (in entry order) of amount / capacity;
-  /// undeclared or non-positive-capacity buckets contribute nothing.
+  /// undeclared buckets contribute nothing.
   double FractionalDemand(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
+
+  /// The dense slot of `bucket`: site * kNumResourceKinds + kind, so
+  /// slot order is BucketId order. Requires a valid site.
+  static size_t Slot(const BucketId& bucket) {
+    return static_cast<size_t>(bucket.site.value()) * kNumResourceKinds +
+           static_cast<size_t>(bucket.kind);
+  }
 
   /// (bucket, U_i / R_i) for every declared bucket in sorted id order,
   /// read under one lock acquisition (telemetry's bulk Utilization).
   std::vector<std::pair<BucketId, double>> UtilizationSnapshot() const
       QUASAQ_EXCLUDES(mu_);
 
-  /// The highest utilization across all declared buckets.
+  /// The highest utilization across all declared buckets (a cached
+  /// scalar, kept current by DeclareBucket, Acquire and Release).
   double MaxUtilization() const QUASAQ_EXCLUDES(mu_);
 
   /// Renders a one-line fill report, e.g. "site0/cpu=0.42 ...".
   std::string DebugString() const QUASAQ_EXCLUDES(mu_);
 
  private:
+  // A slot with capacity 0 was never declared (DeclareBucket rejects
+  // non-positive capacities).
   struct BucketState {
     double capacity = 0.0;
     double used = 0.0;
   };
 
-  struct Fill {
-    double fill = 0.0;  // U_i / R_i
-    BucketId bucket;
-  };
-
-  // Lock-assuming bodies of the public entry points above.
+  // The declared bucket's state, or nullptr when `bucket` is undeclared.
+  const BucketState* FindLocked(const BucketId& bucket) const
+      QUASAQ_REQUIRES(mu_);
   // Stops at the first overflow unless `overflowed` is non-null, in
   // which case every overflowing entry is counted into it.
   bool FitsLocked(const ResourceVector& demand,
                   KindCounts* overflowed = nullptr) const
       QUASAQ_REQUIRES(mu_);
-  std::vector<BucketId> BucketsLocked() const QUASAQ_REQUIRES(mu_);
-  // The declared buckets by descending fill, rebuilt when stale.
-  const std::vector<Fill>& FillIndexLocked() const QUASAQ_REQUIRES(mu_);
+  // Recomputes max_fill_ from every declared bucket, after a change
+  // that can lower a fill (DeclareBucket, Release).
+  void RescanMaxFillLocked() QUASAQ_REQUIRES(mu_);
 
   mutable Mutex mu_;
-  std::unordered_map<BucketId, BucketState> buckets_ QUASAQ_GUARDED_BY(mu_);
-  // Bucket ids in sorted order, maintained by DeclareBucket (buckets
-  // are never undeclared) so the ordered scans above never re-sort.
-  std::vector<BucketId> ordered_buckets_ QUASAQ_GUARDED_BY(mu_);
-  // Descending-fill index read by OverlayMaxFill; every usage or
-  // capacity change marks it stale and the next read rebuilds it.
-  mutable std::vector<Fill> fill_index_ QUASAQ_GUARDED_BY(mu_);
-  mutable bool fill_index_stale_ QUASAQ_GUARDED_BY(mu_) = true;
+  // Indexed by Slot(); buckets are never undeclared.
+  std::vector<BucketState> buckets_ QUASAQ_GUARDED_BY(mu_);
+  // max of U_i / R_i over declared buckets (0 when there are none).
+  double max_fill_ QUASAQ_GUARDED_BY(mu_) = 0.0;
 };
 
 }  // namespace quasaq::res

@@ -21,25 +21,24 @@ void PoolTelemetry::Prime() {
 }
 
 obs::Gauge* PoolTelemetry::GaugeFor(const BucketId& bucket) {
-  auto it = gauges_.find(bucket);
-  if (it != gauges_.end()) return it->second;
-  obs::Gauge* gauge = registry_->GetGauge(
+  const size_t slot = ResourcePool::Slot(bucket);
+  if (slot >= gauges_.size()) gauges_.resize(slot + 1, nullptr);
+  obs::Gauge*& gauge = gauges_[slot];
+  if (gauge != nullptr) return gauge;
+  gauge = registry_->GetGauge(
       "quasaq_resource_utilization_ratio",
       "Bucket fill U_i / R_i the LRB cost model reads",
       {{"site", std::to_string(bucket.site.value())},
        {"kind", std::string(ResourceKindName(bucket.kind))}});
-  gauges_.emplace(bucket, gauge);
   return gauge;
 }
 
 void PoolTelemetry::Sample(SimTime now) {
-  // One pool-lock acquisition for the whole sweep; after Prime the
-  // gauges_ find below never mutates the map, so concurrent admissions
-  // can sample without coordinating.
+  // One pool-lock acquisition for the whole sweep; after Prime every
+  // bucket's gauge is resolved, so GaugeFor never mutates gauges_ and
+  // concurrent admissions can sample without coordinating.
   for (const auto& [bucket, utilization] : pool_->UtilizationSnapshot()) {
-    auto it = gauges_.find(bucket);
-    obs::Gauge* gauge = it != gauges_.end() ? it->second : GaugeFor(bucket);
-    gauge->Sample(now, utilization);
+    GaugeFor(bucket)->Sample(now, utilization);
   }
 }
 

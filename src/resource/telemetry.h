@@ -1,7 +1,7 @@
 #ifndef QUASAQ_RESOURCE_TELEMETRY_H_
 #define QUASAQ_RESOURCE_TELEMETRY_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "common/resource_vector.h"
 #include "common/sim_time.h"
@@ -37,8 +37,6 @@ class PoolTelemetry {
   /// Records one utilization sample per declared bucket at `now`.
   void Sample(SimTime now);
 
-  size_t tracked_buckets() const { return gauges_.size(); }
-
  private:
   // Resolves (declaring on first sight) the gauge series for `bucket`.
   obs::Gauge* GaugeFor(const BucketId& bucket);
@@ -47,9 +45,10 @@ class PoolTelemetry {
   obs::MetricsRegistry* registry_;
   // Buckets are never undeclared, so resolved series pointers are
   // cached for the pool's lifetime. After Prime has seen every bucket,
-  // Sample only reads this map (gauge updates are internally
-  // synchronized), so concurrent samplers need no extra lock.
-  std::unordered_map<BucketId, obs::Gauge*> gauges_;
+  // Sample only reads this vector (gauge updates are internally
+  // synchronized), so concurrent samplers need no extra lock. Indexed
+  // by ResourcePool::Slot; nullptr marks a bucket not yet resolved.
+  std::vector<obs::Gauge*> gauges_;
 };
 
 }  // namespace quasaq::res

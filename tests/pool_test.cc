@@ -27,6 +27,19 @@ TEST(ResourcePoolTest, DeclareAndQuery) {
   EXPECT_DOUBLE_EQ(pool.Utilization(Cpu(0)), 0.0);
 }
 
+TEST(ResourcePoolTest, DeclareRejectsInvalidSite) {
+  ResourcePool pool;
+  const BucketId invalid{SiteId(), ResourceKind::kCpu};
+  EXPECT_EQ(pool.DeclareBucket(invalid, 1.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(pool.HasBucket(invalid));
+  EXPECT_TRUE(pool.Buckets().empty());
+  // A demand on it is an undeclared bucket like any other.
+  ResourceVector demand;
+  demand.Add(invalid, 1.0);
+  EXPECT_EQ(pool.Acquire(demand).code(), StatusCode::kNotFound);
+}
+
 TEST(ResourcePoolTest, AcquireChargesBuckets) {
   ResourcePool pool;
   ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 1.0).ok());
@@ -196,9 +209,28 @@ double BruteForceMaxFill(const ResourcePool& pool,
   return max_fill;
 }
 
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// MaxUtilization() and UtilizationSnapshot() against the same scan.
+void ExpectFillsMatchBruteForce(const ResourcePool& pool) {
+  const std::vector<BucketId> buckets = pool.Buckets();
+  const auto snapshot = pool.UtilizationSnapshot();
+  ASSERT_EQ(snapshot.size(), buckets.size());
+  double max_fill = 0.0;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    double fill = pool.Used(buckets[i]) / pool.Capacity(buckets[i]);
+    max_fill = std::max(max_fill, fill);
+    EXPECT_EQ(snapshot[i].first, buckets[i]);
+    EXPECT_EQ(Bits(snapshot[i].second), Bits(fill))
+        << BucketIdToString(buckets[i]);
+  }
+  EXPECT_EQ(Bits(pool.MaxUtilization()), Bits(max_fill));
+}
+
 TEST(ResourcePoolPropertyTest, OverlayMaxFillEqualsBruteForceScan) {
   // Capacities and amounts on a coarse binary grid, so many buckets
-  // share the same fill (ties in the fill index).
+  // share the same fill (ties at the max). Releases and re-declares
+  // that grow a capacity lower fills, so the cached max must come down.
   const double capacities[] = {1.0, 2.0, 4.0, 8.0};
   auto random_bucket = [](Rng& rng) {
     return BucketId{SiteId(rng.UniformInt(0, 5)),
@@ -245,10 +277,11 @@ TEST(ResourcePoolPropertyTest, OverlayMaxFillEqualsBruteForceScan) {
       ResourceVector demand = random_vector(rng, 7);
       double expected = BruteForceMaxFill(pool, demand);
       double actual = pool.OverlayMaxFill(demand);
-      ASSERT_EQ(std::bit_cast<uint64_t>(actual),
-                std::bit_cast<uint64_t>(expected))
+      ASSERT_EQ(Bits(actual), Bits(expected))
           << "seed " << seed << " step " << step << ": " << actual
           << " vs " << expected << " for " << demand.ToString();
+      ExpectFillsMatchBruteForce(pool);
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " step " << step;
     }
   }
 }

@@ -115,10 +115,5 @@ TEST(ResourceVectorTest, SetReplacesInsertsAndRemoves) {
   EXPECT_EQ(v.size(), 1u);
 }
 
-TEST(ResourceVectorTest, BucketIdHashDistinguishesKinds) {
-  std::hash<BucketId> hasher;
-  EXPECT_NE(hasher(Cpu(0)), hasher(Net(0)));
-}
-
 }  // namespace
 }  // namespace quasaq
