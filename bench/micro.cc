@@ -201,10 +201,10 @@ void BM_MetricsRegistryResolve(benchmark::State& state) {
 BENCHMARK(BM_MetricsRegistryResolve);
 
 void BM_MetricsRegistryResolveMultiLabel(benchmark::State& state) {
-  // The multi-label lookup is where key serialization used to cost: the
-  // probe labels arrive unsorted and the child map compares them
-  // in-place against the canonical "k=v,k=v" keys, allocating nothing.
-  // A small population of sibling children keeps the comparator honest.
+  // A multi-label lookup serializes the probe labels, which arrive
+  // unsorted, into the canonical "k=v,k=v" key and finds it among a
+  // small population of sibling children. Lookups run at set-up, not
+  // per admission.
   obs::MetricsRegistry registry;
   for (int site = 0; site < 8; ++site) {
     registry.GetCounter("quasaq_bench_sharded_total", "bench",

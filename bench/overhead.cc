@@ -10,10 +10,8 @@
 #include <chrono>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/plan_stream.h"
 #include "core/system.h"
 #include "query/parser.h"
 #include "workload/traffic.h"
@@ -145,11 +143,12 @@ BENCHMARK(BM_PlanGenerationScaling)
     ->Arg(64)
     ->Arg(256);
 
-// The admission path as it actually runs, per query: walk a lazy
-// PlanStream in ranking order until a plan's reservation succeeds.
-// Admitted streams stay reserved (up to four per site, oldest released
-// first) so the pool is loaded, as in steady-state operation. Reports
-// the median and p99 wall-clock time per query next to the mean.
+// The admission path as it actually runs, per query:
+// QualityManager::AdmitQuery's streamed walk (no relaxation profile).
+// Admitted deliveries stay reserved (up to four per site, oldest
+// completed first) so the pool is loaded, as in steady-state operation.
+// Reports the median and p99 wall-clock time per query next to the
+// mean, and the plans each query costed, read from the manager's stats.
 // Arguments: site count, relay on (1) or off (0). Every site stores
 // every title, so with relay on the space grows with sites squared.
 void BM_StreamedAdmissionScaling(benchmark::State& state) {
@@ -163,42 +162,32 @@ void BM_StreamedAdmissionScaling(benchmark::State& state) {
   workload::TrafficGenerator traffic(workload::TrafficOptions(),
                                      options.library.num_videos,
                                      options.topology.SiteIds());
-  const core::PlanGenerator& generator =
-      system.quality_manager()->generator();
-  res::CompositeQosApi& api = system.quality_manager()->qos_api();
-  core::LrbCostModel lrb;
-  core::RuntimeCostEvaluator evaluator(&lrb);
-  std::deque<res::ReservationId> held;
+  core::QualityManager& manager = *system.quality_manager();
+  std::deque<core::QualityManager::Admitted> held;
   const size_t max_held = static_cast<size_t>(sites) * 4;
   std::vector<double> query_us;
   size_t admitted = 0;
-  size_t plans_costed = 0;
+  const uint64_t plans_before = manager.stats().plans_generated;
   for (auto _ : state) {
     workload::QuerySpec spec = traffic.Next();
     auto start = std::chrono::steady_clock::now();
-    core::PlanStream stream(&generator, &evaluator, &system.pool(),
-                            spec.client_site, spec.content, spec.qos);
-    while (std::optional<core::PlanStream::Ranked> ranked = stream.Next()) {
-      Result<res::ReservationId> reservation =
-          api.Reserve(ranked->plan.resources);
-      if (reservation.ok()) {
-        held.push_back(*reservation);
-        ++admitted;
-        break;
-      }
+    Result<core::QualityManager::Admitted> result =
+        manager.AdmitQuery(spec.client_site, spec.content, spec.qos);
+    if (result.ok()) {
+      held.push_back(std::move(*result));
+      ++admitted;
     }
     if (held.size() > max_held) {
-      Status status = api.Release(held.front());
+      Status status = manager.CompleteDelivery(held.front());
       benchmark::DoNotOptimize(status);
       held.pop_front();
     }
     query_us.push_back(std::chrono::duration<double, std::micro>(
                            std::chrono::steady_clock::now() - start)
                            .count());
-    plans_costed += stream.stats().plans_generated;
   }
-  for (res::ReservationId id : held) {
-    Status status = api.Release(id);
+  for (const core::QualityManager::Admitted& delivery : held) {
+    Status status = manager.CompleteDelivery(delivery);
     benchmark::DoNotOptimize(status);
   }
   std::sort(query_us.begin(), query_us.end());
@@ -206,7 +195,8 @@ void BM_StreamedAdmissionScaling(benchmark::State& state) {
     state.counters["median_us"] = query_us[query_us.size() / 2];
     state.counters["p99_us"] = query_us[query_us.size() * 99 / 100];
     state.counters["plans_costed"] =
-        static_cast<double>(plans_costed) / query_us.size();
+        static_cast<double>(manager.stats().plans_generated - plans_before) /
+        query_us.size();
     state.counters["admitted_pct"] =
         100.0 * static_cast<double>(admitted) / query_us.size();
   }

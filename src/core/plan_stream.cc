@@ -1,5 +1,6 @@
 #include "core/plan_stream.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -99,9 +100,17 @@ void PlanStream::ExpandGroup(size_t group_index) {
   }
 }
 
-std::optional<PlanStream::Ranked> PlanStream::Next() {
+bool PlanStream::has_plans() const {
+  return std::any_of(tables_.begin(), tables_.end(),
+                     [](const PlanGenerator::ChoiceTable& table) {
+                       return !table.choices.empty();
+                     });
+}
+
+std::optional<PlanStream::Ranked> PlanStream::Next(double max_key) {
   while (!frontier_.empty()) {
     const Entry top = frontier_.top();
+    if (top.cost > max_key) return std::nullopt;
     frontier_.pop();
     if (top.plan_slot < 0) {
       ExpandGroup(top.group_index);

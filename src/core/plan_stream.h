@@ -1,6 +1,7 @@
 #ifndef QUASAQ_CORE_PLAN_STREAM_H_
 #define QUASAQ_CORE_PLAN_STREAM_H_
 
+#include <limits>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -96,8 +97,20 @@ class PlanStream {
              RuntimeCostEvaluator::GainFunction gain = {});
 
   /// The next plan in ranking order, or nullopt when the space is
-  /// exhausted.
-  std::optional<Ranked> Next();
+  /// exhausted or the frontier head's key is above `max_key`. A stopped
+  /// stream pops nothing, so the head is still there for FrontierBound()
+  /// and a later call with a larger `max_key`. Under a sound bound
+  /// (SupportsCostLowerBound) every plan still to come ranks at or
+  /// above the head, so an admission walk passes the key above which a
+  /// plan cannot fit and never expands a group that has no fitting
+  /// plan. EXPLAIN keeps the default and lists the whole space.
+  std::optional<Ranked> Next(
+      double max_key = std::numeric_limits<double>::infinity());
+
+  /// Whether this round's space is non-empty: some group has a
+  /// QoS-feasible choice, and such a group expands to at least one plan.
+  /// Known at seeding, so it holds whether or not Next() stopped early.
+  bool has_plans() const;
 
   /// Number of unexpanded groups — the branches pruning saved so far.
   size_t groups_pruned() const { return stats_.groups - stats_.groups_expanded; }

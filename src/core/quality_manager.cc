@@ -3,9 +3,25 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 namespace quasaq::core {
+
+namespace {
+
+// The LRB key above which no plan can fit. The key is the fullest bucket
+// once a plan is overlaid, max_i (U_i + r_i) / R_i, and the pool's fit
+// test admits U_i + r_i <= R_i (1 + 1e-9): a key above 1 + 1e-6
+// overflows a bucket by more than that slack, however the division
+// rounded. The bucket is one the plan touches, because no bucket is
+// above capacity on its own: usage grows only through Acquire, which
+// checks the fit, and MediaDbSystem declares buckets only at set-up. A
+// group's floor key lower-bounds its plans' keys, so once the frontier
+// head is above this key, so is every plan still to come.
+constexpr double kOverflowKey = 1.0 + 1e-6;
+
+}  // namespace
 
 QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
                                res::CompositeQosApi* qos_api,
@@ -118,16 +134,15 @@ RuntimeCostEvaluator::GainFunction QualityManager::GainFor(
 }
 
 std::optional<QualityManager::Admitted> QualityManager::WalkRound(
-    PlanStream& stream, const TraceContext& trace, const Adopt& adopt,
-    bool* had_plans) {
+    PlanStream& stream, double max_key, const TraceContext& trace,
+    const Adopt& adopt) {
   // Enumeration and adoption interleave, so one plan.enumerate span
   // covers the round; each adopt attempt nests a plan.reserve span.
   TraceBegin(trace, "plan.enumerate");
   const size_t generated_before = stream.stats().plans_generated;
   std::optional<Admitted> adopted;
   int attempts = 0;
-  while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
-    *had_plans = true;
+  while (std::optional<PlanStream::Ranked> ranked = stream.Next(max_key)) {
     if (options_.max_admission_attempts > 0 &&
         attempts >= options_.max_admission_attempts) {
       break;
@@ -169,19 +184,30 @@ QualityManager::Walked QualityManager::Walk(SiteId query_site,
                                             const query::QosRequirement& qos,
                                             const UserProfile* profile,
                                             const TraceContext& trace,
-                                            const Adopt& adopt) {
+                                            const Adopt& adopt,
+                                            bool stop_at_overflow) {
+  RuntimeCostEvaluator::GainFunction gain = GainFor(qos);
+  // Only a pure LRB key above 1 means the plan overflows a bucket;
+  // the other models' keys and a gain-scaled key say nothing about fit.
+  // Whether a gain is set depends on the goal alone, so this holds for
+  // every round.
+  const double max_key =
+      stop_at_overflow && evaluator_.SupportsCostLowerBound(gain)
+          ? kOverflowKey
+          : std::numeric_limits<double>::infinity();
   // One PlanStream serves the whole walk — relaxation rounds Reset() it
   // over the already-enumerated groups instead of re-fetching metadata
   // and re-seeding per round.
   PlanStream stream(&generator_, &evaluator_, &qos_api_->pool(), query_site,
-                    content, qos, GainFor(qos));
+                    content, qos, std::move(gain));
   // A stream that failed to open (no replica registered) has nothing to
   // walk in any round.
   if (!stream.status().ok()) return Walked{stream.status()};
-  bool had_plans = false;
   int rounds = 0;
-  std::optional<Admitted> adopted =
-      WalkRound(stream, trace, adopt, &had_plans);
+  std::optional<Admitted> adopted = WalkRound(stream, max_key, trace, adopt);
+  // Read per round (Reset rebuilds the tables), not from what the walk
+  // yielded: a round stopped at max_key yields nothing, yet had plans.
+  bool had_plans = stream.has_plans();
   // Second chance: relax the QoS bounds along the axis this user values
   // least and retry (paper §3.2's renegotiation on admission failure).
   query::QosRequirement relaxed = qos;
@@ -192,7 +218,8 @@ QualityManager::Walked QualityManager::Walk(SiteId query_site,
     metrics_.relaxations->Increment();
     TraceInstant(trace, "plan.relax");
     stream.Reset(relaxed, GainFor(relaxed));
-    adopted = WalkRound(stream, trace, adopt, &had_plans);
+    adopted = WalkRound(stream, max_key, trace, adopt);
+    had_plans = had_plans || stream.has_plans();
   }
   AccountStream(stream);
   const size_t generated = stream.stats().plans_generated;
@@ -218,15 +245,18 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
     const UserProfile* profile, TraceContext trace) {
   metrics_.queries->Increment();
   TraceBegin(trace, "delivery.admit");
+  // Reserve is the one fit test. The walk stops before plans whose LRB
+  // key already overflows, so a denial here is a race with a concurrent
+  // admission or a plan ranked by a model with no such bound.
   Walked walked = Walk(
       query_site, content, qos, profile, trace,
       [this](const ResourceVector& resources)
           -> std::optional<res::ReservationId> {
-        if (!qos_api_->Admissible(resources)) return std::nullopt;
         Result<res::ReservationId> reservation = qos_api_->Reserve(resources);
-        if (!reservation.ok()) return std::nullopt;  // raced: walk on
+        if (!reservation.ok()) return std::nullopt;
         return *reservation;
-      });
+      },
+      /*stop_at_overflow=*/true);
   // This admission's own plans: a manager-wide delta would also count
   // concurrent admissions and EXPLAINs.
   metrics_.per_query->Observe(static_cast<double>(walked.plans_generated));
@@ -304,12 +334,13 @@ std::string QualityManager::FormatPlanListing(
 Result<QualityManager::Admitted> QualityManager::Renegotiate(
     SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile, const TraceContext& trace,
-    const Adopt& adopt) {
+    const Adopt& adopt, bool stop_at_overflow) {
   // One renegotiation — however many relaxation rounds it retries —
   // counts once. Counting per round double-counted retried
   // renegotiations in the exposition.
   metrics_.renegotiations->Increment();
-  Walked walked = Walk(query_site, content, qos, profile, trace, adopt);
+  Walked walked = Walk(query_site, content, qos, profile, trace, adopt,
+                       stop_at_overflow);
   if (walked.result.ok()) walked.result->renegotiated = true;
   return std::move(walked.result);
 }
@@ -321,6 +352,9 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
   if (qos_api_->Find(id) == nullptr) {
     return Status::NotFound("unknown reservation");
   }
+  // The ranking counts the session's own reservation, which the swap
+  // releases first: a plan whose key is above 1 may still fit, so this
+  // walk does not stop at the overflow key.
   return Renegotiate(query_site, content, qos, profile, trace,
                      [this, id](const ResourceVector& resources)
                          -> std::optional<res::ReservationId> {
@@ -328,7 +362,8 @@ Result<QualityManager::Admitted> QualityManager::RenegotiateDelivery(
                          return std::nullopt;
                        }
                        return id;
-                     });
+                     },
+                     /*stop_at_overflow=*/false);
 }
 
 Result<QualityManager::Admitted> QualityManager::PlanPausedRenegotiation(
@@ -343,7 +378,8 @@ Result<QualityManager::Admitted> QualityManager::PlanPausedRenegotiation(
         // playback actually restarts.
         if (!qos_api_->Admissible(resources)) return std::nullopt;
         return res::kInvalidReservationId;
-      });
+      },
+      /*stop_at_overflow=*/true);
 }
 
 }  // namespace quasaq::core

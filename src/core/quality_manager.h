@@ -33,14 +33,18 @@
 // ranking order, each is handed to an *adopt* step until one is taken,
 // and relaxation rounds reuse the still-open stream (PlanStream::Reset)
 // instead of re-seeding enumeration. Only the adopt step differs:
-// admission pre-checks and reserves, a live renegotiation swaps the
-// running reservation through the Composite QoS API, and a paused one
-// only asks admission control (Admissible), reserving nothing.
-// max_admission_attempts caps every round of every walk. Plans are
-// materialized only as far as the walk looks, and the stream yields the
-// exact order of PlanGenerator::Generate followed by a full ranking, so
-// the adopted plan is the one an eager materialize-and-sort walk would
-// pick.
+// admission reserves (Reserve is its one fit test, paper §3.5), a live
+// renegotiation swaps the running reservation through the Composite QoS
+// API, and a paused one only asks admission control (Admissible),
+// reserving nothing. max_admission_attempts caps every round of every
+// walk. Plans are materialized only as far as the walk looks, and the
+// stream yields the exact order of PlanGenerator::Generate followed by a
+// full ranking, so the adopted plan is the one an eager
+// materialize-and-sort walk would pick. Under the pure LRB key,
+// admissions and paused renegotiations also end a round where the
+// frontier head's key is above 1: every plan left overflows a bucket, so
+// stopping there changes no decision. The live swap walks on, because
+// its ranking still counts the reservation the swap releases.
 //
 // The counters live only in the metrics registry passed at
 // construction; stats() reads them.
@@ -239,23 +243,27 @@ class QualityManager {
   // renegotiation: walks the ranking of `content` under `qos`, handing
   // at most max_admission_attempts plans per round to `adopt`, and
   // relaxes along `profile` (when non-null) for up to
-  // max_renegotiation_rounds rounds while nothing is adopted. Accounts
-  // plans generated, groups pruned and the cutoff margin.
+  // max_renegotiation_rounds rounds while nothing is adopted. With
+  // `stop_at_overflow`, for an adopt step that judges plans against the
+  // pool as ranked, a round under the pure LRB key ends where every plan
+  // left overflows. Accounts plans generated, groups pruned and the
+  // cutoff margin.
   Walked Walk(SiteId query_site, LogicalOid content,
               const query::QosRequirement& qos, const UserProfile* profile,
-              const TraceContext& trace, const Adopt& adopt);
-  // One round of Walk at fixed bounds: the adopted plan, or nullopt.
-  // Sets `*had_plans` when the stream yielded a plan.
-  std::optional<Admitted> WalkRound(PlanStream& stream,
+              const TraceContext& trace, const Adopt& adopt,
+              bool stop_at_overflow);
+  // One round of Walk at fixed bounds, pulling plans up to `max_key`:
+  // the adopted plan, or nullopt.
+  std::optional<Admitted> WalkRound(PlanStream& stream, double max_key,
                                     const TraceContext& trace,
-                                    const Adopt& adopt, bool* had_plans);
+                                    const Adopt& adopt);
   // The renegotiation flavors of Walk: counted once, whatever the
   // number of rounds.
   Result<Admitted> Renegotiate(SiteId query_site, LogicalOid content,
                                const query::QosRequirement& qos,
                                const UserProfile* profile,
-                               const TraceContext& trace,
-                               const Adopt& adopt);
+                               const TraceContext& trace, const Adopt& adopt,
+                               bool stop_at_overflow);
   // Folds a finished stream's plans and pruning into the counters.
   void AccountStream(const PlanStream& stream);
 

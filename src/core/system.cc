@@ -22,9 +22,7 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
                              const Options& options)
     : simulator_(simulator),
       options_(options),
-      observability_(obs::Tracer::Options{
-          options.observability.tracing,
-          options.observability.trace_max_events}),
+      observability_(obs::Tracer::Options{options.observability.tracing}),
       library_(media::BuildExperimentLibrary(options.library,
                                              options.topology.SiteIds())),
       qos_api_(&pool_, observability_.metrics()),
@@ -85,9 +83,6 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
     assert(cost_model_ != nullptr && "unknown cost model name");
     QualityManager::Options quality = options_.quality;
     QualityManager::PopulateDefaultTranscodeTargets(quality.generator);
-    if (options_.cache.enabled) {
-      quality.generator.min_cache_fraction = options_.cache.min_plan_fraction;
-    }
     quality_manager_ = std::make_unique<QualityManager>(
         metadata_.get(), &qos_api_, cost_model_.get(), sites, quality,
         observability_);

@@ -97,13 +97,11 @@ class MediaDbSystem {
     // gets a SegmentCache; admitted sessions stream their replica
     // through the source site's cache, and the Plan Generator emits
     // cache-served plan variants that swap the cached share of disk
-    // bandwidth for memory bandwidth.
+    // bandwidth for memory bandwidth (from a cached fraction of
+    // quality.generator.min_cache_fraction up).
     struct Cache {
       bool enabled = false;
       cache::CacheManager::Options manager;
-      // Minimum cached fraction for a cache-served plan variant to be
-      // worth emitting.
-      double min_plan_fraction = 0.05;
     };
     Cache cache;
 
@@ -113,11 +111,9 @@ class MediaDbSystem {
     // planning. Per-session trace recording is opt-in.
     struct Observability {
       // Record per-delivery spans (admit → plan → stream →
-      // renegotiate → complete) for Chrome trace-event export.
+      // renegotiate → complete) for Chrome trace-event export, up to
+      // obs::Tracer::Options::max_events buffered events.
       bool tracing = false;
-      // Cap on buffered trace events; Begin/Instant past the cap are
-      // dropped (counted), End is always kept so spans stay closed.
-      size_t trace_max_events = 1 << 20;
     };
     Observability observability;
   };

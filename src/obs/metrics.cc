@@ -31,33 +31,6 @@ std::string CanonicalKey(Labels labels) {
   return key;
 }
 
-// Three-way compare of a stored canonical key against the serialization
-// `labels` (already sorted) *would* produce, character by character —
-// the allocation-free half of the transparent child lookup. Returns
-// <0 / 0 / >0 as `key` orders before / equal to / after the labels.
-int CompareKeyToLabels(std::string_view key, const Labels& labels) {
-  size_t pos = 0;
-  auto compare_piece = [&](std::string_view piece) -> int {
-    for (char c : piece) {
-      if (pos >= key.size()) return -1;  // key is a strict prefix
-      if (key[pos] != c) return key[pos] < c ? -1 : 1;
-      ++pos;
-    }
-    return 0;
-  };
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) {
-      if (int r = compare_piece(",")) return r;
-    }
-    first = false;
-    if (int r = compare_piece(k)) return r;
-    if (int r = compare_piece("=")) return r;
-    if (int r = compare_piece(v)) return r;
-  }
-  return pos == key.size() ? 0 : 1;  // leftover key chars order after
-}
-
 // Prometheus series suffix: {k="v",k="v"} or empty for no labels.
 std::string PromLabelSuffix(const Labels& labels) {
   if (labels.empty()) return "";
@@ -146,16 +119,6 @@ std::string_view MetricTypeName(MetricType type) {
   return "unknown";
 }
 
-bool MetricsRegistry::ChildKeyLess::operator()(const std::string& a,
-                                               const SortedLabelsRef& b) const {
-  return CompareKeyToLabels(a, *b.labels) < 0;
-}
-
-bool MetricsRegistry::ChildKeyLess::operator()(const SortedLabelsRef& a,
-                                               const std::string& b) const {
-  return CompareKeyToLabels(b, *a.labels) > 0;
-}
-
 void Gauge::Sample(SimTime now, double value) {
   value_.store(value, std::memory_order_relaxed);
   MutexLock lock(&mu_);
@@ -239,38 +202,19 @@ MetricsRegistry::Family* MetricsRegistry::ResolveFamily(std::string_view name,
   return &it->second;
 }
 
-namespace {
-
-// The sorted view of `labels`: `labels` itself when already sorted (the
-// common case — instrumented call sites pass at most a couple of pairs
-// in order), else a sorted copy placed in `storage`.
-const Labels& SortedLabelView(const Labels& labels, Labels& storage) {
-  if (std::is_sorted(labels.begin(), labels.end())) return labels;
-  storage = labels;
-  std::sort(storage.begin(), storage.end());
-  return storage;
-}
-
-}  // namespace
-
 Counter* MetricsRegistry::GetCounter(std::string_view name,
                                      std::string_view help,
                                      const Labels& labels) {
   MutexLock lock(&mu_);
   Family* family = ResolveFamily(name, help, MetricType::kCounter);
   if (family == nullptr) return nullptr;
-  Labels sorted_storage;
-  const Labels& sorted = SortedLabelView(labels, sorted_storage);
-  auto it = family->counters.find(SortedLabelsRef{&sorted});
-  if (it == family->counters.end()) {
-    // Only first registration serializes the canonical key.
-    std::string key = CanonicalKey(sorted);
-    family->label_sets.emplace(key, labels);
-    it = family->counters
-             .emplace(std::move(key), std::make_unique<Counter>())
-             .first;
+  std::string key = CanonicalKey(labels);
+  std::unique_ptr<Counter>& child = family->counters[key];
+  if (child == nullptr) {
+    child = std::make_unique<Counter>();
+    family->label_sets.emplace(std::move(key), labels);
   }
-  return it->second.get();
+  return child.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(std::string_view name, std::string_view help,
@@ -278,16 +222,13 @@ Gauge* MetricsRegistry::GetGauge(std::string_view name, std::string_view help,
   MutexLock lock(&mu_);
   Family* family = ResolveFamily(name, help, MetricType::kGauge);
   if (family == nullptr) return nullptr;
-  Labels sorted_storage;
-  const Labels& sorted = SortedLabelView(labels, sorted_storage);
-  auto it = family->gauges.find(SortedLabelsRef{&sorted});
-  if (it == family->gauges.end()) {
-    std::string key = CanonicalKey(sorted);
-    family->label_sets.emplace(key, labels);
-    it = family->gauges.emplace(std::move(key), std::make_unique<Gauge>())
-             .first;
+  std::string key = CanonicalKey(labels);
+  std::unique_ptr<Gauge>& child = family->gauges[key];
+  if (child == nullptr) {
+    child = std::make_unique<Gauge>();
+    family->label_sets.emplace(std::move(key), labels);
   }
-  return it->second.get();
+  return child.get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
@@ -297,24 +238,18 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   MutexLock lock(&mu_);
   Family* family = ResolveFamily(name, help, MetricType::kHistogram);
   if (family == nullptr) return nullptr;
-  Labels sorted_storage;
-  const Labels& sorted = SortedLabelView(labels, sorted_storage);
-  auto it = family->histograms.find(SortedLabelsRef{&sorted});
-  if (it == family->histograms.end()) {
+  std::string key = CanonicalKey(labels);
+  std::unique_ptr<Histogram>& child = family->histograms[key];
+  if (child == nullptr) {
     family->histogram = options;
-    std::string key = CanonicalKey(sorted);
-    family->label_sets.emplace(key, labels);
-    it = family->histograms
-             .emplace(std::move(key), std::make_unique<Histogram>(options))
-             .first;
-  } else {
+    child = std::make_unique<Histogram>(options);
+    family->label_sets.emplace(std::move(key), labels);
+  } else if (child->bounds() != Histogram(options).bounds()) {
     // A family has one bucket layout; a mismatched re-registration is
     // the histogram flavor of a type conflict.
-    const Histogram& existing = *it->second;
-    Histogram probe(options);
-    if (existing.bounds() != probe.bounds()) return nullptr;
+    return nullptr;
   }
-  return it->second.get();
+  return child.get();
 }
 
 std::vector<std::string> MetricsRegistry::MetricNames() const {

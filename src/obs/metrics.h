@@ -189,31 +189,15 @@ class MetricsRegistry {
   std::string JsonSnapshot() const QUASAQ_EXCLUDES(mu_);
 
  private:
-  // Transparent child-map comparator: compares stored canonical keys
-  // ("k=v,k=v", label pairs sorted) against a *sorted* label set without
-  // serializing the probe — labeled-family lookups on the hot path cost
-  // zero allocations after first registration.
-  struct SortedLabelsRef {
-    const Labels* labels;
-  };
-  struct ChildKeyLess {
-    using is_transparent = void;
-    bool operator()(const std::string& a, const std::string& b) const {
-      return a < b;
-    }
-    bool operator()(const std::string& a, const SortedLabelsRef& b) const;
-    bool operator()(const SortedLabelsRef& a, const std::string& b) const;
-  };
-
   struct Family {
     MetricType type = MetricType::kCounter;
     std::string help;
     HistogramOptions histogram;
-    // Children keyed by canonical (sorted, serialized) label set.
+    // Children keyed by canonical label set ("k=v,k=v", pairs sorted).
     // std::map keeps exposition order deterministic.
-    std::map<std::string, std::unique_ptr<Counter>, ChildKeyLess> counters;
-    std::map<std::string, std::unique_ptr<Gauge>, ChildKeyLess> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>, ChildKeyLess> histograms;
+    std::map<std::string, std::unique_ptr<Counter>> counters;
+    std::map<std::string, std::unique_ptr<Gauge>> gauges;
+    std::map<std::string, std::unique_ptr<Histogram>> histograms;
     // Canonical key -> labels in first-registration order (exposition
     // renders labels as the instrumentation passed them).
     std::map<std::string, Labels> label_sets;

@@ -272,6 +272,53 @@ TEST(SystemCacheTest, RepeatQueriesTurnIntoCacheHits) {
   EXPECT_GT(counters.HitRatio(), 0.0);
 }
 
+// Cache-served plans EXPLAIN lists for one content after a first
+// delivery of it has run to completion and warmed its source cache.
+size_t CachedPlansAfterWarmup(double min_cache_fraction) {
+  sim::Simulator simulator;
+  MediaDbSystem::Options options;
+  options.kind = SystemKind::kVdbmsQuasaq;
+  options.seed = 3;
+  options.cache.enabled = true;
+  options.quality.generator.min_cache_fraction = min_cache_fraction;
+  MediaDbSystem system(&simulator, options);
+  const std::string query =
+      "SELECT video FROM videos WHERE CONTAINS('" +
+      system.library().contents[0].keywords[0] +
+      "') WITH QOS (framerate >= 1)";
+  Result<MediaDbSystem::Explanation> cold =
+      system.ExplainTextQuery(SiteId(0), query);
+  if (!cold.ok()) {
+    ADD_FAILURE() << cold.status().ToString();
+    return 0;
+  }
+  query::QosRequirement qos;
+  qos.range.min_frame_rate = 1.0;
+  EXPECT_TRUE(system.SubmitDelivery(SiteId(0), cold->content, qos).status.ok());
+  simulator.RunUntil(2000 * kSecond);
+  EXPECT_EQ(system.outstanding_sessions(), 0);
+
+  Result<MediaDbSystem::Explanation> warm =
+      system.ExplainTextQuery(SiteId(0), query, 100000);
+  if (!warm.ok()) {
+    ADD_FAILURE() << warm.status().ToString();
+    return 0;
+  }
+  size_t cached = 0;
+  for (const QualityManager::RankedPlan& entry : warm->plans) {
+    if (entry.plan.cache_fraction > 0.0) ++cached;
+  }
+  return cached;
+}
+
+// The generator's min_cache_fraction is the one threshold for
+// cache-served plans when the cache is on: above 1, no warmth
+// qualifies.
+TEST(SystemCacheTest, MinCacheFractionGatesCachedPlansInExplain) {
+  EXPECT_GT(CachedPlansAfterWarmup(0.05), 0u);
+  EXPECT_EQ(CachedPlansAfterWarmup(1.5), 0u);
+}
+
 TEST(SystemCacheTest, CacheDisabledByDefault) {
   sim::Simulator simulator;
   MediaDbSystem::Options options;

@@ -122,20 +122,37 @@ TEST_F(QualityManagerTest, CompleteDeliveryReleasesResources) {
   EXPECT_DOUBLE_EQ(pool_.MaxUtilization(), 0.0);
 }
 
+// No stored replica streams at 60 fps. With every source disk full,
+// every group's floor also overflows, so the round stops before it
+// yields anything; that must not turn "no plan" into "no resources".
 TEST_F(QualityManagerTest, UnsatisfiableQosIsNotFound) {
   QualityManager manager = MakeManager();
   query::QosRequirement qos;
-  qos.range.min_frame_rate = 60.0;  // nothing streams at 60 fps
+  qos.range.min_frame_rate = 60.0;
   Result<QualityManager::Admitted> admitted =
       manager.AdmitQuery(SiteId(0), LogicalOid(0), qos);
   ASSERT_FALSE(admitted.ok());
   EXPECT_EQ(admitted.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(manager.stats().rejected_no_plan, 1u);
+
+  for (SiteId site : sites_) {
+    ResourceVector used;
+    used.Add({site, ResourceKind::kDiskBandwidth}, 20000.0);
+    ASSERT_TRUE(pool_.Acquire(used).ok());
+  }
+  admitted = manager.AdmitQuery(SiteId(0), LogicalOid(0), qos);
+  ASSERT_FALSE(admitted.ok());
+  EXPECT_EQ(admitted.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(manager.stats().rejected_no_plan, 2u);
+  EXPECT_EQ(manager.stats().rejected_no_resources, 0u);
 }
 
+// Under LRB a plan's key is the fullest bucket with the plan overlaid,
+// so with every CPU full each plan's key is above 1 and none can fit.
+// The walk stops at the frontier head instead of costing them, and
+// Reserve, the one fit test, is never asked.
 TEST_F(QualityManagerTest, ExhaustedResourcesReject) {
   QualityManager manager = MakeManager();
-  // Saturate both CPUs so no plan can be admitted.
   for (SiteId site : sites_) {
     ResourceVector used;
     used.Add({site, ResourceKind::kCpu}, 1.0);
@@ -146,6 +163,9 @@ TEST_F(QualityManagerTest, ExhaustedResourcesReject) {
   ASSERT_FALSE(admitted.ok());
   EXPECT_EQ(admitted.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(manager.stats().rejected_no_resources, 1u);
+  EXPECT_EQ(manager.stats().plans_generated, 0u);
+  EXPECT_GT(manager.stats().groups_pruned, 0u);
+  EXPECT_EQ(api_.stats().rejected, 0u);
 }
 
 TEST_F(QualityManagerTest, WalksRankingPastInadmissiblePlans) {
@@ -273,6 +293,41 @@ TEST_F(QualityManagerTest, RenegotiationHonorsTheAttemptCap) {
       admitted->reservation, SiteId(0), LogicalOid(0), high);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_EQ(swapped->plan.delivery_site, own);
+}
+
+// A live swap is ranked against a pool that still holds the session's
+// own reservation, which the swap releases first. With both links full,
+// counting the session every plan overflows, yet the plan on the
+// session's own link fits once its share is freed: the swap must not
+// stop where an admission would.
+TEST_F(QualityManagerTest, LiveSwapWalksPastTheOverflowKey) {
+  query::QosRequirement high;
+  high.range.min_resolution = media::kResolutionSvcd;
+  high.range.min_color_depth_bits = 24;
+  high.range.min_frame_rate = 20.0;
+  QualityManager manager = MakeManager();
+  Result<QualityManager::Admitted> admitted =
+      manager.AdmitQuery(SiteId(0), LogicalOid(0), high);
+  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
+  const SiteId own = admitted->plan.delivery_site;
+  const BucketId own_net{own, ResourceKind::kNetworkBandwidth};
+  for (SiteId site : sites_) {
+    const BucketId net{site, ResourceKind::kNetworkBandwidth};
+    ResourceVector load;
+    load.Add(net, pool_.Capacity(net) - pool_.Used(net));
+    ASSERT_TRUE(pool_.Acquire(load).ok());
+  }
+  const double own_used = pool_.Used(own_net);
+
+  Result<QualityManager::Admitted> swapped = manager.RenegotiateDelivery(
+      admitted->reservation, SiteId(0), LogicalOid(0), high);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_EQ(swapped->reservation, admitted->reservation);
+  EXPECT_EQ(swapped->plan.delivery_site, own);
+  // The adopted plan's key, counting the reservation it replaced.
+  EXPECT_GT((own_used + swapped->plan.resources.Get(own_net)) /
+                pool_.Capacity(own_net),
+            1.0 + 1e-6);
 }
 
 TEST_F(QualityManagerTest, StatsCountPlansGenerated) {
