@@ -151,7 +151,8 @@ int main(int argc, char** argv) {
                 result.admitted_per_sec,
                 static_cast<unsigned long long>(result.admitted),
                 static_cast<unsigned long long>(result.rejected));
-    std::string prefix = "t" + std::to_string(threads);
+    std::string prefix = "t";
+    prefix += std::to_string(threads);
     json.Add(prefix + ".admitted_per_sec", result.admitted_per_sec);
     json.Add(prefix + ".admitted", static_cast<double>(result.admitted));
     json.Add(prefix + ".rejected", static_cast<double>(result.rejected));

@@ -1,7 +1,6 @@
 #include "common/resource_vector.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 
 namespace quasaq {
@@ -30,45 +29,30 @@ std::string BucketIdToString(const BucketId& id) {
 }
 
 void ResourceVector::Add(const BucketId& bucket, double amount) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), bucket,
-      [](const Entry& e, const BucketId& b) { return e.bucket < b; });
-  if (it != entries_.end() && it->bucket == bucket) {
-    it->amount = std::max(0.0, it->amount + amount);
-    return;
-  }
-  entries_.insert(it, Entry{bucket, std::max(0.0, amount)});
+  Put(bucket, ToResourceUnits(amount), /*accumulate=*/true);
 }
 
 void ResourceVector::Set(const BucketId& bucket, double amount) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), bucket,
-      [](const Entry& e, const BucketId& b) { return e.bucket < b; });
+  Put(bucket, ToResourceUnits(amount), /*accumulate=*/false);
+}
+
+void ResourceVector::Put(const BucketId& bucket, int64_t units,
+                         bool accumulate) {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), bucket);
   const bool present = it != entries_.end() && it->bucket == bucket;
-  if (amount <= 0.0) {
+  if (accumulate && present) units += it->units;
+  if (units <= 0) {
     if (present) entries_.erase(it);
   } else if (present) {
-    it->amount = amount;
+    it->units = units;
   } else {
-    entries_.insert(it, Entry{bucket, amount});
+    entries_.insert(it, Entry{bucket, units});
   }
 }
 
-double ResourceVector::Get(const BucketId& bucket) const {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), bucket,
-      [](const Entry& e, const BucketId& b) { return e.bucket < b; });
-  if (it != entries_.end() && it->bucket == bucket) return it->amount;
-  return 0.0;
-}
-
-void ResourceVector::Merge(const ResourceVector& other) {
-  for (const Entry& e : other.entries_) Add(e.bucket, e.amount);
-}
-
-void ResourceVector::Scale(double factor) {
-  assert(factor >= 0.0);
-  for (Entry& e : entries_) e.amount *= factor;
+int64_t ResourceVector::Units(const BucketId& bucket) const {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), bucket);
+  return it != entries_.end() && it->bucket == bucket ? it->units : 0;
 }
 
 std::string ResourceVector::ToString() const {
@@ -78,7 +62,7 @@ std::string ResourceVector::ToString() const {
     if (!first) out += ", ";
     first = false;
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3g", e.amount);
+    std::snprintf(buf, sizeof(buf), "%.3g", FromResourceUnits(e.units));
     out += BucketIdToString(e.bucket) + ": " + buf;
   }
   out += "}";

@@ -2,6 +2,7 @@
 #define QUASAQ_COMMON_RESOURCE_VECTOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -45,33 +46,52 @@ struct BucketId {
 /// Renders e.g. "site2/net".
 std::string BucketIdToString(const BucketId& id);
 
-// Sparse map from bucket to a non-negative amount. Small (a plan touches
-// at most a handful of buckets), so it is a flat sorted vector.
+// The ledger's one unit: amounts are held as whole counts of 10^-6 of
+// the resource's own unit (KB/s, KB, CPU fraction), so usage is added,
+// compared and subtracted exactly, in any order.
+inline constexpr double kResourceUnitsPerAmount = 1e6;
+
+/// The nearest unit count to `amount` (halves away from zero).
+inline int64_t ToResourceUnits(double amount) {
+  const double scaled = amount * kResourceUnitsPerAmount;
+  return static_cast<int64_t>(scaled < 0.0 ? scaled - 0.5 : scaled + 0.5);
+}
+
+inline double FromResourceUnits(int64_t units) {
+  return static_cast<double>(units) / kResourceUnitsPerAmount;
+}
+
+// Sparse map from bucket to a positive number of units, quantized once
+// as amounts are added. Small (a plan touches at most a handful of
+// buckets), so it is a flat sorted vector.
 class ResourceVector {
  public:
   struct Entry {
     BucketId bucket;
-    double amount = 0.0;
+    int64_t units = 0;
+
+    friend bool operator<(const Entry& e, const BucketId& b) {
+      return e.bucket < b;
+    }
   };
 
   ResourceVector() = default;
 
-  /// Adds `amount` to the bucket (creating it if absent). Negative
-  /// deltas are allowed but the stored amount is clamped at zero.
+  /// Adds `amount` to the bucket. Negative deltas are allowed; an entry
+  /// left at zero units or less is removed, and none is created.
   void Add(const BucketId& bucket, double amount);
 
-  /// Replaces the bucket's amount; a non-positive `amount` removes the
-  /// entry.
+  /// Replaces the bucket's amount; an amount of zero units or less
+  /// removes the entry.
   void Set(const BucketId& bucket, double amount);
 
+  /// Returns the units held for `bucket` (0 if absent).
+  int64_t Units(const BucketId& bucket) const;
+
   /// Returns the amount for `bucket` (0 if absent).
-  double Get(const BucketId& bucket) const;
-
-  /// Adds every entry of `other` into this vector.
-  void Merge(const ResourceVector& other);
-
-  /// Multiplies every amount by `factor` (>= 0).
-  void Scale(double factor);
+  double Get(const BucketId& bucket) const {
+    return FromResourceUnits(Units(bucket));
+  }
 
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
@@ -81,6 +101,9 @@ class ResourceVector {
   std::string ToString() const;
 
  private:
+  // Stores `units`, added to the present entry's when `accumulate`.
+  void Put(const BucketId& bucket, int64_t units, bool accumulate);
+
   std::vector<Entry> entries_;  // sorted by bucket
 };
 

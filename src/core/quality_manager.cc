@@ -11,15 +11,14 @@ namespace quasaq::core {
 namespace {
 
 // The LRB key above which no plan can fit. The key is the fullest bucket
-// once a plan is overlaid, max_i (U_i + r_i) / R_i, and the pool's fit
-// test admits U_i + r_i <= R_i (1 + 1e-9): a key above 1 + 1e-6
-// overflows a bucket by more than that slack, however the division
-// rounded. The bucket is one the plan touches, because no bucket is
-// above capacity on its own: usage grows only through Acquire, which
-// checks the fit, and MediaDbSystem declares buckets only at set-up. A
-// group's floor key lower-bounds its plans' keys, so once the frontier
-// head is above this key, so is every plan still to come.
-constexpr double kOverflowKey = 1.0 + 1e-6;
+// once a plan is overlaid, max_i (U_i + r_i) / R_i, in integer units with
+// every R_i below 2^52, so it is above 1 exactly when U_i + r_i > R_i.
+// That bucket is one the plan touches: usage grows only through Acquire,
+// which checks the fit, and a bucket is declared once, so no bucket is
+// above capacity on its own. A group's floor key lower-bounds its plans'
+// keys, so once the frontier head is above this key, so is every plan
+// still to come.
+constexpr double kOverflowKey = 1.0;
 
 }  // namespace
 

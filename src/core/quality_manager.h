@@ -42,9 +42,10 @@
 // full ranking, so the adopted plan is the one an eager
 // materialize-and-sort walk would pick. Under the pure LRB key,
 // admissions and paused renegotiations also end a round where the
-// frontier head's key is above 1: every plan left overflows a bucket, so
-// stopping there changes no decision. The live swap walks on, because
-// its ranking still counts the reservation the swap releases.
+// frontier head's key is above 1 (exact in resource units): every plan
+// left overflows a bucket, so stopping there changes no decision, and a
+// Reserve denial can only be a race with another thread. The live swap
+// walks on, because its ranking counts the reservation it releases.
 //
 // The counters live only in the metrics registry passed at
 // construction; stats() reads them.

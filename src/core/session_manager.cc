@@ -52,8 +52,8 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
   record.expected_end = now + SecondsToSimTime(duration_seconds);
   MutexLock lock(&mu_);
   const SessionId id(next_seq_++);
-  if (record.vdbms_milli_kbps > 0) {
-    vdbms_site_milli_kbps_[record.site] += record.vdbms_milli_kbps;
+  if (record.vdbms_units > 0) {
+    vdbms_site_units_[record.site] += record.vdbms_units;
   }
   record.completion_event =
       simulator_->ScheduleAt(record.expected_end, [this, id] { Complete(id); });
@@ -84,10 +84,10 @@ std::optional<SessionManager::Record> SessionManager::Snapshot(
 
 double SessionManager::vdbms_active_kbps(SiteId site) const {
   MutexLock lock(&mu_);
-  auto it = vdbms_site_milli_kbps_.find(site);
-  return it == vdbms_site_milli_kbps_.end()
+  auto it = vdbms_site_units_.find(site);
+  return it == vdbms_site_units_.end()
              ? 0.0
-             : static_cast<double>(it->second) / 1000.0;
+             : FromResourceUnits(it->second);
 }
 
 int SessionManager::outstanding() const {
@@ -96,10 +96,10 @@ int SessionManager::outstanding() const {
 }
 
 void SessionManager::UnpinVdbms(const Record& record) {
-  if (record.vdbms_milli_kbps <= 0) return;
-  int64_t& active = vdbms_site_milli_kbps_[record.site];
-  assert(active >= record.vdbms_milli_kbps);
-  active -= record.vdbms_milli_kbps;
+  if (record.vdbms_units <= 0) return;
+  int64_t& active = vdbms_site_units_[record.site];
+  assert(active >= record.vdbms_units);
+  active -= record.vdbms_units;
 }
 
 Status SessionManager::Pause(SessionId session) {
@@ -156,8 +156,8 @@ Status SessionManager::Resume(SessionId session) {
     record.reservation = *reservation;
     record.reserved_vector = ResourceVector();  // the API holds it again
   }
-  if (record.vdbms_milli_kbps > 0) {
-    vdbms_site_milli_kbps_[record.site] += record.vdbms_milli_kbps;
+  if (record.vdbms_units > 0) {
+    vdbms_site_units_[record.site] += record.vdbms_units;
   }
   record.paused = false;
   record.expected_end = simulator_->Now() + record.remaining_at_pause;

@@ -1,7 +1,6 @@
 #ifndef QUASAQ_CORE_SESSION_MANAGER_H_
 #define QUASAQ_CORE_SESSION_MANAGER_H_
 
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -45,9 +44,9 @@ class SessionManager {
     LogicalOid content;
     SimTime start = 0;
     res::ReservationId reservation = res::kInvalidReservationId;
-    // Bitrate pinned on `site` (VDBMS only), in milli-KB/s: quantized
-    // once (ToMilliKbps) so pins and unpins add up exactly in any order.
-    int64_t vdbms_milli_kbps = 0;
+    // Bitrate pinned on `site` (VDBMS only), in resource units of KB/s
+    // (ToResourceUnits), so pins and unpins add up exactly in any order.
+    int64_t vdbms_units = 0;
     SiteId site;
     // Pause/resume bookkeeping.
     sim::EventId completion_event = sim::kInvalidEventId;
@@ -71,7 +70,7 @@ class SessionManager {
                  obs::Observability& observability);
 
   /// Registers a delivery and schedules its completion, and pins
-  /// `record.vdbms_milli_kbps` on the record's site. IDs are the dense
+  /// `record.vdbms_units` on the record's site. IDs are the dense
   /// sequence 1, 2, 3...
   SessionId Start(Record record, double duration_seconds)
       QUASAQ_EXCLUDES(mu_);
@@ -111,12 +110,6 @@ class SessionManager {
   /// Active VDBMS-pinned bitrate currently streaming from `site`, KB/s
   /// (the exact sum of the live pins; 0 once they are all unpinned).
   double vdbms_active_kbps(SiteId site) const QUASAQ_EXCLUDES(mu_);
-
-  /// Quantizes a bitrate in KB/s to the milli-KB/s units of
-  /// Record::vdbms_milli_kbps (rounding to nearest).
-  static int64_t ToMilliKbps(double kbps) {
-    return static_cast<int64_t>(std::llround(kbps * 1000.0));
-  }
 
   /// Sessions currently streaming or paused.
   int outstanding() const QUASAQ_EXCLUDES(mu_);
@@ -166,8 +159,8 @@ class SessionManager {
   mutable Mutex mu_;
   int64_t next_seq_ QUASAQ_GUARDED_BY(mu_) = 1;
   std::unordered_map<SessionId, Record> sessions_ QUASAQ_GUARDED_BY(mu_);
-  // Sum of the live pins per site, milli-KB/s.
-  std::unordered_map<SiteId, int64_t> vdbms_site_milli_kbps_
+  // Sum of the live pins per site, in resource units of KB/s.
+  std::unordered_map<SiteId, int64_t> vdbms_site_units_
       QUASAQ_GUARDED_BY(mu_);
   mutable Mutex config_mu_;
   CompleteCallback on_complete_ QUASAQ_GUARDED_BY(config_mu_);

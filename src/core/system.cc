@@ -211,8 +211,7 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverVdbms(
   SessionManager::Record record;
   record.content = content;
   record.site = site;
-  record.vdbms_milli_kbps =
-      SessionManager::ToMilliKbps(replica->bitrate_kbps);
+  record.vdbms_units = ToResourceUnits(replica->bitrate_kbps);
   record.trace_track = trace_track;
 
   outcome.status = Status::Ok();
@@ -413,7 +412,7 @@ std::string MediaDbSystem::ReportString() const {
     out += buf;
   }
   if (cache_manager_ != nullptr) {
-    out += "\n" + cache_manager_->ReportString();
+    out.append("\n").append(cache_manager_->ReportString());
   }
   return out;
 }

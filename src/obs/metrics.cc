@@ -59,7 +59,8 @@ std::string JsonLabelObject(const Labels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + JsonEscapeString(k) + "\": \"" + JsonEscapeString(v) + "\"";
+    out.append("\"").append(JsonEscapeString(k)).append("\": \"")
+        .append(JsonEscapeString(v)).append("\"");
   }
   out += '}';
   return out;
@@ -326,8 +327,8 @@ std::string MetricsRegistry::JsonSnapshot() const {
         for (const TimeSeries::Sample& s : history.samples()) {
           if (!first_sample) out += ", ";
           first_sample = false;
-          out += "[" + JsonNumberOrNull(SimTimeToSeconds(s.time)) + ", " +
-                 JsonNumberOrNull(s.value) + "]";
+          out.append("[").append(JsonNumberOrNull(SimTimeToSeconds(s.time)))
+              .append(", ").append(JsonNumberOrNull(s.value)).append("]");
         }
         out += ']';
       }

@@ -159,8 +159,8 @@ std::string Tracer::ChromeTraceJson() const {
       for (const auto& [key, value] : event.args) {
         if (!first_arg) body += ", ";
         first_arg = false;
-        body += "\"" + JsonEscapeString(key) + "\": \"" +
-                JsonEscapeString(value) + "\"";
+        body.append("\"").append(JsonEscapeString(key)).append("\": \"")
+            .append(JsonEscapeString(value)).append("\"");
       }
       body += '}';
     }

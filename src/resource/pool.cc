@@ -6,8 +6,13 @@
 namespace quasaq::res {
 
 namespace {
-// Tolerance for floating-point accumulation when checking capacity.
-constexpr double kSlack = 1e-9;
+// Capacities stay below 2^52 units, where every count is an exact
+// double and double(n) / double(R) is above 1 exactly when n > R.
+constexpr double kMaxCapacityUnits = 0x1p52;
+
+double Fill(int64_t units, int64_t capacity) {
+  return static_cast<double>(units) / static_cast<double>(capacity);
+}
 
 BucketId BucketAt(size_t slot) {
   return BucketId{SiteId(static_cast<int64_t>(slot / kNumResourceKinds)),
@@ -16,9 +21,11 @@ BucketId BucketAt(size_t slot) {
 }  // namespace
 
 Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
-  if (capacity <= 0.0) {
+  // Checked before it is converted (NaN fails too): 1 to 2^52 - 1 units.
+  const double scaled = capacity * kResourceUnitsPerAmount;
+  if (!(scaled >= 0.5 && scaled < kMaxCapacityUnits - 0.5)) {
     return Status::InvalidArgument("bucket " + BucketIdToString(bucket) +
-                                   " declared with non-positive capacity");
+                                   " needs a capacity of 1 to 2^52 - 1 units");
   }
   if (!bucket.site.valid()) {
     return Status::InvalidArgument("bucket " + BucketIdToString(bucket) +
@@ -27,8 +34,12 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
   MutexLock lock(&mu_);
   const size_t slot = Slot(bucket);
   if (slot >= buckets_.size()) buckets_.resize(slot + 1);
-  buckets_[slot].capacity = capacity;
-  RescanMaxFillLocked();
+  if (buckets_[slot].capacity != 0) {
+    return Status::AlreadyExists("bucket " + BucketIdToString(bucket) +
+                                 " is already declared");
+  }
+  // A new bucket is empty, so the max fill stands.
+  buckets_[slot].capacity = ToResourceUnits(capacity);
   return Status::Ok();
 }
 
@@ -36,18 +47,10 @@ const ResourcePool::BucketState* ResourcePool::FindLocked(
     const BucketId& bucket) const {
   if (!bucket.site.valid()) return nullptr;
   const size_t slot = Slot(bucket);
-  if (slot >= buckets_.size() || buckets_[slot].capacity == 0.0) {
+  if (slot >= buckets_.size() || buckets_[slot].capacity == 0) {
     return nullptr;
   }
   return &buckets_[slot];
-}
-
-void ResourcePool::RescanMaxFillLocked() {
-  max_fill_ = 0.0;
-  for (const BucketState& state : buckets_) {
-    if (state.capacity == 0.0) continue;
-    max_fill_ = std::max(max_fill_, state.used / state.capacity);
-  }
 }
 
 double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
@@ -56,7 +59,8 @@ double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
   for (const ResourceVector::Entry& e : demand.entries()) {
     const BucketState* state = FindLocked(e.bucket);
     if (state == nullptr) continue;
-    max_fill = std::max(max_fill, (state->used + e.amount) / state->capacity);
+    max_fill =
+        std::max(max_fill, Fill(state->used + e.units, state->capacity));
   }
   return max_fill;
 }
@@ -66,8 +70,9 @@ double ResourcePool::OverlaySquaredFill(const ResourceVector& demand) const {
   double total = 0.0;
   for (size_t slot = 0; slot < buckets_.size(); ++slot) {
     const BucketState& state = buckets_[slot];
-    if (state.capacity == 0.0) continue;
-    double fill = (state.used + demand.Get(BucketAt(slot))) / state.capacity;
+    if (state.capacity == 0) continue;
+    double fill =
+        Fill(state.used + demand.Units(BucketAt(slot)), state.capacity);
     total += fill * fill;
   }
   return total;
@@ -79,7 +84,7 @@ double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
   for (const ResourceVector::Entry& e : demand.entries()) {
     const BucketState* state = FindLocked(e.bucket);
     if (state == nullptr) continue;
-    total += e.amount / state->capacity;
+    total += Fill(e.units, state->capacity);
   }
   return total;
 }
@@ -91,33 +96,28 @@ std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
   out.reserve(buckets_.size());
   for (size_t slot = 0; slot < buckets_.size(); ++slot) {
     const BucketState& state = buckets_[slot];
-    if (state.capacity == 0.0) continue;
-    out.emplace_back(BucketAt(slot), state.used / state.capacity);
+    if (state.capacity == 0) continue;
+    out.emplace_back(BucketAt(slot), Fill(state.used, state.capacity));
   }
   return out;
-}
-
-bool ResourcePool::HasBucket(const BucketId& bucket) const {
-  MutexLock lock(&mu_);
-  return FindLocked(bucket) != nullptr;
 }
 
 double ResourcePool::Capacity(const BucketId& bucket) const {
   MutexLock lock(&mu_);
   const BucketState* state = FindLocked(bucket);
-  return state == nullptr ? 0.0 : state->capacity;
+  return state == nullptr ? 0.0 : FromResourceUnits(state->capacity);
 }
 
 double ResourcePool::Used(const BucketId& bucket) const {
   MutexLock lock(&mu_);
   const BucketState* state = FindLocked(bucket);
-  return state == nullptr ? 0.0 : state->used;
+  return state == nullptr ? 0.0 : FromResourceUnits(state->used);
 }
 
 double ResourcePool::Utilization(const BucketId& bucket) const {
   MutexLock lock(&mu_);
   const BucketState* state = FindLocked(bucket);
-  return state == nullptr ? 0.0 : state->used / state->capacity;
+  return state == nullptr ? 0.0 : Fill(state->used, state->capacity);
 }
 
 bool ResourcePool::FitsLocked(const ResourceVector& demand,
@@ -126,7 +126,7 @@ bool ResourcePool::FitsLocked(const ResourceVector& demand,
   for (const ResourceVector::Entry& e : demand.entries()) {
     const BucketState* state = FindLocked(e.bucket);
     if (state == nullptr) return false;
-    if (state->used + e.amount > state->capacity * (1.0 + kSlack)) {
+    if (e.units > state->capacity - state->used) {
       if (overflowed == nullptr) return false;
       ++(*overflowed)[static_cast<size_t>(e.bucket.kind)];
       fits = false;
@@ -156,8 +156,8 @@ Status ResourcePool::Acquire(const ResourceVector& demand,
   // max fill.
   for (const ResourceVector::Entry& e : demand.entries()) {
     BucketState& state = buckets_[Slot(e.bucket)];
-    state.used += e.amount;
-    max_fill_ = std::max(max_fill_, state.used / state.capacity);
+    state.used += e.units;
+    max_fill_ = std::max(max_fill_, Fill(state.used, state.capacity));
   }
   return Status::Ok();
 }
@@ -172,17 +172,19 @@ Status ResourcePool::Release(const ResourceVector& demand) {
       continue;
     }
     BucketState& state = buckets_[Slot(e.bucket)];
-    if (e.amount > state.used + state.capacity * kSlack) {
+    if (e.units > state.used) {
       status = Status::FailedPrecondition(
           "over-release on bucket " + BucketIdToString(e.bucket) +
           " (usage clamped to zero)");
     }
-    state.used = std::max(0.0, state.used - e.amount);
-    // Snap accumulated floating-point residue to a clean zero; real
-    // reservations are many orders of magnitude above this.
-    if (state.used < state.capacity * 1e-9) state.used = 0.0;
+    state.used = std::max<int64_t>(0, state.used - e.units);
   }
-  RescanMaxFillLocked();
+  // Fills only fell, so the max is found again over every bucket.
+  max_fill_ = 0.0;
+  for (const BucketState& state : buckets_) {
+    if (state.capacity == 0) continue;
+    max_fill_ = std::max(max_fill_, Fill(state.used, state.capacity));
+  }
   return status;
 }
 
@@ -190,7 +192,7 @@ std::vector<BucketId> ResourcePool::Buckets() const {
   MutexLock lock(&mu_);
   std::vector<BucketId> out;
   for (size_t slot = 0; slot < buckets_.size(); ++slot) {
-    if (buckets_[slot].capacity != 0.0) out.push_back(BucketAt(slot));
+    if (buckets_[slot].capacity != 0) out.push_back(BucketAt(slot));
   }
   return out;
 }

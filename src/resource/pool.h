@@ -28,19 +28,18 @@ namespace quasaq::res {
 
 class ResourcePool {
  public:
-  /// Declares a bucket with capacity `capacity` (> 0). Re-declaring an
-  /// existing bucket resets its capacity but keeps its usage. Fails
-  /// with kInvalidArgument on a non-positive capacity or an invalid
-  /// site (nothing is declared). Storage is dense in the site id, so
+  /// Declares a bucket with capacity `capacity`, 1 to 2^52 - 1 resource
+  /// units. Fails with kInvalidArgument on a capacity outside that range
+  /// or an invalid site, and with kAlreadyExists on a declared bucket;
+  /// nothing changes on failure. Storage is dense in the site id, so
   /// sites are expected to be numbered from 0.
   Status DeclareBucket(const BucketId& bucket, double capacity)
       QUASAQ_EXCLUDES(mu_);
 
-  bool HasBucket(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
   double Capacity(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
   double Used(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
 
-  /// U_i / R_i for one bucket, in [0, 1] under normal operation.
+  /// U_i / R_i for one bucket, in [0, 1].
   double Utilization(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
 
   /// True when every entry of `demand` fits: U_i + r_i <= R_i for all
@@ -72,12 +71,11 @@ class ResourcePool {
   std::vector<BucketId> Buckets() const QUASAQ_EXCLUDES(mu_);
 
   /// Overlay fill — the LRB inner loop: max over every declared bucket
-  /// of (U_i + demand_i) / R_i. A touched bucket's overlay is never
-  /// below its own fill U_i / R_i (amounts are >= 0 and IEEE addition
-  /// and division are monotone), so this is the max of the pool's
-  /// current max fill and the touched buckets' overlays: O(|demand|)
-  /// under one lock acquisition, and the same double the full scan over
-  /// Buckets() with Used()/Capacity() computes.
+  /// of (U_i + demand_i) / R_i, above 1 exactly when a bucket overflows.
+  /// A touched bucket's overlay is never below its own fill U_i / R_i,
+  /// so this is the max of the pool's current max fill and the touched
+  /// buckets' overlays: O(|demand|) under one lock acquisition, and the
+  /// same double a full scan of every bucket computes.
   double OverlayMaxFill(const ResourceVector& demand) const
       QUASAQ_EXCLUDES(mu_);
 
@@ -105,18 +103,18 @@ class ResourcePool {
       QUASAQ_EXCLUDES(mu_);
 
   /// The highest utilization across all declared buckets (a cached
-  /// scalar, kept current by DeclareBucket, Acquire and Release).
+  /// scalar, kept current by Acquire and Release).
   double MaxUtilization() const QUASAQ_EXCLUDES(mu_);
 
   /// Renders a one-line fill report, e.g. "site0/cpu=0.42 ...".
   std::string DebugString() const QUASAQ_EXCLUDES(mu_);
 
  private:
-  // A slot with capacity 0 was never declared (DeclareBucket rejects
-  // non-positive capacities).
+  // Resource units. A slot with capacity 0 was never declared
+  // (DeclareBucket rejects capacities below one unit).
   struct BucketState {
-    double capacity = 0.0;
-    double used = 0.0;
+    int64_t capacity = 0;
+    int64_t used = 0;
   };
 
   // The declared bucket's state, or nullptr when `bucket` is undeclared.
@@ -127,9 +125,6 @@ class ResourcePool {
   bool FitsLocked(const ResourceVector& demand,
                   KindCounts* overflowed = nullptr) const
       QUASAQ_REQUIRES(mu_);
-  // Recomputes max_fill_ from every declared bucket, after a change
-  // that can lower a fill (DeclareBucket, Release).
-  void RescanMaxFillLocked() QUASAQ_REQUIRES(mu_);
 
   mutable Mutex mu_;
   // Indexed by Slot(); buckets are never undeclared.

@@ -116,15 +116,17 @@ TEST_F(CachePlanTest, CachedVariantSwapsDiskForMemoryBandwidth) {
   BucketId membw{SiteId(0), ResourceKind::kMemoryBandwidth};
   size_t checked = 0;
   for (const Plan& plan : *plans) {
+    // Each share is quantized once, to the nearest resource unit.
     if (plan.IsCacheServed()) {
-      EXPECT_NEAR(plan.resources.Get(disk),
-                  replica_.bitrate_kbps * 0.4, 1e-9);
-      EXPECT_NEAR(plan.resources.Get(membw),
-                  replica_.bitrate_kbps * 0.6, 1e-9);
+      EXPECT_EQ(plan.resources.Units(disk),
+                ToResourceUnits(replica_.bitrate_kbps * (1.0 - 0.6)));
+      EXPECT_EQ(plan.resources.Units(membw),
+                ToResourceUnits(replica_.bitrate_kbps * 0.6));
       ++checked;
     } else {
-      EXPECT_NEAR(plan.resources.Get(disk), replica_.bitrate_kbps, 1e-9);
-      EXPECT_DOUBLE_EQ(plan.resources.Get(membw), 0.0);
+      EXPECT_EQ(plan.resources.Units(disk),
+                ToResourceUnits(replica_.bitrate_kbps));
+      EXPECT_EQ(plan.resources.Units(membw), 0);
     }
   }
   EXPECT_GT(checked, 0u);

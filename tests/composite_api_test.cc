@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
+
 namespace quasaq::res {
 namespace {
 
@@ -142,6 +146,56 @@ TEST_F(CompositeQosApiTest, ManyReservationsFillThePool) {
   }
   EXPECT_EQ(admitted, 6);  // 6 * 0.15 = 0.90; the 7th would hit 1.05
   EXPECT_EQ(api_.stats().rejected, 14u);
+}
+
+// The ledger invariant under a random operation sequence: after every
+// Reserve, Renegotiate and Release, each bucket's usage is exactly the
+// sum of the live reservations' vectors. The amounts lie on no grid, so
+// a ledger that summed doubles would drift away from that sum.
+TEST(CompositeQosApiSequenceTest, UsageIsExactlyTheLiveReservations) {
+  ResourcePool pool;
+  const std::vector<BucketId> buckets = {Cpu(0), Net(0), Cpu(1), Net(1)};
+  for (const BucketId& bucket : buckets) {
+    const bool cpu = bucket.kind == ResourceKind::kCpu;
+    ASSERT_TRUE(pool.DeclareBucket(bucket, cpu ? 1.0 : 3200.0).ok());
+  }
+  obs::MetricsRegistry registry;
+  CompositeQosApi api(&pool, registry);
+  Rng rng(20);
+  auto random_demand = [&] {
+    ResourceVector demand;
+    for (const BucketId& bucket : buckets) {
+      if (rng.Bernoulli(0.5)) {
+        demand.Add(bucket, rng.Uniform(0.0, pool.Capacity(bucket) / 6.0));
+      }
+    }
+    return demand;
+  };
+  std::vector<ReservationId> live;
+  for (int step = 0; step < 100'000; ++step) {
+    const double op = rng.NextDouble();
+    if (op < 0.4 || live.empty()) {
+      Result<ReservationId> id = api.Reserve(random_demand());
+      if (id.ok()) live.push_back(*id);
+    } else {
+      const auto i = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+      if (op < 0.7) {
+        (void)api.Renegotiate(live[i], random_demand());  // may not fit
+      } else {
+        ASSERT_TRUE(api.Release(live[i]).ok());
+        live[i] = live.back();
+        live.pop_back();
+      }
+    }
+    for (const BucketId& bucket : buckets) {
+      int64_t units = 0;
+      for (ReservationId id : live) units += api.Find(id)->Units(bucket);
+      ASSERT_EQ(pool.Used(bucket), FromResourceUnits(units))
+          << BucketIdToString(bucket) << " at step " << step;
+    }
+  }
+  EXPECT_EQ(api.active_reservations(), live.size());
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(ConcurrencyStressTest, PoolAcquireReleaseNeverCorruptsUsage) {
           ++admitted;
           // The snapshot any concurrent reader costs against is
           // internally consistent: usage never exceeds capacity.
-          EXPECT_LE(pool.MaxUtilization(), 1.0 + 1e-9);
+          EXPECT_LE(pool.MaxUtilization(), 1.0);
           ASSERT_TRUE(pool.Release(demand).ok());
         } else {
           ++rejected;
@@ -72,7 +72,7 @@ TEST(ConcurrencyStressTest, PoolAcquireReleaseNeverCorruptsUsage) {
   EXPECT_EQ(admitted + rejected, uint64_t{kThreads} * kIterations);
   // Every admitted demand was released: the pool drains to zero.
   for (int site = 0; site < 4; ++site) {
-    EXPECT_NEAR(pool.Used(Net(site)), 0.0, 1e-6);
+    EXPECT_EQ(pool.Used(Net(site)), 0.0);
   }
 }
 
@@ -105,7 +105,7 @@ TEST(ConcurrencyStressTest, CompositeApiReserveReleaseBalances) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(api.active_reservations(), 0u);
-  EXPECT_NEAR(pool.Used(Net(0)), 0.0, 1e-6);
+  EXPECT_EQ(pool.Used(Net(0)), 0.0);
   res::CompositeQosApi::Stats stats = api.stats();
   EXPECT_EQ(stats.admitted, stats.released);
 }
@@ -235,8 +235,7 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
             ASSERT_TRUE(r.ok());
             record.reservation = *r;
           } else {
-            record.vdbms_milli_kbps = core::SessionManager::ToMilliKbps(
-                rng.Uniform(100.0, 900.0));
+            record.vdbms_units = ToResourceUnits(rng.Uniform(100.0, 900.0));
           }
           started[t].push_back(
               manager.Start(record, rng.Uniform(10.0, 120.0)));
@@ -305,8 +304,8 @@ TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
   // Release-exactly-once: every reservation returned, every VDBMS pin
   // unwound, the pool fully drained.
   EXPECT_EQ(api.active_reservations(), 0u);
-  EXPECT_NEAR(pool.Used(Net(0)), 0.0, 1e-3);
-  EXPECT_DOUBLE_EQ(manager.vdbms_active_kbps(SiteId(0)), 0.0);
+  EXPECT_EQ(pool.Used(Net(0)), 0.0);
+  EXPECT_EQ(manager.vdbms_active_kbps(SiteId(0)), 0.0);
 }
 
 // The full admission pipeline under 8 submitter threads: concurrent

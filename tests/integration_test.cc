@@ -169,7 +169,7 @@ TEST(ResourceAccountingTest, UtilizationNeverExceedsCapacity) {
   for (int i = 0; i < 400; ++i) {
     workload::QuerySpec spec = traffic.Next();
     system.SubmitDelivery(spec.client_site, spec.content, spec.qos);
-    EXPECT_LE(system.pool().MaxUtilization(), 1.0 + 1e-9);
+    EXPECT_LE(system.pool().MaxUtilization(), 1.0);
   }
 }
 

@@ -336,7 +336,7 @@ void ExpectIdenticalPlans(const Plan& expected, const Plan& actual) {
     const ResourceVector::Entry& want = expected.resources.entries()[i];
     const ResourceVector::Entry& got = actual.resources.entries()[i];
     EXPECT_EQ(got.bucket, want.bucket) << BucketIdToString(want.bucket);
-    EXPECT_EQ(got.amount, want.amount) << BucketIdToString(want.bucket);
+    EXPECT_EQ(got.units, want.units) << BucketIdToString(want.bucket);
   }
 }
 

@@ -58,8 +58,8 @@ void ExpectIdenticalPlans(const Plan& want, const Plan& got) {
   for (size_t i = 0; i < want.resources.size(); ++i) {
     EXPECT_EQ(got.resources.entries()[i].bucket,
               want.resources.entries()[i].bucket);
-    EXPECT_EQ(got.resources.entries()[i].amount,
-              want.resources.entries()[i].amount);
+    EXPECT_EQ(got.resources.entries()[i].units,
+              want.resources.entries()[i].units);
   }
 }
 
@@ -276,7 +276,7 @@ TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
           for (const Plan& plan : plans) {
             // Component-wise, and therefore under the LRB overlay.
             for (const ResourceVector::Entry& e : floor.entries()) {
-              EXPECT_LE(e.amount, plan.resources.Get(e.bucket))
+              EXPECT_LE(e.units, plan.resources.Units(e.bucket))
                   << BucketIdToString(e.bucket) << " of " << plan.ToString();
             }
             EXPECT_LE(bound, lrb_.Cost(plan.resources, pool_))
@@ -409,8 +409,8 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
       EXPECT_EQ(shared_floor.ToString(), own_floor.ToString());
       ASSERT_EQ(shared_floor.size(), own_floor.size());
       for (size_t i = 0; i < own_floor.size(); ++i) {
-        EXPECT_EQ(shared_floor.entries()[i].amount,
-                  own_floor.entries()[i].amount);
+        EXPECT_EQ(shared_floor.entries()[i].units,
+                  own_floor.entries()[i].units);
       }
       ++shared_pairs;
     }
@@ -659,7 +659,7 @@ TEST(ExplainLimitTest, GenerationStopsAtTheLimit) {
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kCpu}, 1e9).ok());
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kNetworkBandwidth}, 1e9).ok());
   ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kDiskBandwidth}, 2000.0).ok());
-  ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kMemory}, 1e12).ok());
+  ASSERT_TRUE(pool.DeclareBucket({SiteId(0), ResourceKind::kMemory}, 1e9).ok());
   obs::Observability observability;
   res::CompositeQosApi api(&pool, observability.metrics());
   LrbCostModel lrb;

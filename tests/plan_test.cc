@@ -78,13 +78,13 @@ TEST(PlanTest, RelayedPlanCostsMoreThanLocal) {
   relayed.delivery_site = SiteId(0);
   FinalizePlan(relayed, remote, PlanCostConstants{});
 
-  double local_total = 0.0;
+  int64_t local_total = 0;
   for (const auto& e : local_plan.resources.entries()) {
-    local_total += e.amount;
+    local_total += e.units;
   }
-  double relayed_total = 0.0;
+  int64_t relayed_total = 0;
   for (const auto& e : relayed.resources.entries()) {
-    relayed_total += e.amount;
+    relayed_total += e.units;
   }
   EXPECT_GT(relayed_total, local_total);
 }

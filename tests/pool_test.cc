@@ -19,9 +19,8 @@ BucketId Net(int site) {
 
 TEST(ResourcePoolTest, DeclareAndQuery) {
   ResourcePool pool;
-  EXPECT_FALSE(pool.HasBucket(Cpu(0)));
+  EXPECT_EQ(pool.Capacity(Cpu(0)), 0.0);
   ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 1.0).ok());
-  EXPECT_TRUE(pool.HasBucket(Cpu(0)));
   EXPECT_DOUBLE_EQ(pool.Capacity(Cpu(0)), 1.0);
   EXPECT_DOUBLE_EQ(pool.Used(Cpu(0)), 0.0);
   EXPECT_DOUBLE_EQ(pool.Utilization(Cpu(0)), 0.0);
@@ -32,7 +31,7 @@ TEST(ResourcePoolTest, DeclareRejectsInvalidSite) {
   const BucketId invalid{SiteId(), ResourceKind::kCpu};
   EXPECT_EQ(pool.DeclareBucket(invalid, 1.0).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_FALSE(pool.HasBucket(invalid));
+  EXPECT_EQ(pool.Capacity(invalid), 0.0);
   EXPECT_TRUE(pool.Buckets().empty());
   // A demand on it is an undeclared bucket like any other.
   ResourceVector demand;
@@ -184,15 +183,60 @@ TEST(ResourcePoolTest, DebugStringListsBuckets) {
   EXPECT_NE(s.find("site0/cpu"), std::string::npos);
 }
 
-TEST(ResourcePoolTest, RedeclareKeepsUsage) {
+// A bucket is declared once: a second declaration below its usage would
+// leave it above capacity.
+TEST(ResourcePoolTest, RedeclareFailsAndChangesNothing) {
   ResourcePool pool;
   ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 1.0).ok());
   ResourceVector demand;
   demand.Add(Cpu(0), 0.5);
   ASSERT_TRUE(pool.Acquire(demand).ok());
-  ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 2.0).ok());  // capacity upgrade
-  EXPECT_DOUBLE_EQ(pool.Used(Cpu(0)), 0.5);
-  EXPECT_DOUBLE_EQ(pool.Utilization(Cpu(0)), 0.25);
+  EXPECT_EQ(pool.DeclareBucket(Cpu(0), 0.25).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(pool.Capacity(Cpu(0)), 1.0);
+  EXPECT_EQ(pool.Used(Cpu(0)), 0.5);
+  EXPECT_EQ(pool.MaxUtilization(), 0.5);
+}
+
+TEST(ResourcePoolTest, DeclareRejectsCapacitiesOutsideTheUnitRange) {
+  ResourcePool pool;
+  // Below one unit, and above 2^52 units (4.5036e15), where fills would
+  // no longer be exact.
+  EXPECT_EQ(pool.DeclareBucket(Cpu(0), 4e-7).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.DeclareBucket(Cpu(0), 4.6e9).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(pool.Buckets().empty());
+  ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 4.5e9).ok());
+  EXPECT_EQ(pool.Capacity(Cpu(0)), 4.5e9);
+}
+
+// Usage is counted in whole units, so a bucket filled to capacity by
+// amounts that do not add up exactly as doubles is exactly full: it
+// admits nothing more, and it drains to exactly zero.
+TEST(ResourcePoolTest, FitIsExactInUnits) {
+  ResourcePool pool;
+  ASSERT_TRUE(pool.DeclareBucket(Cpu(0), 0.3).ok());
+  ResourceVector tenth;
+  tenth.Add(Cpu(0), 0.1);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pool.Acquire(tenth).ok());
+  EXPECT_EQ(pool.Utilization(Cpu(0)), 1.0);
+  ResourceVector one_unit;
+  one_unit.Add(Cpu(0), 1e-6);
+  EXPECT_EQ(pool.Acquire(one_unit).code(), StatusCode::kResourceExhausted);
+  EXPECT_GT(pool.OverlayMaxFill(one_unit), 1.0);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pool.Release(tenth).ok());
+  EXPECT_EQ(pool.Used(Cpu(0)), 0.0);
+  EXPECT_EQ(pool.Release(one_unit).code(), StatusCode::kFailedPrecondition);
+}
+
+// Fill from the public getters: Used() and Capacity() read whole units,
+// so converting them back recovers the pool's integers.
+double FillOf(const ResourcePool& pool, const BucketId& bucket,
+              int64_t demand_units) {
+  return static_cast<double>(ToResourceUnits(pool.Used(bucket)) +
+                             demand_units) /
+         static_cast<double>(ToResourceUnits(pool.Capacity(bucket)));
 }
 
 // The definition OverlayMaxFill must reproduce: a scan of every
@@ -201,10 +245,7 @@ double BruteForceMaxFill(const ResourcePool& pool,
                          const ResourceVector& demand) {
   double max_fill = 0.0;
   for (const BucketId& bucket : pool.Buckets()) {
-    double capacity = pool.Capacity(bucket);
-    if (capacity <= 0.0) continue;
-    max_fill =
-        std::max(max_fill, (pool.Used(bucket) + demand.Get(bucket)) / capacity);
+    max_fill = std::max(max_fill, FillOf(pool, bucket, demand.Units(bucket)));
   }
   return max_fill;
 }
@@ -218,7 +259,7 @@ void ExpectFillsMatchBruteForce(const ResourcePool& pool) {
   ASSERT_EQ(snapshot.size(), buckets.size());
   double max_fill = 0.0;
   for (size_t i = 0; i < buckets.size(); ++i) {
-    double fill = pool.Used(buckets[i]) / pool.Capacity(buckets[i]);
+    double fill = FillOf(pool, buckets[i], 0);
     max_fill = std::max(max_fill, fill);
     EXPECT_EQ(snapshot[i].first, buckets[i]);
     EXPECT_EQ(Bits(snapshot[i].second), Bits(fill))
@@ -229,8 +270,8 @@ void ExpectFillsMatchBruteForce(const ResourcePool& pool) {
 
 TEST(ResourcePoolPropertyTest, OverlayMaxFillEqualsBruteForceScan) {
   // Capacities and amounts on a coarse binary grid, so many buckets
-  // share the same fill (ties at the max). Releases and re-declares
-  // that grow a capacity lower fills, so the cached max must come down.
+  // share the same fill (ties at the max). Releases lower fills, so the
+  // cached max must come down.
   const double capacities[] = {1.0, 2.0, 4.0, 8.0};
   auto random_bucket = [](Rng& rng) {
     return BucketId{SiteId(rng.UniformInt(0, 5)),
@@ -241,7 +282,7 @@ TEST(ResourcePoolPropertyTest, OverlayMaxFillEqualsBruteForceScan) {
     ResourceVector v;
     int64_t n = rng.UniformInt(0, max_entries);  // 0 = empty demand
     for (int64_t i = 0; i < n; ++i) {
-      // Zero-amount entries included; buckets may be undeclared.
+      // Zero amounts make no entry; buckets may be undeclared.
       v.Add(random_bucket(rng),
             0.25 * static_cast<double>(rng.UniformInt(0, 6)));
     }
@@ -253,25 +294,21 @@ TEST(ResourcePoolPropertyTest, OverlayMaxFillEqualsBruteForceScan) {
     ResourcePool pool;
     std::vector<ResourceVector> held;
     for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(pool.DeclareBucket(random_bucket(rng),
-                                     capacities[rng.UniformInt(0, 3)])
-                      .ok());
+      // A bucket drawn twice keeps its first declaration.
+      Status declared = pool.DeclareBucket(random_bucket(rng),
+                                           capacities[rng.UniformInt(0, 3)]);
+      ASSERT_TRUE(declared.ok() ||
+                  declared.code() == StatusCode::kAlreadyExists);
     }
     for (int step = 0; step < 300; ++step) {
       double op = rng.NextDouble();
-      if (op < 0.1) {
-        ASSERT_TRUE(pool.DeclareBucket(random_bucket(rng),
-                                       capacities[rng.UniformInt(0, 3)])
-                        .ok());
-      } else if (op < 0.4) {
+      if (op < 0.3) {
         ResourceVector demand = random_vector(rng, 4);
         if (pool.Acquire(demand).ok()) held.push_back(std::move(demand));
-      } else if (op < 0.55 && !held.empty()) {
+      } else if (op < 0.45 && !held.empty()) {
         size_t i = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
-        // Redeclared (shrunk) buckets may clamp; the status is not
-        // what this test checks.
-        (void)pool.Release(held[i]);
+        ASSERT_TRUE(pool.Release(held[i]).ok());
         held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
       }
       ResourceVector demand = random_vector(rng, 7);

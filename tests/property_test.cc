@@ -84,11 +84,11 @@ TEST_P(PoolPropertyTest, AcquireReleaseSequencesBalance) {
       demand.Add(bucket, rng.Uniform(0.0, 2.0));
       if (pool.Acquire(demand).ok()) held.push_back(demand);
     }
-    EXPECT_LE(pool.Used(bucket), pool.Capacity(bucket) + 1e-9);
-    EXPECT_GE(pool.Used(bucket), -1e-9);
+    EXPECT_LE(pool.Used(bucket), pool.Capacity(bucket));
+    EXPECT_GE(pool.Used(bucket), 0.0);
   }
   for (const ResourceVector& demand : held) ASSERT_TRUE(pool.Release(demand).ok());
-  EXPECT_NEAR(pool.Used(bucket), 0.0, 1e-6);
+  EXPECT_EQ(pool.Used(bucket), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolPropertyTest,
@@ -213,7 +213,7 @@ TEST_P(PlanSpaceSweepTest, GeneratedPlansAreWellFormedAndSatisfying) {
     // Resource vectors are strictly positive and touch only real sites.
     EXPECT_FALSE(plan.resources.empty());
     for (const ResourceVector::Entry& e : plan.resources.entries()) {
-      EXPECT_GT(e.amount, 0.0) << plan.ToString();
+      EXPECT_GT(e.units, 0) << plan.ToString();
       EXPECT_GE(e.bucket.site.value(), 0);
       EXPECT_LT(e.bucket.site.value(), 3);
     }

@@ -168,6 +168,59 @@ TEST_F(QualityManagerTest, ExhaustedResourcesReject) {
   EXPECT_EQ(api_.stats().rejected, 0u);
 }
 
+// The LRB key is exact. The top-ranked plan of an empty pool is
+// admitted when every bucket has exactly its share free: its key is 1.
+// With one unit less free on its binding bucket (the one it fills
+// most), no plan fits: one that did would need less of every bucket, so
+// it would have ranked first. Every key is then above 1, and the walk
+// stops before Reserve is asked.
+TEST_F(QualityManagerTest, ExactFillIsAdmittedAndOneUnitMoreStops) {
+  QualityManager manager = MakeManager();
+  Result<QualityManager::Admitted> first =
+      manager.AdmitQuery(SiteId(0), LogicalOid(0), WideQos());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const ResourceVector top = first->plan.resources;
+  ASSERT_TRUE(manager.CompleteDelivery(*first).ok());
+  auto share = [&](const BucketId& bucket) {
+    return top.Get(bucket) / pool_.Capacity(bucket);
+  };
+  BucketId binding = top.entries().front().bucket;
+  for (const ResourceVector::Entry& e : top.entries()) {
+    if (share(e.bucket) > share(binding)) binding = e.bucket;
+  }
+  // Fills every bucket but `top`'s share, less `short_units` on the
+  // binding bucket.
+  auto load_all_but_top = [&](int64_t short_units) {
+    ResourceVector load;
+    for (const BucketId& bucket : pool_.Buckets()) {
+      int64_t units = ToResourceUnits(pool_.Capacity(bucket)) -
+                      top.Units(bucket);
+      if (bucket == binding) units += short_units;
+      load.Add(bucket, FromResourceUnits(units));
+    }
+    return load;
+  };
+
+  const ResourceVector exact_load = load_all_but_top(0);
+  ASSERT_TRUE(pool_.Acquire(exact_load).ok());
+  Result<QualityManager::Admitted> exact =
+      manager.AdmitQuery(SiteId(0), LogicalOid(0), WideQos());
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  for (const ResourceVector::Entry& e : exact->plan.resources.entries()) {
+    EXPECT_EQ(pool_.Used(e.bucket), pool_.Capacity(e.bucket))
+        << BucketIdToString(e.bucket);
+  }
+  ASSERT_TRUE(manager.CompleteDelivery(*exact).ok());
+  ASSERT_TRUE(pool_.Release(exact_load).ok());
+
+  ASSERT_TRUE(pool_.Acquire(load_all_but_top(1)).ok());
+  Result<QualityManager::Admitted> over =
+      manager.AdmitQuery(SiteId(0), LogicalOid(0), WideQos());
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(api_.stats().rejected, 0u);
+}
+
 TEST_F(QualityManagerTest, WalksRankingPastInadmissiblePlans) {
   QualityManager manager = MakeManager();
   // Fill site 0's network almost completely: local low-rate plans still
@@ -281,7 +334,7 @@ TEST_F(QualityManagerTest, RenegotiationHonorsTheAttemptCap) {
   ASSERT_EQ(held->size(), before.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(held->entries()[i].bucket, before.entries()[i].bucket);
-    EXPECT_EQ(held->entries()[i].amount, before.entries()[i].amount);
+    EXPECT_EQ(held->entries()[i].units, before.entries()[i].units);
   }
   EXPECT_EQ(pool_.DebugString(), pool_before);
 
@@ -327,7 +380,7 @@ TEST_F(QualityManagerTest, LiveSwapWalksPastTheOverflowKey) {
   // The adopted plan's key, counting the reservation it replaced.
   EXPECT_GT((own_used + swapped->plan.resources.Get(own_net)) /
                 pool_.Capacity(own_net),
-            1.0 + 1e-6);
+            1.0);
 }
 
 TEST_F(QualityManagerTest, StatsCountPlansGenerated) {

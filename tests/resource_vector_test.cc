@@ -72,24 +72,30 @@ TEST(ResourceVectorTest, EntriesStaySorted) {
   EXPECT_EQ(v.entries()[2].bucket, Net(1));
 }
 
-TEST(ResourceVectorTest, MergeAddsEntries) {
-  ResourceVector a;
-  a.Add(Cpu(0), 0.1);
-  ResourceVector b;
-  b.Add(Cpu(0), 0.2);
-  b.Add(Net(0), 50.0);
-  a.Merge(b);
-  EXPECT_NEAR(a.Get(Cpu(0)), 0.3, 1e-12);
-  EXPECT_DOUBLE_EQ(a.Get(Net(0)), 50.0);
+TEST(ResourceVectorTest, AmountsAreWholeUnits) {
+  EXPECT_EQ(ToResourceUnits(0.25), 250'000);
+  EXPECT_EQ(ToResourceUnits(1.4e-6), 1);
+  EXPECT_EQ(ToResourceUnits(1.6e-6), 2);
+  EXPECT_EQ(ToResourceUnits(-1.6e-6), -2);
+  EXPECT_EQ(FromResourceUnits(250'000), 0.25);
+  ResourceVector v;
+  v.Add(Cpu(0), 0.1);
+  v.Add(Cpu(0), 0.2);
+  // Units add exactly, where 0.1 + 0.2 as doubles is not 0.3.
+  EXPECT_EQ(v.Units(Cpu(0)), 300'000);
+  EXPECT_EQ(v.Get(Cpu(0)), 0.3);
 }
 
-TEST(ResourceVectorTest, ScaleMultipliesEverything) {
+// An entry exists exactly while it holds a positive number of units,
+// whether it was written by Add or by Set.
+TEST(ResourceVectorTest, SubUnitAmountsMakeNoEntry) {
   ResourceVector v;
-  v.Add(Cpu(0), 2.0);
-  v.Add(Net(0), 10.0);
-  v.Scale(0.5);
-  EXPECT_DOUBLE_EQ(v.Get(Cpu(0)), 1.0);
-  EXPECT_DOUBLE_EQ(v.Get(Net(0)), 5.0);
+  v.Add(Cpu(0), 3.5e-14);
+  v.Set(Net(0), 3.5e-14);
+  EXPECT_TRUE(v.empty());
+  v.Add(Cpu(0), 0.5);
+  v.Add(Cpu(0), -0.5);
+  EXPECT_TRUE(v.empty());
 }
 
 TEST(ResourceVectorTest, ToStringListsEntries) {

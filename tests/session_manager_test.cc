@@ -78,8 +78,8 @@ TEST_F(SessionManagerTest, StartCapturesVectorAndCompletesOnce) {
   for (size_t i = 0; i < running.size(); ++i) {
     EXPECT_EQ(record->reserved_vector.entries()[i].bucket,
               running.entries()[i].bucket);
-    EXPECT_EQ(record->reserved_vector.entries()[i].amount,
-              running.entries()[i].amount);
+    EXPECT_EQ(record->reserved_vector.entries()[i].units,
+              running.entries()[i].units);
   }
   ASSERT_TRUE(manager_.Resume(id).ok());
   EXPECT_TRUE(manager_.Find(id)->reserved_vector.empty());
@@ -156,11 +156,11 @@ TEST_F(SessionManagerTest, VdbmsPinningIsKeyedBySite) {
   SessionManager::Record a;
   a.content = LogicalOid(0);
   a.site = SiteId(0);
-  a.vdbms_milli_kbps = SessionManager::ToMilliKbps(500.0);
+  a.vdbms_units = ToResourceUnits(500.0);
   SessionManager::Record b;
   b.content = LogicalOid(1);
   b.site = SiteId(1);
-  b.vdbms_milli_kbps = SessionManager::ToMilliKbps(300.0);
+  b.vdbms_units = ToResourceUnits(300.0);
   SessionId id_a = manager_.Start(std::move(a), 60.0);
   manager_.Start(std::move(b), 60.0);
   EXPECT_DOUBLE_EQ(manager_.vdbms_active_kbps(SiteId(0)), 500.0);
