@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
-// fluid-server rescheduling, VBR frame generation, metadata access with
-// and without cache hits, content search, and resource-pool operations.
+// VBR frame generation, metadata access with and without cache hits,
+// content search, and resource-pool operations.
 
 #include <benchmark/benchmark.h>
 
@@ -11,12 +11,10 @@
 #include "media/frames.h"
 #include "media/library.h"
 #include "metadata/distributed_engine.h"
-#include "metadata/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/content_search.h"
 #include "resource/pool.h"
-#include "simcore/fluid.h"
 #include "simcore/simulator.h"
 
 namespace {
@@ -33,21 +31,6 @@ void BM_SimulatorScheduleExecute(benchmark::State& state) {
   benchmark::DoNotOptimize(counter);
 }
 BENCHMARK(BM_SimulatorScheduleExecute);
-
-void BM_FluidServerAddRemove(benchmark::State& state) {
-  sim::Simulator simulator;
-  sim::FluidServer server(&simulator, 3200.0);
-  // A standing population so every add re-solves a non-trivial
-  // allocation.
-  for (int i = 0; i < 16; ++i) {
-    server.AddFlow(1e12, 190.0, nullptr);
-  }
-  for (auto _ : state) {
-    sim::FlowId id = server.AddFlow(1e12, 119.0, nullptr);
-    server.RemoveFlow(id);
-  }
-}
-BENCHMARK(BM_FluidServerAddRemove);
 
 void BM_FrameGeneration(benchmark::State& state) {
   media::FrameSizeGenerator generator(media::GopPattern::Standard(), 119.0,
@@ -131,28 +114,6 @@ void BM_ContentSimilaritySearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ContentSimilaritySearch);
-
-void BM_CatalogSerialize(benchmark::State& state) {
-  static MetadataFixture* fixture = new MetadataFixture();
-  for (auto _ : state) {
-    std::string snapshot = meta::SerializeCatalog(fixture->engine);
-    benchmark::DoNotOptimize(snapshot);
-  }
-}
-BENCHMARK(BM_CatalogSerialize);
-
-void BM_CatalogLoad(benchmark::State& state) {
-  static MetadataFixture* fixture = new MetadataFixture();
-  std::string snapshot = meta::SerializeCatalog(fixture->engine);
-  for (auto _ : state) {
-    meta::DistributedMetadataEngine engine(
-        fixture->sites, meta::DistributedMetadataEngine::Options());
-    Status status = meta::LoadCatalog(snapshot, &engine);
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetLabel(std::to_string(snapshot.size()) + " bytes");
-}
-BENCHMARK(BM_CatalogLoad);
 
 void BM_ResourcePoolAcquireRelease(benchmark::State& state) {
   res::ResourcePool pool;

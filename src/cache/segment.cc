@@ -8,11 +8,6 @@
 
 namespace quasaq::cache {
 
-std::string SegmentKeyToString(const SegmentKey& key) {
-  return "oid" + std::to_string(key.replica.value()) + "#" +
-         std::to_string(key.index);
-}
-
 SegmentLayout SegmentLayout::For(const media::ReplicaInfo& replica,
                                  const Options& options) {
   assert(replica.bitrate_kbps > 0.0);
@@ -46,19 +41,6 @@ double SegmentLayout::SegmentKb(int index) const {
   double remainder =
       total_kb_ - full_segment_kb_ * static_cast<double>(num_segments_ - 1);
   return std::clamp(remainder, 0.0, full_segment_kb_);
-}
-
-double SegmentLayout::PrefixKb(int segments) const {
-  segments = std::clamp(segments, 0, num_segments_);
-  double total = 0.0;
-  for (int i = 0; i < segments; ++i) total += SegmentKb(i);
-  return total;
-}
-
-int SegmentLayout::SegmentAtOffsetKb(double offset_kb) const {
-  if (full_segment_kb_ <= 0.0 || offset_kb <= 0.0) return 0;
-  int index = static_cast<int>(offset_kb / full_segment_kb_);
-  return std::clamp(index, 0, num_segments_ - 1);
 }
 
 }  // namespace quasaq::cache

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "common/ids.h"
 #include "media/video.h"
@@ -28,12 +27,9 @@ struct SegmentKey {
   friend auto operator<=>(const SegmentKey& a, const SegmentKey& b) = default;
 };
 
-/// Renders e.g. "oid7#3".
-std::string SegmentKeyToString(const SegmentKey& key);
-
 // The deterministic segment geometry of one replica. Pure function of the
 // replica record and the layout options, so every component (cache,
-// storage manager, planner) derives the same geometry independently.
+// planner) derives the same geometry independently.
 class SegmentLayout {
  public:
   struct Options {
@@ -59,13 +55,6 @@ class SegmentLayout {
   /// Size in KB of segment `index`; the last segment carries the
   /// remainder and may be smaller (never larger).
   double SegmentKb(int index) const;
-
-  /// Sum of SegmentKb over the first `segments` segments.
-  double PrefixKb(int segments) const;
-
-  /// The segment containing byte offset `offset_kb` (clamped to the
-  /// valid range).
-  int SegmentAtOffsetKb(double offset_kb) const;
 
  private:
   SegmentLayout() = default;

@@ -66,8 +66,4 @@ size_t Rng::Zipf(size_t n, double s) {
   return WeightedIndex(weights);
 }
 
-Rng Rng::Fork() {
-  return Rng(engine_());
-}
-
 }  // namespace quasaq

@@ -47,10 +47,6 @@ class Rng {
   /// paper's uniform-access workload.
   size_t Zipf(size_t n, double s);
 
-  /// Derives an independent generator; useful to give each simulated
-  /// entity its own stream from one experiment seed.
-  Rng Fork();
-
  private:
   std::mt19937_64 engine_;
 };

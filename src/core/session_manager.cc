@@ -183,6 +183,7 @@ Status SessionManager::Cancel(SessionId session) {
   }
   // Paused sessions already returned their resources.
   if (!record.paused) UnpinVdbms(record);
+  simulator_->Cancel(record.completion_event);
   const SimTime now = simulator_->Now();
   if (record.trace_track != 0) {
     tracer_->Instant(record.trace_track, "session.cancelled", now);

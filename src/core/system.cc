@@ -95,23 +95,14 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
 
     if (options_.replication.enabled) {
       int64_t max_oid = 0;
-      std::vector<storage::StorageManager*> raw_stores;
+      std::vector<storage::ObjectStore*> raw_stores;
       for (const net::ServerSpec& server : options_.topology.servers) {
-        storage::StorageManager::Options store_options;
-        store_options.disk_bandwidth_kbps = server.disk_kbps;
-        store_options.capacity_kb = options_.replication.storage_capacity_kb;
-        if (cache_manager_ != nullptr) {
-          store_options.segment_layout = options_.cache.manager.layout;
-        }
-        storage_.push_back(std::make_unique<storage::StorageManager>(
-            server.id, store_options));
-        if (cache_manager_ != nullptr) {
-          storage_.back()->AttachCache(cache_manager_->at(server.id));
-        }
+        storage_.push_back(std::make_unique<storage::ObjectStore>(
+            server.id, options_.replication.storage_capacity_kb));
         raw_stores.push_back(storage_.back().get());
       }
       for (const media::ReplicaInfo& replica : library_.replicas) {
-        Status status = storage_at(replica.site)->store().Put(replica);
+        Status status = storage_at(replica.site)->Put(replica);
         assert(status.ok());
         (void)status;
         max_oid = std::max(max_oid, replica.id.value());

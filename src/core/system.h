@@ -26,7 +26,7 @@
 #include "resource/pool.h"
 #include "resource/telemetry.h"
 #include "simcore/simulator.h"
-#include "storage/storage_manager.h"
+#include "storage/object_store.h"
 
 // End-to-end system facades for the three configurations the paper
 // evaluates (Figures 6 and 7):
@@ -82,7 +82,7 @@ class MediaDbSystem {
     meta::QosSampler::Options sampler;
 
     // Dynamic online replication (QuaSAQ only). When enabled the system
-    // instantiates per-site storage managers, tracks per-(content,
+    // instantiates per-site object stores, tracks per-(content,
     // quality) demand and lets a ReplicationManager materialize/evict
     // replicas at runtime.
     struct DynamicReplication {
@@ -238,8 +238,8 @@ class MediaDbSystem {
   repl::ReplicationManager* replication_manager() {
     return replication_manager_.get();
   }
-  /// The storage manager of `site`; non-null only with replication on.
-  storage::StorageManager* storage_at(SiteId site) {
+  /// The object store of `site`; non-null only with replication on.
+  storage::ObjectStore* storage_at(SiteId site) {
     for (auto& store : storage_) {
       if (store->site() == site) return store.get();
     }
@@ -296,7 +296,7 @@ class MediaDbSystem {
   SessionManager session_manager_;
   std::unique_ptr<CostModel> cost_model_;
   std::unique_ptr<QualityManager> quality_manager_;
-  std::vector<std::unique_ptr<storage::StorageManager>> storage_;
+  std::vector<std::unique_ptr<storage::ObjectStore>> storage_;
   std::unique_ptr<repl::ReplicationManager> replication_manager_;
   std::unique_ptr<cache::CacheManager> cache_manager_;
   std::unique_ptr<res::PoolTelemetry> pool_telemetry_;

@@ -10,7 +10,7 @@
 // delivery plan may compose after object retrieval — frame dropping,
 // online transcoding, and encryption. Each activity exposes the cost
 // model the Plan Generator uses to build a plan's resource vector and the
-// stream transformation the executor applies.
+// stream transformation an RTP streaming session applies.
 
 namespace quasaq::media {
 

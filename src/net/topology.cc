@@ -31,19 +31,4 @@ const ServerSpec* Topology::Find(SiteId id) const {
   return nullptr;
 }
 
-NetworkModel::NetworkModel(sim::Simulator* simulator,
-                           const Topology& topology)
-    : topology_(topology) {
-  for (const ServerSpec& spec : topology_.servers) {
-    links_.emplace(spec.id, std::make_unique<sim::FluidServer>(
-                                simulator, spec.outbound_kbps));
-  }
-}
-
-sim::FluidServer& NetworkModel::OutboundLink(SiteId site) {
-  auto it = links_.find(site);
-  assert(it != links_.end());
-  return *it->second;
-}
-
 }  // namespace quasaq::net

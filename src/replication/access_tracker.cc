@@ -24,15 +24,6 @@ void AccessTracker::Expire(std::deque<SimTime>& events, SimTime now) const {
   }
 }
 
-double AccessTracker::DemandRate(LogicalOid content, int ladder_level,
-                                 SimTime now) {
-  auto it = events_.find(DemandKey{content, ladder_level});
-  if (it == events_.end()) return 0.0;
-  Expire(it->second, now);
-  return static_cast<double>(it->second.size()) /
-         SimTimeToSeconds(window_);
-}
-
 std::vector<std::pair<DemandKey, double>> AccessTracker::RankedDemand(
     SimTime now) {
   std::vector<std::pair<DemandKey, double>> ranked;

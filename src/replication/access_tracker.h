@@ -44,12 +44,9 @@ class AccessTracker {
   /// would (ideally) serve, observed at time `now`.
   void Record(LogicalOid content, int ladder_level, SimTime now);
 
-  /// Requests per second for (content, level) over the window ending at
-  /// `now`.
-  double DemandRate(LogicalOid content, int ladder_level, SimTime now);
-
   /// All keys with at least one request in the window ending at `now`,
-  /// most-demanded first.
+  /// with their requests per second over that window, most-demanded
+  /// first.
   std::vector<std::pair<DemandKey, double>> RankedDemand(SimTime now);
 
   /// Total requests recorded (lifetime).

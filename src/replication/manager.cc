@@ -8,7 +8,7 @@ namespace quasaq::repl {
 
 ReplicationManager::ReplicationManager(
     sim::Simulator* simulator, meta::DistributedMetadataEngine* metadata,
-    std::vector<storage::StorageManager*> stores,
+    std::vector<storage::ObjectStore*> stores,
     const media::QualityLadder& ladder, int64_t first_dynamic_oid,
     const Options& options)
     : simulator_(simulator),
@@ -37,8 +37,8 @@ void ReplicationManager::RecordDemand(LogicalOid content, int ladder_level) {
   tracker_.Record(content, ladder_level, simulator_->Now());
 }
 
-storage::StorageManager* ReplicationManager::StoreFor(SiteId site) {
-  for (storage::StorageManager* store : stores_) {
+storage::ObjectStore* ReplicationManager::StoreFor(SiteId site) {
+  for (storage::ObjectStore* store : stores_) {
     if (store->site() == site) return store;
   }
   return nullptr;
@@ -46,12 +46,12 @@ storage::StorageManager* ReplicationManager::StoreFor(SiteId site) {
 
 PlacementSnapshot ReplicationManager::BuildSnapshot() {
   PlacementSnapshot snapshot;
-  for (storage::StorageManager* store : stores_) {
+  for (storage::ObjectStore* store : stores_) {
     snapshot.sites.push_back(store->site());
-    if (store->store().capacity_kb() > 0.0) {
+    if (store->capacity_kb() > 0.0) {
       snapshot.free_kb.emplace_back(
           store->site(),
-          store->store().capacity_kb() - store->store().used_kb());
+          store->capacity_kb() - store->used_kb());
     }
   }
   // Placement: every replica registered in metadata whose quality matches
@@ -112,9 +112,9 @@ void ReplicationManager::ExecuteDrop(const ReplicationAction& action) {
   // distribution metadata so the planner stops seeing the replica.
   // In-flight sessions keep their reservations; eviction only removes
   // the replica as a future plan option.
-  for (storage::StorageManager* store : stores_) {
-    if (store->store().Contains(action.victim)) {
-      Status status = store->store().Delete(action.victim);
+  for (storage::ObjectStore* store : stores_) {
+    if (store->Contains(action.victim)) {
+      Status status = store->Delete(action.victim);
       assert(status.ok());
       (void)status;
       break;
@@ -148,12 +148,12 @@ void ReplicationManager::ExecuteCreate(const ReplicationAction& action) {
   SimTime transcode_time = SecondsToSimTime(
       replica.size_kb / options_.transcode_throughput_kbps);
   simulator_->ScheduleAfter(transcode_time, [this, replica] {
-    storage::StorageManager* store = StoreFor(replica.site);
+    storage::ObjectStore* store = StoreFor(replica.site);
     if (store == nullptr) {
       ++stats_.create_failures;
       return;
     }
-    Status status = store->store().Put(replica);
+    Status status = store->Put(replica);
     if (!status.ok()) {
       // Lost a space race with another creation; count and move on.
       ++stats_.create_failures;
@@ -162,7 +162,7 @@ void ReplicationManager::ExecuteCreate(const ReplicationAction& action) {
     status = metadata_->InsertReplica(replica);
     if (!status.ok()) {
       ++stats_.create_failures;
-      Status undo = store->store().Delete(replica.id);
+      Status undo = store->Delete(replica.id);
       (void)undo;
       return;
     }

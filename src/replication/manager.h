@@ -11,7 +11,7 @@
 #include "replication/access_tracker.h"
 #include "replication/policy.h"
 #include "simcore/simulator.h"
-#include "storage/storage_manager.h"
+#include "storage/object_store.h"
 
 // Dynamic online replication and migration (paper §2 item 1 — deferred
 // to a follow-up paper there, implemented here). A periodic manager
@@ -41,12 +41,12 @@ class ReplicationManager {
     uint64_t create_failures = 0;  // lost source / storage races
   };
 
-  /// `metadata` and every storage manager must outlive the manager.
+  /// `metadata` and every object store must outlive the manager.
   /// Stores must already hold the initial replicas. `first_dynamic_oid`
   /// seeds the physical-OID allocator for created replicas.
   ReplicationManager(sim::Simulator* simulator,
                      meta::DistributedMetadataEngine* metadata,
-                     std::vector<storage::StorageManager*> stores,
+                     std::vector<storage::ObjectStore*> stores,
                      const media::QualityLadder& ladder,
                      int64_t first_dynamic_oid, const Options& options);
 
@@ -74,11 +74,11 @@ class ReplicationManager {
   PlacementSnapshot BuildSnapshot();
   void ExecuteCreate(const ReplicationAction& action);
   void ExecuteDrop(const ReplicationAction& action);
-  storage::StorageManager* StoreFor(SiteId site);
+  storage::ObjectStore* StoreFor(SiteId site);
 
   sim::Simulator* simulator_;
   meta::DistributedMetadataEngine* metadata_;
-  std::vector<storage::StorageManager*> stores_;
+  std::vector<storage::ObjectStore*> stores_;
   media::QualityLadder ladder_;
   Options options_;
   cache::CacheManager* cache_ = nullptr;

@@ -41,12 +41,6 @@ void TimeSharingCpuScheduler::RemoveTask(CpuTask* task) {
   if (!tasks_.empty()) cursor_ %= tasks_.size();
 }
 
-double TimeSharingCpuScheduler::BusyFraction() const {
-  SimTime now = simulator_->Now();
-  if (now <= 0) return 0.0;
-  return static_cast<double>(busy_time_) / static_cast<double>(now);
-}
-
 void TimeSharingCpuScheduler::Dispatch() {
   const size_t n = tasks_.size();
   CpuTask* chosen = nullptr;
@@ -68,7 +62,6 @@ void TimeSharingCpuScheduler::Dispatch() {
   double work_ms = std::min(quantum_ms, chosen->PendingWorkMs());
   SimTime duration =
       MillisToSimTime(work_ms + options_.context_switch_ms);
-  busy_time_ += duration;
   simulator_->ScheduleAfter(duration, [this, chosen, work_ms] {
     // The task may have been removed while its quantum ran.
     bool present = std::find_if(tasks_.begin(), tasks_.end(),

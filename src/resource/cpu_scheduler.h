@@ -75,8 +75,6 @@ class TimeSharingCpuScheduler : public CpuScheduler {
   void RemoveTask(CpuTask* task) override;
 
   size_t task_count() const { return tasks_.size(); }
-  /// Fraction of simulated time the CPU spent executing work so far.
-  double BusyFraction() const;
 
  private:
   struct TaskEntry {
@@ -91,7 +89,6 @@ class TimeSharingCpuScheduler : public CpuScheduler {
   std::vector<TaskEntry> tasks_;
   size_t cursor_ = 0;
   bool busy_ = false;
-  SimTime busy_time_ = 0;
 };
 
 // Reservation-based CPU (the "QuaSAQ / DSRT" CPU). Each admitted task

@@ -10,6 +10,7 @@ EventId Simulator::ScheduleAt(SimTime when, EventCallback callback) {
   if (when < now_) when = now_;
   EventId id = next_id_++;
   queue_.push(Entry{when, id, std::move(callback)});
+  pending_.insert(id);
   return id;
 }
 
@@ -19,19 +20,15 @@ EventId Simulator::ScheduleAfter(SimTime delay, EventCallback callback) {
 }
 
 bool Simulator::Cancel(EventId id) {
-  if (id == kInvalidEventId || id >= next_id_) return false;
-  // Lazy deletion: remember the id and skip it when popped.
-  return cancelled_.insert(id).second;
+  // Lazy deletion: the queue entry stays and is skipped when popped.
+  return pending_.erase(id) > 0;
 }
 
 bool Simulator::Step() {
   while (!queue_.empty()) {
     Entry entry = queue_.top();
     queue_.pop();
-    if (auto it = cancelled_.find(entry.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
+    if (pending_.erase(entry.id) == 0) continue;  // cancelled
     assert(entry.when >= now_);
     now_ = entry.when;
     ++executed_;
@@ -44,8 +41,7 @@ bool Simulator::Step() {
 void Simulator::RunUntil(SimTime until) {
   while (!queue_.empty()) {
     const Entry& top = queue_.top();
-    if (cancelled_.count(top.id) > 0) {
-      cancelled_.erase(top.id);
+    if (!pending_.contains(top.id)) {  // cancelled
       queue_.pop();
       continue;
     }

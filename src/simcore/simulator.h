@@ -58,7 +58,7 @@ class Simulator {
   void RunAll();
 
   /// Returns the number of pending (non-cancelled) events.
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  size_t pending_events() const { return pending_.size(); }
 
   /// Returns the number of events executed so far.
   uint64_t executed_events() const { return executed_; }
@@ -79,7 +79,9 @@ class Simulator {
   EventId next_id_ = 1;
   uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_set<EventId> cancelled_;
+  // Ids scheduled but neither run nor cancelled; a popped entry whose id
+  // is missing here was cancelled.
+  std::unordered_set<EventId> pending_;
 };
 
 // Re-arms a callback at a fixed period until stopped. Used for quantum

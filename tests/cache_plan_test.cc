@@ -1,7 +1,6 @@
 // Cache-aware plan generation: cache-served plan variants, their
 // disk -> memory-bandwidth resource swap, how the cost evaluator ranks
-// them, the storage manager's cache-served read path, and the
-// system-level admission loop that warms the cache.
+// them, and the system-level admission loop that warms the cache.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "media/library.h"
 #include "resource/pool.h"
 #include "simcore/simulator.h"
-#include "storage/storage_manager.h"
 
 namespace quasaq::core {
 namespace {
@@ -203,37 +201,6 @@ TEST_F(CachePlanTest, EvaluatorPrefersCachedVariantWhenDiskIsHot) {
   plans.push_back(cached);
   evaluator.Rank(plans, pool);
   EXPECT_TRUE(plans.front().IsCacheServed());
-}
-
-TEST(StorageCacheTest, CachedRangesAreServedFromMemory) {
-  media::ReplicaInfo replica = MakeReplica(5, 5, 0, 0);
-  storage::StorageManager::Options options;
-  storage::StorageManager manager(SiteId(0), options);
-  ASSERT_TRUE(manager.store().Put(replica).ok());
-  cache::SegmentCache cache(cache::SegmentCache::Options{});
-  manager.AttachCache(&cache);
-
-  // Cold read goes to disk and fills the touched segments.
-  Result<SimTime> cold = manager.ReadObjectPages(replica.id, 0, 8, 0);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_GT(cache.counters().misses, 0u);
-  EXPECT_EQ(cache.counters().hits, 0u);
-
-  // Warm read of the same range is memory-served: orders of magnitude
-  // faster than any disk path, and counted as hits.
-  Result<SimTime> warm =
-      manager.ReadObjectPages(replica.id, 0, 8, kSecond);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_GT(cache.counters().hits, 0u);
-  EXPECT_LT(*warm, *cold);
-  double kb = 8 * manager.disk_model().page_kb();
-  EXPECT_EQ(*warm, SecondsToSimTime(kb / options.memory_read_kbps));
-
-  // Detached cache restores the plain disk path.
-  manager.AttachCache(nullptr);
-  Result<SimTime> detached =
-      manager.ReadObjectPages(replica.id, 0, 8, 2 * kSecond);
-  ASSERT_TRUE(detached.ok());
 }
 
 TEST(SystemCacheTest, RepeatQueriesTurnIntoCacheHits) {

@@ -51,7 +51,6 @@ TEST(SegmentLayoutTest, SegmentSizesSumToObjectSize) {
     }
     EXPECT_NEAR(sum, layout.total_kb(), layout.total_kb() * 1e-9)
         << "duration=" << duration;
-    EXPECT_NEAR(layout.PrefixKb(layout.num_segments()), sum, 1e-6);
     EXPECT_DOUBLE_EQ(layout.total_kb(), replica.size_kb);
   }
 }
@@ -63,17 +62,6 @@ TEST(SegmentLayoutTest, LastSegmentCarriesTheRemainder) {
   EXPECT_LE(layout.SegmentKb(layout.num_segments() - 1),
             layout.SegmentKb(0));
   EXPECT_GT(layout.SegmentKb(layout.num_segments() - 1), 0.0);
-}
-
-TEST(SegmentLayoutTest, OffsetMapsIntoValidSegments) {
-  media::ReplicaInfo replica = MakeReplica(1, 120.0);
-  SegmentLayout layout = SegmentLayout::For(replica);
-  EXPECT_EQ(layout.SegmentAtOffsetKb(0.0), 0);
-  EXPECT_EQ(layout.SegmentAtOffsetKb(-5.0), 0);
-  EXPECT_EQ(layout.SegmentAtOffsetKb(layout.total_kb() * 2.0),
-            layout.num_segments() - 1);
-  // An offset just inside segment 1's range maps to segment 1.
-  EXPECT_EQ(layout.SegmentAtOffsetKb(layout.SegmentKb(0) + 1.0), 1);
 }
 
 TEST(SegmentCacheTest, HitMissSequenceIsDeterministic) {

@@ -125,16 +125,6 @@ TEST(TimeSharingTest, RemoveTaskDropsItsWork) {
   EXPECT_GE(keeper_done, 0);
 }
 
-TEST(TimeSharingTest, BusyFractionTracksLoad) {
-  sim::Simulator simulator;
-  TimeSharingCpuScheduler scheduler(&simulator, ExactOptions());
-  WorkQueueTask task(&scheduler);
-  scheduler.AddTask(&task);
-  task.Submit(50.0, nullptr);
-  simulator.RunUntil(MillisToSimTime(100.0));
-  EXPECT_NEAR(scheduler.BusyFraction(), 0.5, 0.01);
-}
-
 TEST(ReservationTest, AdmissionEnforcesCapacity) {
   sim::Simulator simulator;
   ReservationCpuScheduler::Options options;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "media/library.h"
-#include "storage/storage_manager.h"
 
 namespace quasaq::storage {
 namespace {
@@ -84,41 +83,6 @@ TEST(ObjectStoreTest, ReplicasOfFiltersByContent) {
   EXPECT_EQ(store.ReplicasOf(LogicalOid(1)).size(), 2u);
   EXPECT_EQ(store.ReplicasOf(LogicalOid(2)).size(), 1u);
   EXPECT_TRUE(store.ReplicasOf(LogicalOid(9)).empty());
-}
-
-TEST(StorageManagerTest, CommitAndReleaseReadBandwidth) {
-  StorageManager::Options options;
-  options.disk_bandwidth_kbps = 1000.0;
-  options.capacity_kb = 0.0;
-  StorageManager manager(SiteId(0), options);
-  ASSERT_TRUE(manager.store().Put(MakeReplica(1, 0, 100.0)).ok());
-  ASSERT_TRUE(manager.CommitRead(PhysicalOid(1), 600.0).ok());
-  EXPECT_DOUBLE_EQ(manager.committed_read_kbps(), 600.0);
-  EXPECT_DOUBLE_EQ(manager.available_read_kbps(), 400.0);
-  // Next commit exceeding capacity fails.
-  EXPECT_EQ(manager.CommitRead(PhysicalOid(1), 500.0).code(),
-            StatusCode::kResourceExhausted);
-  manager.ReleaseRead(600.0);
-  EXPECT_DOUBLE_EQ(manager.committed_read_kbps(), 0.0);
-}
-
-TEST(StorageManagerTest, CommitUnknownObjectFails) {
-  StorageManager manager(SiteId(0), StorageManager::Options());
-  EXPECT_EQ(manager.CommitRead(PhysicalOid(1), 10.0).code(),
-            StatusCode::kNotFound);
-}
-
-TEST(StorageManagerTest, ReleaseClampsAtZero) {
-  StorageManager manager(SiteId(0), StorageManager::Options());
-  manager.ReleaseRead(100.0);
-  EXPECT_DOUBLE_EQ(manager.committed_read_kbps(), 0.0);
-}
-
-TEST(StorageManagerTest, NegativeCommitRejected) {
-  StorageManager manager(SiteId(0), StorageManager::Options());
-  ASSERT_TRUE(manager.store().Put(MakeReplica(1, 0, 100.0)).ok());
-  EXPECT_EQ(manager.CommitRead(PhysicalOid(1), -5.0).code(),
-            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "net/rtp.h"
 #include "query/parser.h"
 #include "resource/pool.h"
-#include "simcore/fluid.h"
 
 namespace quasaq {
 namespace {
@@ -92,36 +91,6 @@ TEST_P(PoolPropertyTest, AcquireReleaseSequencesBalance) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolPropertyTest,
-                         ::testing::Range<uint64_t>(1, 9));
-
-// --- fluid server conserves work -------------------------------------------
-
-class FluidPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(FluidPropertyTest, EveryFlowCompletesAndCapacityIsRespected) {
-  Rng rng(GetParam());
-  sim::Simulator simulator;
-  double capacity = rng.Uniform(50.0, 500.0);
-  sim::FluidServer server(&simulator, capacity);
-  int completions = 0;
-  int flows = 30;
-  double total_work = 0.0;
-  for (int i = 0; i < flows; ++i) {
-    double work = rng.Uniform(1.0, 50.0);
-    total_work += work;
-    simulator.ScheduleAt(SecondsToSimTime(rng.Uniform(0.0, 5.0)),
-                         [&server, &completions, work, &rng] {
-                           server.AddFlow(work, rng.Uniform(1.0, 100.0),
-                                          [&](sim::FlowId) { ++completions; });
-                         });
-  }
-  simulator.RunAll();
-  EXPECT_EQ(completions, flows);
-  // Lower bound on finish time: total work cannot beat the capacity.
-  EXPECT_GE(SimTimeToSeconds(simulator.Now()), total_work / capacity - 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FluidPropertyTest,
                          ::testing::Range<uint64_t>(1, 9));
 
 // --- QueryProducer text round-trips for the whole QoP space ----------------

@@ -14,10 +14,15 @@ TEST(AccessTrackerTest, RateCountsWindowOnly) {
   AccessTracker tracker(10 * kSecond);
   tracker.Record(LogicalOid(1), 0, 0);
   tracker.Record(LogicalOid(1), 0, 5 * kSecond);
-  EXPECT_NEAR(tracker.DemandRate(LogicalOid(1), 0, 5 * kSecond), 0.2, 1e-9);
+  auto ranked = tracker.RankedDemand(5 * kSecond);
+  ASSERT_EQ(ranked.size(), 1u);
+  EXPECT_NEAR(ranked[0].second, 0.2, 1e-9);
   // The t=0 event expires once the window slides past it.
-  EXPECT_NEAR(tracker.DemandRate(LogicalOid(1), 0, 12 * kSecond), 0.1, 1e-9);
-  EXPECT_NEAR(tracker.DemandRate(LogicalOid(1), 0, 30 * kSecond), 0.0, 1e-9);
+  ranked = tracker.RankedDemand(12 * kSecond);
+  ASSERT_EQ(ranked.size(), 1u);
+  EXPECT_NEAR(ranked[0].second, 0.1, 1e-9);
+  // A key whose events all expired drops out of the ranking.
+  EXPECT_TRUE(tracker.RankedDemand(30 * kSecond).empty());
 }
 
 TEST(AccessTrackerTest, SeparatesLevelsAndContents) {
@@ -25,9 +30,13 @@ TEST(AccessTrackerTest, SeparatesLevelsAndContents) {
   tracker.Record(LogicalOid(1), 0, 0);
   tracker.Record(LogicalOid(1), 2, 0);
   tracker.Record(LogicalOid(2), 0, 0);
-  EXPECT_GT(tracker.DemandRate(LogicalOid(1), 0, 0), 0.0);
-  EXPECT_GT(tracker.DemandRate(LogicalOid(1), 2, 0), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.DemandRate(LogicalOid(1), 1, 0), 0.0);
+  auto ranked = tracker.RankedDemand(0);
+  ASSERT_EQ(ranked.size(), 3u);
+  // Equal rates rank by content, then by ladder level.
+  EXPECT_EQ(ranked[0].first, (DemandKey{LogicalOid(1), 0}));
+  EXPECT_EQ(ranked[1].first, (DemandKey{LogicalOid(1), 2}));
+  EXPECT_EQ(ranked[2].first, (DemandKey{LogicalOid(2), 0}));
+  for (const auto& [key, rate] : ranked) EXPECT_GT(rate, 0.0);
   EXPECT_EQ(tracker.total_requests(), 3u);
 }
 
@@ -239,10 +248,8 @@ class ReplicationManagerTest : public ::testing::Test {
       : sites_({SiteId(0), SiteId(1)}),
         metadata_(sites_, meta::DistributedMetadataEngine::Options()) {
     for (SiteId site : sites_) {
-      storage::StorageManager::Options store_options;
-      store_options.capacity_kb = 0.0;  // unlimited by default
-      stores_.push_back(
-          std::make_unique<storage::StorageManager>(site, store_options));
+      // Unlimited space by default.
+      stores_.push_back(std::make_unique<storage::ObjectStore>(site));
     }
     // Two contents, master copies only, on both sites.
     for (int c = 0; c < 2; ++c) {
@@ -261,13 +268,13 @@ class ReplicationManagerTest : public ::testing::Test {
         replica.duration_seconds = content.duration_seconds;
         media::FinalizeReplicaSizing(replica);
         EXPECT_TRUE(metadata_.InsertReplica(replica).ok());
-        EXPECT_TRUE(stores_[s]->store().Put(replica).ok());
+        EXPECT_TRUE(stores_[s]->Put(replica).ok());
       }
     }
   }
 
   ReplicationManager MakeManager(ReplicationManager::Options options = {}) {
-    std::vector<storage::StorageManager*> raw;
+    std::vector<storage::ObjectStore*> raw;
     for (auto& store : stores_) raw.push_back(store.get());
     return ReplicationManager(&simulator_, &metadata_, raw,
                               media::QualityLadder::Standard(), 1000,
@@ -277,7 +284,7 @@ class ReplicationManagerTest : public ::testing::Test {
   sim::Simulator simulator_;
   std::vector<SiteId> sites_;
   meta::DistributedMetadataEngine metadata_;
-  std::vector<std::unique_ptr<storage::StorageManager>> stores_;
+  std::vector<std::unique_ptr<storage::ObjectStore>> stores_;
 };
 
 TEST_F(ReplicationManagerTest, HotDemandMaterializesReplicas) {

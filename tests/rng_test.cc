@@ -129,15 +129,5 @@ TEST(RngTest, ZipfSkewFavorsLowRanks) {
   EXPECT_GT(counts[0], counts[9]);
 }
 
-TEST(RngTest, ForkProducesIndependentDeterministicStream) {
-  Rng a(99);
-  Rng b(99);
-  Rng fork_a = a.Fork();
-  Rng fork_b = b.Fork();
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_DOUBLE_EQ(fork_a.NextDouble(), fork_b.NextDouble());
-  }
-}
-
 }  // namespace
 }  // namespace quasaq

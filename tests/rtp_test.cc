@@ -208,15 +208,5 @@ TEST(TopologyTest, PaperTestbedHasThreeServers) {
   EXPECT_EQ(topology.SiteIds().size(), 3u);
 }
 
-TEST(TopologyTest, NetworkModelProvidesPerSiteLinks) {
-  sim::Simulator simulator;
-  Topology topology = Topology::Uniform(2);
-  NetworkModel network(&simulator, topology);
-  sim::FluidServer& link0 = network.OutboundLink(SiteId(0));
-  sim::FluidServer& link1 = network.OutboundLink(SiteId(1));
-  EXPECT_NE(&link0, &link1);
-  EXPECT_DOUBLE_EQ(link0.capacity(), 3200.0);
-}
-
 }  // namespace
 }  // namespace quasaq::net

@@ -128,6 +128,14 @@ TEST_F(SessionManagerTest, CancelWhilePausedDoesNotDoubleRelease) {
   EXPECT_EQ(manager_.completed(), 0u);  // no stale completion event fires
 }
 
+TEST_F(SessionManagerTest, CancelDropsTheCompletionEvent) {
+  const size_t before = simulator_.pending_events();
+  SessionId id = manager_.Start(ReservedRecord(Reserve(400.0)), 60.0);
+  EXPECT_EQ(simulator_.pending_events(), before + 1);
+  ASSERT_TRUE(manager_.Cancel(id).ok());
+  EXPECT_EQ(simulator_.pending_events(), before);
+}
+
 TEST_F(SessionManagerTest, ResumeFailureLeavesSessionPaused) {
   SessionId id = manager_.Start(ReservedRecord(Reserve(800.0)), 60.0);
   ASSERT_TRUE(manager_.Pause(id).ok());

@@ -78,6 +78,14 @@ TEST(SimulatorTest, CancelUnknownIdFails) {
   EXPECT_FALSE(simulator.Cancel(9999));
 }
 
+TEST(SimulatorTest, CancelAfterRunFails) {
+  Simulator simulator;
+  EventId id = simulator.ScheduleAt(10, [] {});
+  simulator.RunAll();
+  EXPECT_FALSE(simulator.Cancel(id));
+  EXPECT_EQ(simulator.pending_events(), 0u);
+}
+
 TEST(SimulatorTest, RunUntilStopsBeforeLaterEvents) {
   Simulator simulator;
   std::vector<int> order;

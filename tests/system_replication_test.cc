@@ -37,7 +37,7 @@ TEST(SystemReplicationTest, ManagerAndStoragePresentOnlyWhenEnabled) {
   EXPECT_NE(replicating.replication_manager(), nullptr);
   ASSERT_NE(replicating.storage_at(SiteId(0)), nullptr);
   // Initial masters are physically stored.
-  EXPECT_GT(replicating.storage_at(SiteId(0))->store().object_count(), 0u);
+  EXPECT_GT(replicating.storage_at(SiteId(0))->object_count(), 0u);
 }
 
 TEST(SystemReplicationTest, SkewedDemandMaterializesCheapReplicas) {
@@ -112,7 +112,7 @@ TEST(SystemReplicationTest, BoundedStorageStaysWithinBudget) {
                        SecondsToSimTime(traffic.NextGapSeconds()));
   }
   for (SiteId site : options.topology.SiteIds()) {
-    const storage::ObjectStore& store = system.storage_at(site)->store();
+    const storage::ObjectStore& store = *system.storage_at(site);
     EXPECT_LE(store.used_kb(), store.capacity_kb() + 1e-6);
   }
 }
