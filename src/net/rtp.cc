@@ -114,22 +114,6 @@ Status RtpStreamingSession::AttachReserved(
   return Status::Ok();
 }
 
-Status RtpStreamingSession::AttachRelay(
-    res::ReservationCpuScheduler* source_scheduler, double cpu_fraction,
-    SimTime hop_latency) {
-  assert(cpu_task_ != nullptr && "attach the delivery CPU first");
-  assert(relay_task_ == nullptr && "relay already attached");
-  auto task = std::make_unique<res::WorkQueueTask>(source_scheduler);
-  Status status = source_scheduler->AddReservedTask(task.get(), cpu_fraction);
-  if (!status.ok()) return status;
-  relay_task_ = std::move(task);
-  // Spread the reserved forwarding budget over the source byte stream.
-  relay_work_per_kb_ms_ =
-      cpu_fraction * 1000.0 / replica_.bitrate_kbps;
-  relay_hop_latency_ = hop_latency;
-  return Status::Ok();
-}
-
 int RtpStreamingSession::TotalSourceFrames() const {
   int from_duration = static_cast<int>(
       std::floor(replica_.duration_seconds * replica_.qos.frame_rate));
@@ -161,9 +145,8 @@ void RtpStreamingSession::Stop() {
     simulator_->Cancel(pending_frame_event_);
     pending_frame_event_ = sim::kInvalidEventId;
   }
-  // Dropping the tasks also drops any frames still queued on the CPUs.
+  // Dropping the task also drops any frames still queued on the CPU.
   cpu_task_.reset();
-  relay_task_.reset();
   source_exhausted_ = true;
 }
 
@@ -185,17 +168,10 @@ void RtpStreamingSession::HandleSourceFrame() {
   double cpu_ms = transcode_ms_per_frame_;
   bool survives =
       media::FrameSurvivesDrop(transform_.drop, frame.type, b_ordinal);
-  // Relayed plans forward every source frame (the transfer precedes
-  // transcode/drop in the activity order), even ones dropped later.
-  double relay_ms =
-      relay_task_ != nullptr ? relay_work_per_kb_ms_ * frame.size_kb : 0.0;
   if (!survives) {
     // The frame consumes its transcode work but produces no output;
     // charge that work to the next delivered frame.
     carried_cpu_ms_ += cpu_ms;
-    if (relay_task_ != nullptr && relay_ms > 0.0) {
-      relay_task_->Submit(relay_ms, nullptr);
-    }
     if (!last_frame) {
       ScheduleNextFrame(0);
     } else {
@@ -215,28 +191,17 @@ void RtpStreamingSession::HandleSourceFrame() {
   carried_cpu_ms_ = 0.0;
 
   ++frames_in_flight_;
-  auto deliver = [this, cpu_ms] {
-    cpu_task_->Submit(cpu_ms, [this](SimTime completion) {
-      --frames_in_flight_;
-      ++delivered_frames_;
-      if (completion_times_.size() < options_.record_limit) {
-        completion_times_.push_back(completion);
-      }
-      if (source_exhausted_ && frames_in_flight_ == 0 && !finished_) {
-        finished_ = true;
-        if (on_finished_) on_finished_();
-      }
-    });
-  };
-  if (relay_task_ != nullptr) {
-    // Pipeline: forward at the source, cross the server network, then
-    // process at the delivery site.
-    relay_task_->Submit(std::max(relay_ms, 1e-6), [this, deliver](SimTime) {
-      simulator_->ScheduleAfter(relay_hop_latency_, deliver);
-    });
-  } else {
-    deliver();
-  }
+  cpu_task_->Submit(cpu_ms, [this](SimTime completion) {
+    --frames_in_flight_;
+    ++delivered_frames_;
+    if (completion_times_.size() < options_.record_limit) {
+      completion_times_.push_back(completion);
+    }
+    if (source_exhausted_ && frames_in_flight_ == 0 && !finished_) {
+      finished_ = true;
+      if (on_finished_) on_finished_();
+    }
+  });
 
   if (!last_frame) {
     // Transmission pacing: the next frame is handled once this frame's
