@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
-// VBR frame generation, metadata access with and without cache hits,
-// content search, and resource-pool operations.
+// VBR frame generation, metadata catalog lookup, content search, and
+// resource-pool operations.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,7 @@
 #include "common/resource_vector.h"
 #include "media/frames.h"
 #include "media/library.h"
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/content_search.h"
@@ -43,45 +43,29 @@ void BM_FrameGeneration(benchmark::State& state) {
 BENCHMARK(BM_FrameGeneration);
 
 struct MetadataFixture {
-  MetadataFixture()
-      : sites({SiteId(0), SiteId(1), SiteId(2)}),
-        engine(sites, meta::DistributedMetadataEngine::Options()) {
+  MetadataFixture() {
     media::LibraryOptions options;
-    library = media::BuildExperimentLibrary(options, sites);
+    library = media::BuildExperimentLibrary(
+        options, {SiteId(0), SiteId(1), SiteId(2)});
     for (const media::VideoContent& content : library.contents) {
-      (void)engine.InsertContent(content);
+      (void)store.InsertContent(content);
     }
     for (const media::ReplicaInfo& replica : library.replicas) {
-      (void)engine.InsertReplica(replica);
+      (void)store.InsertReplica(replica);
     }
   }
-  std::vector<SiteId> sites;
   media::VideoLibrary library;
-  meta::DistributedMetadataEngine engine;
+  meta::MetadataStore store;
 };
 
-void BM_MetadataLocalLookup(benchmark::State& state) {
+void BM_MetadataReplicasOf(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();
-  LogicalOid oid(0);
-  SiteId owner = fixture->engine.OwnerOf(oid);
   for (auto _ : state) {
-    auto replicas = fixture->engine.ReplicasOf(owner, oid);
+    auto replicas = fixture->store.ReplicasOf(LogicalOid(0));
     benchmark::DoNotOptimize(replicas);
   }
 }
-BENCHMARK(BM_MetadataLocalLookup);
-
-void BM_MetadataCachedRemoteLookup(benchmark::State& state) {
-  static MetadataFixture* fixture = new MetadataFixture();
-  LogicalOid oid(0);
-  SiteId owner = fixture->engine.OwnerOf(oid);
-  SiteId other = owner == SiteId(0) ? SiteId(1) : SiteId(0);
-  for (auto _ : state) {
-    auto replicas = fixture->engine.ReplicasOf(other, oid);
-    benchmark::DoNotOptimize(replicas);
-  }
-}
-BENCHMARK(BM_MetadataCachedRemoteLookup);
+BENCHMARK(BM_MetadataReplicasOf);
 
 void BM_ContentKeywordSearch(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();

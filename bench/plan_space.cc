@@ -24,7 +24,7 @@
 #include "core/cost_model.h"
 #include "core/plan_generator.h"
 #include "core/plan_stream.h"
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 #include "net/topology.h"
 #include "resource/composite_api.h"
 #include "resource/pool.h"
@@ -54,8 +54,7 @@ int main() {
   const SiteId site_a(0);
   const SiteId site_b(1);
   std::vector<SiteId> sites = {site_a, site_b};
-  meta::DistributedMetadataEngine metadata(
-      sites, meta::DistributedMetadataEngine::Options());
+  meta::MetadataStore metadata;
 
   media::VideoContent content;
   content.id = LogicalOid(0);

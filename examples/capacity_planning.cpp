@@ -45,6 +45,6 @@ int main() {
 
   std::printf(
       "\nnear-linear growth in sustained sessions confirms the planner\n"
-      "and metadata partitioning hold up as servers are added.\n");
+      "holds up as servers are added.\n");
   return 0;
 }

@@ -6,7 +6,7 @@
 
 namespace quasaq::core {
 
-PlanGenerator::PlanGenerator(meta::DistributedMetadataEngine* metadata,
+PlanGenerator::PlanGenerator(const meta::MetadataStore* metadata,
                              std::vector<SiteId> sites,
                              const Options& options)
     : metadata_(metadata), sites_(std::move(sites)), options_(options) {
@@ -61,16 +61,19 @@ PlanGenerator::EncryptionChoices(const query::QosRequirement& qos) const {
   return encryption_choices_[static_cast<size_t>(qos.min_security)];
 }
 
+// The querying site is unnamed because the one catalog answers every
+// site alike; the parameter stays for the callers that pass it.
 Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
-    SiteId query_site, LogicalOid content, SimTime* metadata_latency) const {
-  std::vector<media::ReplicaInfo> replicas =
-      metadata_->ReplicasOf(query_site, content, metadata_latency);
+    SiteId /*query_site*/, LogicalOid content) const {
+  std::vector<const media::ReplicaInfo*> replicas =
+      metadata_->ReplicasOf(content);
   if (replicas.empty()) {
     return Status::NotFound("no replicas registered for logical OID " +
                             std::to_string(content.value()));
   }
   std::vector<GroupSeed> groups;
-  for (media::ReplicaInfo& replica : replicas) {
+  for (const media::ReplicaInfo* stored : replicas) {
+    const media::ReplicaInfo& replica = *stored;
     // Cache warmth of this replica at its source site: a positive
     // fraction yields a cache-served twin of every plan in the group.
     double cache_fraction = 0.0;
@@ -215,10 +218,8 @@ ResourceVector PlanGenerator::GroupDemandFloor(
 }
 
 Result<std::vector<Plan>> PlanGenerator::Generate(
-    SiteId query_site, LogicalOid content, const query::QosRequirement& qos,
-    SimTime* metadata_latency) {
-  Result<std::vector<GroupSeed>> groups =
-      EnumerateGroups(query_site, content, metadata_latency);
+    SiteId query_site, LogicalOid content, const query::QosRequirement& qos) {
+  Result<std::vector<GroupSeed>> groups = EnumerateGroups(query_site, content);
   if (!groups.ok()) return groups.status();
   std::vector<Plan> plans;
   for (const GroupSeed& seed : *groups) {

@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "core/plan.h"
 #include "media/library.h"
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 #include "net/rtp.h"
 #include "query/ast.h"
 
@@ -87,23 +87,22 @@ class PlanGenerator {
 
   /// `metadata` must outlive the generator. `sites` is the set of
   /// candidate delivery sites.
-  PlanGenerator(meta::DistributedMetadataEngine* metadata,
+  PlanGenerator(const meta::MetadataStore* metadata,
                 std::vector<SiteId> sites, const Options& options);
 
-  /// Enumerates plans for delivering `content` under `qos`, as seen from
-  /// `query_site` (metadata access latency is accumulated into
-  /// `metadata_latency` when non-null). The result can be empty: no
-  /// replica/activity combination satisfies the QoS bounds.
+  /// Enumerates plans for delivering `content` under `qos`. The result
+  /// can be empty: no replica/activity combination satisfies the QoS
+  /// bounds. The querying site is not read: every site sees the same
+  /// catalog.
   Result<std::vector<Plan>> Generate(SiteId query_site, LogicalOid content,
-                                     const query::QosRequirement& qos,
-                                     SimTime* metadata_latency = nullptr);
+                                     const query::QosRequirement& qos);
 
   /// Stage 1 of the factored enumeration: the (replica, delivery site)
   /// prefixes for `content`, in eager enumeration order. Fails with
-  /// kNotFound when no replica is registered.
-  Result<std::vector<GroupSeed>> EnumerateGroups(
-      SiteId query_site, LogicalOid content,
-      SimTime* metadata_latency = nullptr) const;
+  /// kNotFound when no replica is registered. The querying site is not
+  /// read: every site sees the same catalog.
+  Result<std::vector<GroupSeed>> EnumerateGroups(SiteId query_site,
+                                                 LogicalOid content) const;
 
   // What a ChoiceTable depends on besides the QoS requirement: the
   // transcode stages and stream rates read only the replica's stored
@@ -190,7 +189,7 @@ class PlanGenerator {
   const std::vector<media::EncryptionAlgorithm>& EncryptionChoices(
       const query::QosRequirement& qos) const;
 
-  meta::DistributedMetadataEngine* metadata_;
+  const meta::MetadataStore* metadata_;
   std::vector<SiteId> sites_;
   Options options_;
   const cache::CacheView* cache_view_ = nullptr;

@@ -22,7 +22,7 @@ constexpr double kOverflowKey = 1.0;
 
 }  // namespace
 
-QualityManager::QualityManager(meta::DistributedMetadataEngine* metadata,
+QualityManager::QualityManager(const meta::MetadataStore* metadata,
                                res::CompositeQosApi* qos_api,
                                CostModel* cost_model,
                                std::vector<SiteId> sites,

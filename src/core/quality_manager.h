@@ -15,7 +15,7 @@
 #include "core/plan_stream.h"
 #include "core/qop.h"
 #include "core/utility.h"
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 #include "obs/observability.h"
 #include "query/ast.h"
 #include "resource/composite_api.h"
@@ -54,10 +54,11 @@
 // many threads, traced or not, under either optimization goal. What
 // belongs to one query — its gain and its trace context — travels as
 // arguments down the walk; the shared planner state (generator,
-// evaluator, metadata read path) is immutable or internally
-// synchronized, and the counters are registry atomics. One seam
-// remains: under the Random cost model, concurrent walks share the
-// model's RNG (docs/ARCHITECTURE.md).
+// evaluator) is immutable or internally synchronized, the metadata
+// catalog is only read (its writes never overlap a walk), and the
+// counters are registry atomics. One seam remains: under the Random
+// cost model, concurrent walks share the model's RNG
+// (docs/ARCHITECTURE.md).
 
 namespace quasaq::core {
 
@@ -118,7 +119,7 @@ class QualityManager {
   /// All pointers and `observability` must outlive the manager. The
   /// plan-search counters and histograms are registered in
   /// `observability`'s registry here; spans go to its tracer.
-  QualityManager(meta::DistributedMetadataEngine* metadata,
+  QualityManager(const meta::MetadataStore* metadata,
                  res::CompositeQosApi* qos_api, CostModel* cost_model,
                  std::vector<SiteId> sites, const Options& options,
                  obs::Observability& observability);

@@ -59,21 +59,15 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
   pool_telemetry_ = std::make_unique<res::PoolTelemetry>(
       &pool_, &observability_.metrics());
 
-  // Metadata: contents, replicas and sampled QoS profiles.
-  metadata_ = std::make_unique<meta::DistributedMetadataEngine>(
-      sites, meta::DistributedMetadataEngine::Options());
-  meta::QosSampler sampler(options_.sampler, options_.seed);
+  // Metadata: contents and replicas.
   for (const media::VideoContent& content : library_.contents) {
-    Status status = metadata_->InsertContent(content);
+    Status status = metadata_.InsertContent(content);
     assert(status.ok());
     (void)status;
     content_index_.Add(content);
   }
   for (const media::ReplicaInfo& replica : library_.replicas) {
-    Status status = metadata_->InsertReplica(replica);
-    assert(status.ok());
-    status = metadata_->SetQosProfile(replica.id,
-                                      sampler.SampleStreaming(replica));
+    Status status = metadata_.InsertReplica(replica);
     assert(status.ok());
     (void)status;
   }
@@ -84,7 +78,7 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
     QualityManager::Options quality = options_.quality;
     QualityManager::PopulateDefaultTranscodeTargets(quality.generator);
     quality_manager_ = std::make_unique<QualityManager>(
-        metadata_.get(), &qos_api_, cost_model_.get(), sites, quality,
+        &metadata_, &qos_api_, cost_model_.get(), sites, quality,
         observability_);
     if (options_.cache.enabled) {
       cache_manager_ = std::make_unique<cache::CacheManager>(
@@ -108,7 +102,7 @@ MediaDbSystem::MediaDbSystem(sim::Simulator* simulator,
         max_oid = std::max(max_oid, replica.id.value());
       }
       replication_manager_ = std::make_unique<repl::ReplicationManager>(
-          simulator_, metadata_.get(), std::move(raw_stores),
+          simulator_, &metadata_, std::move(raw_stores),
           media::QualityLadder::Standard(), max_oid + 1,
           options_.replication.manager);
       if (cache_manager_ != nullptr) {
@@ -271,21 +265,16 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverQuasaq(
     outcome.status = admitted.status();
     return outcome;
   }
-  // Every replica of an object shares the content's duration; look it
-  // up through metadata so dynamically created replicas work too.
-  auto content_info = metadata_->FindContent(site, content);
-  assert(content_info.has_value());
+  // Look the admitted replica up through metadata so dynamically created
+  // replicas work too; every replica carries its content's duration.
+  const media::ReplicaInfo* replica =
+      metadata_.FindReplica(admitted->plan.replica_oid);
+  assert(replica != nullptr);
   if (cache_manager_ != nullptr) {
     // Stream the replica through its source site's cache: hits are
     // served from memory, misses warm the cache for later sessions.
-    for (const media::ReplicaInfo& replica :
-         metadata_->ReplicasOf(site, content)) {
-      if (replica.id == admitted->plan.replica_oid) {
-        cache_manager_->OnStream(admitted->plan.source_site, replica,
-                                 simulator_->Now());
-        break;
-      }
-    }
+    cache_manager_->OnStream(admitted->plan.source_site, *replica,
+                             simulator_->Now());
   }
   SessionManager::Record record;
   record.content = content;
@@ -297,7 +286,7 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::DeliverQuasaq(
   outcome.delivered_qos = admitted->plan.delivered_qos;
   outcome.wire_rate_kbps = admitted->plan.wire_rate_kbps;
   outcome.session = session_manager_.Start(std::move(record),
-                                           content_info->duration_seconds);
+                                           replica->duration_seconds);
   return outcome;
 }
 

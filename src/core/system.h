@@ -16,7 +16,7 @@
 #include "core/quality_manager.h"
 #include "core/session_manager.h"
 #include "media/library.h"
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 #include "net/topology.h"
 #include "obs/observability.h"
 #include "query/content_search.h"
@@ -79,7 +79,6 @@ class MediaDbSystem {
     double cpu_capacity = 1.0;
     // Oversubscribed VDBMS links stretch session time up to this factor.
     double vdbms_max_stretch = 2.5;
-    meta::QosSampler::Options sampler;
 
     // Dynamic online replication (QuaSAQ only). When enabled the system
     // instantiates per-site object stores, tracks per-(content,
@@ -230,7 +229,6 @@ class MediaDbSystem {
   /// Multi-line operator report: query counters, bucket fill, bottleneck
   /// resource, and (when enabled) replication activity.
   std::string ReportString() const;
-  meta::DistributedMetadataEngine& metadata() { return *metadata_; }
   QualityManager* quality_manager() { return quality_manager_.get(); }
   /// The session lifecycle layer (session table, pause/resume state).
   const SessionManager& session_manager() const { return session_manager_; }
@@ -289,7 +287,7 @@ class MediaDbSystem {
   Options options_;
   obs::Observability observability_;
   media::VideoLibrary library_;
-  std::unique_ptr<meta::DistributedMetadataEngine> metadata_;
+  meta::MetadataStore metadata_;
   query::ContentIndex content_index_;
   res::ResourcePool pool_;
   res::CompositeQosApi qos_api_;

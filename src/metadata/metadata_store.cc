@@ -22,15 +22,10 @@ Status MetadataStore::InsertReplica(const media::ReplicaInfo& replica) {
   }
   auto [it, inserted] = replicas_.emplace(replica.id, replica);
   if (!inserted) return Status::AlreadyExists("physical OID already present");
-  replica_index_[replica.content].push_back(replica.id);
-  return Status::Ok();
-}
-
-Status MetadataStore::SetQosProfile(PhysicalOid id, const QosProfile& profile) {
-  if (replicas_.count(id) == 0) {
-    return Status::NotFound("no such replica");
-  }
-  profiles_[id] = profile;
+  // Kept in physical-OID order, the order ReplicasOf returns.
+  std::vector<PhysicalOid>& index = replica_index_[replica.content];
+  index.insert(std::upper_bound(index.begin(), index.end(), replica.id),
+               replica.id);
   return Status::Ok();
 }
 
@@ -39,23 +34,7 @@ Status MetadataStore::EraseReplica(PhysicalOid id) {
   if (it == replicas_.end()) return Status::NotFound("no such replica");
   auto& index = replica_index_[it->second.content];
   index.erase(std::remove(index.begin(), index.end(), id), index.end());
-  profiles_.erase(id);
   replicas_.erase(it);
-  return Status::Ok();
-}
-
-Status MetadataStore::EraseContent(LogicalOid id) {
-  auto it = contents_.find(id);
-  if (it == contents_.end()) return Status::NotFound("no such content");
-  auto index_it = replica_index_.find(id);
-  if (index_it != replica_index_.end()) {
-    for (PhysicalOid replica : index_it->second) {
-      profiles_.erase(replica);
-      replicas_.erase(replica);
-    }
-    replica_index_.erase(index_it);
-  }
-  contents_.erase(it);
   return Status::Ok();
 }
 
@@ -69,19 +48,13 @@ const media::ReplicaInfo* MetadataStore::FindReplica(PhysicalOid id) const {
   return it == replicas_.end() ? nullptr : &it->second;
 }
 
-const QosProfile* MetadataStore::FindQosProfile(PhysicalOid id) const {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second;
-}
-
 std::vector<const media::ReplicaInfo*> MetadataStore::ReplicasOf(
     LogicalOid content) const {
   std::vector<const media::ReplicaInfo*> out;
   auto it = replica_index_.find(content);
   if (it == replica_index_.end()) return out;
-  std::vector<PhysicalOid> ids = it->second;
-  std::sort(ids.begin(), ids.end());
-  for (PhysicalOid id : ids) out.push_back(&replicas_.at(id));
+  out.reserve(it->second.size());
+  for (PhysicalOid id : it->second) out.push_back(&replicas_.at(id));
   return out;
 }
 

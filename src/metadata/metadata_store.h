@@ -7,12 +7,18 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "media/video.h"
-#include "metadata/qos_profile.h"
 
-// Single-site metadata store holding the four metadata classes of
-// §3.3: content metadata (VideoContent), quality metadata (the AppQos
-// inside each ReplicaInfo), distribution metadata (logical->physical
-// mapping with sites), and QoS profiles.
+// The system's one metadata catalog, holding the metadata classes of
+// §3.3 the planner reads: content metadata (VideoContent), quality
+// metadata (the AppQos inside each ReplicaInfo) and distribution
+// metadata (the logical->physical mapping with sites). The paper's QoS
+// profiles are not stored: the planner prices each plan analytically
+// (core::FinalizePlan).
+//
+// Thread-safety: the const reads may run concurrently from many
+// threads; the writes (Insert*/EraseReplica) must never overlap them.
+// Writes happen at system set-up and in replication events on the
+// simulator thread (docs/ARCHITECTURE.md "Threading model").
 
 namespace quasaq::meta {
 
@@ -25,18 +31,11 @@ class MetadataStore {
   /// logical object must already be registered.
   Status InsertReplica(const media::ReplicaInfo& replica);
 
-  /// Records the sampled delivery profile of a replica.
-  Status SetQosProfile(PhysicalOid id, const QosProfile& profile);
-
-  /// Drops a replica's distribution metadata (e.g. after migration).
+  /// Drops a replica's distribution metadata (e.g. after eviction).
   Status EraseReplica(PhysicalOid id);
-
-  /// Drops a logical object and cascades to its replicas and profiles.
-  Status EraseContent(LogicalOid id);
 
   const media::VideoContent* FindContent(LogicalOid id) const;
   const media::ReplicaInfo* FindReplica(PhysicalOid id) const;
-  const QosProfile* FindQosProfile(PhysicalOid id) const;
 
   /// Returns all replicas of `content`, in physical-OID order.
   std::vector<const media::ReplicaInfo*> ReplicasOf(LogicalOid content) const;
@@ -51,7 +50,6 @@ class MetadataStore {
   std::unordered_map<LogicalOid, media::VideoContent> contents_;
   std::unordered_map<PhysicalOid, media::ReplicaInfo> replicas_;
   std::unordered_map<LogicalOid, std::vector<PhysicalOid>> replica_index_;
-  std::unordered_map<PhysicalOid, QosProfile> profiles_;
 };
 
 }  // namespace quasaq::meta

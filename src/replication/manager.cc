@@ -7,7 +7,7 @@
 namespace quasaq::repl {
 
 ReplicationManager::ReplicationManager(
-    sim::Simulator* simulator, meta::DistributedMetadataEngine* metadata,
+    sim::Simulator* simulator, meta::MetadataStore* metadata,
     std::vector<storage::ObjectStore*> stores,
     const media::QualityLadder& ladder, int64_t first_dynamic_oid,
     const Options& options)
@@ -56,19 +56,18 @@ PlacementSnapshot ReplicationManager::BuildSnapshot() {
   }
   // Placement: every replica registered in metadata whose quality matches
   // a ladder level.
-  for (LogicalOid content : metadata_->AllContentIds()) {
-    SiteId owner = metadata_->OwnerOf(content);
-    for (const media::ReplicaInfo& replica :
-         metadata_->ReplicasOf(owner, content)) {
+  for (const media::VideoContent* content : metadata_->AllContents()) {
+    for (const media::ReplicaInfo* replica :
+         metadata_->ReplicasOf(content->id)) {
       for (size_t level = 0; level < ladder_.levels.size(); ++level) {
-        if (replica.qos == ladder_.levels[level]) {
+        if (replica->qos == ladder_.levels[level]) {
           double warmth =
               cache_ != nullptr
-                  ? cache_->CachedFraction(replica.site, replica)
+                  ? cache_->CachedFraction(replica->site, *replica)
                   : 0.0;
           snapshot.replicas.push_back(PlacementEntry{
-              replica.id, content, static_cast<int>(level), replica.site,
-              replica.size_kb, warmth});
+              replica->id, content->id, static_cast<int>(level),
+              replica->site, replica->size_kb, warmth});
           break;
         }
       }
@@ -80,9 +79,9 @@ PlacementSnapshot ReplicationManager::BuildSnapshot() {
     double kb = 0.0;
     if (key.ladder_level >= 0 &&
         key.ladder_level < static_cast<int>(ladder_.levels.size())) {
-      auto content = metadata_->FindContent(metadata_->OwnerOf(key.content),
-                                            key.content);
-      if (content.has_value()) {
+      const media::VideoContent* content =
+          metadata_->FindContent(key.content);
+      if (content != nullptr) {
         kb = media::EstimateBitrateKBps(
                  ladder_.levels[static_cast<size_t>(key.ladder_level)]) *
              content->duration_seconds;
@@ -129,9 +128,8 @@ void ReplicationManager::ExecuteDrop(const ReplicationAction& action) {
 }
 
 void ReplicationManager::ExecuteCreate(const ReplicationAction& action) {
-  auto content = metadata_->FindContent(metadata_->OwnerOf(action.content),
-                                        action.content);
-  if (!content.has_value()) {
+  const media::VideoContent* content = metadata_->FindContent(action.content);
+  if (content == nullptr) {
     ++stats_.create_failures;
     return;
   }

@@ -7,7 +7,7 @@
 #include "cache/cache_manager.h"
 #include "common/ids.h"
 #include "media/library.h"
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 #include "replication/access_tracker.h"
 #include "replication/policy.h"
 #include "simcore/simulator.h"
@@ -45,7 +45,7 @@ class ReplicationManager {
   /// Stores must already hold the initial replicas. `first_dynamic_oid`
   /// seeds the physical-OID allocator for created replicas.
   ReplicationManager(sim::Simulator* simulator,
-                     meta::DistributedMetadataEngine* metadata,
+                     meta::MetadataStore* metadata,
                      std::vector<storage::ObjectStore*> stores,
                      const media::QualityLadder& ladder,
                      int64_t first_dynamic_oid, const Options& options);
@@ -77,7 +77,7 @@ class ReplicationManager {
   storage::ObjectStore* StoreFor(SiteId site);
 
   sim::Simulator* simulator_;
-  meta::DistributedMetadataEngine* metadata_;
+  meta::MetadataStore* metadata_;
   std::vector<storage::ObjectStore*> stores_;
   media::QualityLadder ladder_;
   Options options_;

@@ -55,7 +55,6 @@ class CachePlanTest : public ::testing::Test {
  protected:
   CachePlanTest()
       : sites_({SiteId(0), SiteId(1)}),
-        metadata_(sites_, meta::DistributedMetadataEngine::Options()),
         replica_(MakeReplica(0, 0, 0, 0)) {
     EXPECT_TRUE(metadata_.InsertContent(MakeContent(0)).ok());
     EXPECT_TRUE(metadata_.InsertReplica(replica_).ok());
@@ -72,7 +71,7 @@ class CachePlanTest : public ::testing::Test {
   }
 
   std::vector<SiteId> sites_;
-  meta::DistributedMetadataEngine metadata_;
+  meta::MetadataStore metadata_;
   media::ReplicaInfo replica_;
 };
 

@@ -1,9 +1,8 @@
-#include "metadata/distributed_engine.h"
+#include "metadata/metadata_store.h"
 
 #include <gtest/gtest.h>
 
 #include "media/library.h"
-#include "metadata/metadata_store.h"
 
 namespace quasaq::meta {
 namespace {
@@ -73,199 +72,40 @@ TEST(MetadataStoreTest, ReplicasOfSortedByOid) {
   EXPECT_EQ(replicas[2]->id, PhysicalOid(12));
 }
 
-TEST(MetadataStoreTest, QosProfileLifecycle) {
-  MetadataStore store;
-  ASSERT_TRUE(store.InsertContent(MakeContent(1)).ok());
-  ASSERT_TRUE(store.InsertReplica(MakeReplica(10, 1, 0)).ok());
-  EXPECT_EQ(store.FindQosProfile(PhysicalOid(10)), nullptr);
-  QosProfile profile{0.02, 119.0, 119.0, 238.0};
-  ASSERT_TRUE(store.SetQosProfile(PhysicalOid(10), profile).ok());
-  const QosProfile* stored = store.FindQosProfile(PhysicalOid(10));
-  ASSERT_NE(stored, nullptr);
-  EXPECT_DOUBLE_EQ(stored->net_kbps, 119.0);
-  EXPECT_EQ(store.SetQosProfile(PhysicalOid(99), profile).code(),
-            StatusCode::kNotFound);
-}
-
 TEST(MetadataStoreTest, EraseReplicaRemovesEverything) {
   MetadataStore store;
   ASSERT_TRUE(store.InsertContent(MakeContent(1)).ok());
   ASSERT_TRUE(store.InsertReplica(MakeReplica(10, 1, 0)).ok());
-  ASSERT_TRUE(
-      store.SetQosProfile(PhysicalOid(10), QosProfile{}).ok());
   ASSERT_TRUE(store.EraseReplica(PhysicalOid(10)).ok());
   EXPECT_EQ(store.FindReplica(PhysicalOid(10)), nullptr);
-  EXPECT_EQ(store.FindQosProfile(PhysicalOid(10)), nullptr);
   EXPECT_TRUE(store.ReplicasOf(LogicalOid(1)).empty());
   EXPECT_EQ(store.EraseReplica(PhysicalOid(10)).code(),
             StatusCode::kNotFound);
 }
 
-TEST(MetadataStoreTest, EraseContentCascades) {
+TEST(MetadataStoreTest, InsertAfterLookupIsVisible) {
   MetadataStore store;
   ASSERT_TRUE(store.InsertContent(MakeContent(1)).ok());
   ASSERT_TRUE(store.InsertReplica(MakeReplica(10, 1, 0)).ok());
-  ASSERT_TRUE(store.InsertReplica(MakeReplica(11, 1, 1)).ok());
-  ASSERT_TRUE(store.SetQosProfile(PhysicalOid(10), QosProfile{}).ok());
-  ASSERT_TRUE(store.EraseContent(LogicalOid(1)).ok());
-  EXPECT_EQ(store.FindContent(LogicalOid(1)), nullptr);
-  EXPECT_EQ(store.FindReplica(PhysicalOid(10)), nullptr);
-  EXPECT_EQ(store.FindReplica(PhysicalOid(11)), nullptr);
-  EXPECT_EQ(store.FindQosProfile(PhysicalOid(10)), nullptr);
-  EXPECT_EQ(store.EraseContent(LogicalOid(1)).code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(store.ReplicasOf(LogicalOid(1)).size(), 1u);
+  // A replica registered after a lookup is seen by the next one.
+  ASSERT_TRUE(store.InsertReplica(MakeReplica(5, 1, 2)).ok());
+  auto replicas = store.ReplicasOf(LogicalOid(1));
+  ASSERT_EQ(replicas.size(), 2u);
+  EXPECT_EQ(replicas[0]->id, PhysicalOid(5));
+  EXPECT_EQ(replicas[1]->id, PhysicalOid(10));
 }
 
-class DistributedEngineTest : public ::testing::Test {
- protected:
-  DistributedEngineTest()
-      : sites_({SiteId(0), SiteId(1), SiteId(2)}),
-        engine_(sites_, DistributedMetadataEngine::Options()) {}
-
-  void Populate(int contents, int replicas_each) {
-    for (int c = 0; c < contents; ++c) {
-      ASSERT_TRUE(engine_.InsertContent(MakeContent(c)).ok());
-      for (int r = 0; r < replicas_each; ++r) {
-        ASSERT_TRUE(
-            engine_.InsertReplica(MakeReplica(c * 10 + r, c, r % 3)).ok());
-      }
-    }
+TEST(MetadataStoreTest, AllContentsInOidOrder) {
+  MetadataStore store;
+  for (int64_t oid : {4, 0, 6, 2, 5, 1, 3}) {
+    ASSERT_TRUE(store.InsertContent(MakeContent(oid)).ok());
   }
-
-  std::vector<SiteId> sites_;
-  DistributedMetadataEngine engine_;
-};
-
-TEST_F(DistributedEngineTest, OwnershipPartitionsByOid) {
-  EXPECT_EQ(engine_.OwnerOf(LogicalOid(0)), SiteId(0));
-  EXPECT_EQ(engine_.OwnerOf(LogicalOid(1)), SiteId(1));
-  EXPECT_EQ(engine_.OwnerOf(LogicalOid(2)), SiteId(2));
-  EXPECT_EQ(engine_.OwnerOf(LogicalOid(3)), SiteId(0));
-}
-
-TEST_F(DistributedEngineTest, LocalAccessCountsAsLocal) {
-  Populate(3, 2);
-  SiteId owner = engine_.OwnerOf(LogicalOid(0));
-  SimTime latency = 0;
-  auto replicas = engine_.ReplicasOf(owner, LogicalOid(0), &latency);
-  EXPECT_EQ(replicas.size(), 2u);
-  EXPECT_EQ(engine_.stats_for(owner).local_accesses, 1u);
-  EXPECT_EQ(engine_.stats_for(owner).remote_accesses, 0u);
-  EXPECT_GT(latency, 0);
-}
-
-TEST_F(DistributedEngineTest, RemoteAccessThenCacheHit) {
-  Populate(3, 2);
-  SiteId other(1);  // content 0 is owned by site 0
-  SimTime remote_latency = 0;
-  engine_.ReplicasOf(other, LogicalOid(0), &remote_latency);
-  EXPECT_EQ(engine_.stats_for(other).remote_accesses, 1u);
-  SimTime hit_latency = 0;
-  engine_.ReplicasOf(other, LogicalOid(0), &hit_latency);
-  EXPECT_EQ(engine_.stats_for(other).cache_hits, 1u);
-  EXPECT_LT(hit_latency, remote_latency);
-}
-
-TEST_F(DistributedEngineTest, InsertInvalidatesRemoteCaches) {
-  Populate(1, 1);
-  SiteId other(1);
-  EXPECT_EQ(engine_.ReplicasOf(other, LogicalOid(0)).size(), 1u);
-  // New replica registered at the owner must be visible through the
-  // cache immediately.
-  ASSERT_TRUE(engine_.InsertReplica(MakeReplica(5, 0, 2)).ok());
-  EXPECT_EQ(engine_.ReplicasOf(other, LogicalOid(0)).size(), 2u);
-}
-
-TEST_F(DistributedEngineTest, FindContentAndMissingContent) {
-  Populate(2, 1);
-  auto found = engine_.FindContent(SiteId(2), LogicalOid(1));
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->title, "video1");
-  EXPECT_FALSE(engine_.FindContent(SiteId(2), LogicalOid(99)).has_value());
-}
-
-TEST_F(DistributedEngineTest, QosProfileVisibleFromEverySite) {
-  Populate(1, 1);
-  QosProfile profile{0.03, 100.0, 100.0, 200.0};
-  ASSERT_TRUE(engine_.SetQosProfile(PhysicalOid(0), profile).ok());
-  for (SiteId site : sites_) {
-    auto found = engine_.FindQosProfile(site, PhysicalOid(0));
-    ASSERT_TRUE(found.has_value());
-    EXPECT_DOUBLE_EQ(found->cpu_fraction, 0.03);
-  }
-  EXPECT_FALSE(
-      engine_.FindQosProfile(SiteId(0), PhysicalOid(77)).has_value());
-}
-
-TEST_F(DistributedEngineTest, AllContentIdsCoversEveryInsert) {
-  Populate(7, 1);
-  std::vector<LogicalOid> ids = engine_.AllContentIds();
-  ASSERT_EQ(ids.size(), 7u);
+  std::vector<const media::VideoContent*> contents = store.AllContents();
+  ASSERT_EQ(contents.size(), 7u);
   for (int i = 0; i < 7; ++i) {
-    EXPECT_EQ(ids[static_cast<size_t>(i)], LogicalOid(i));
+    EXPECT_EQ(contents[static_cast<size_t>(i)]->id, LogicalOid(i));
   }
-}
-
-TEST_F(DistributedEngineTest, EraseContentRemovesEverythingEverywhere) {
-  Populate(3, 2);
-  SiteId other(1);  // content 0 owned by site 0
-  // Warm the remote cache first.
-  EXPECT_EQ(engine_.ReplicasOf(other, LogicalOid(0)).size(), 2u);
-  ASSERT_TRUE(engine_.EraseContent(LogicalOid(0)).ok());
-  EXPECT_FALSE(engine_.FindContent(other, LogicalOid(0)).has_value());
-  EXPECT_TRUE(engine_.ReplicasOf(other, LogicalOid(0)).empty());
-  EXPECT_FALSE(
-      engine_.FindQosProfile(SiteId(0), PhysicalOid(0)).has_value());
-  EXPECT_EQ(engine_.AllContentIds().size(), 2u);
-  EXPECT_EQ(engine_.EraseContent(LogicalOid(0)).code(),
-            StatusCode::kNotFound);
-}
-
-TEST_F(DistributedEngineTest, CacheEvictionUnderTinyCapacity) {
-  DistributedMetadataEngine::Options options;
-  options.cache_capacity = 1;
-  DistributedMetadataEngine small(sites_, options);
-  for (int c = 0; c < 4; ++c) {
-    ASSERT_TRUE(small.InsertContent(MakeContent(c)).ok());
-    ASSERT_TRUE(small.InsertReplica(MakeReplica(c * 10, c, 0)).ok());
-  }
-  SiteId site(1);
-  // Contents 0 and 2 are remote to site 1; alternate to force eviction.
-  small.ReplicasOf(site, LogicalOid(0));
-  small.ReplicasOf(site, LogicalOid(2));
-  small.ReplicasOf(site, LogicalOid(0));
-  EXPECT_EQ(small.stats_for(site).remote_accesses, 3u);
-  EXPECT_EQ(small.stats_for(site).cache_hits, 0u);
-}
-
-TEST(QosSamplerTest, AnalyticProfileMatchesCostModel) {
-  media::ReplicaInfo replica = MakeReplica(1, 0, 0);
-  QosSampler sampler;
-  QosProfile profile = sampler.SampleStreaming(replica);
-  EXPECT_NEAR(profile.net_kbps, replica.bitrate_kbps, 1e-9);
-  EXPECT_NEAR(profile.disk_kbps, replica.bitrate_kbps, 1e-9);
-  EXPECT_GT(profile.cpu_fraction, 0.0);
-  EXPECT_LT(profile.cpu_fraction, 0.2);
-  EXPECT_NEAR(profile.memory_kb, replica.bitrate_kbps * 2.0, 1e-9);
-}
-
-TEST(QosSamplerTest, MeasurementNoiseStaysBounded) {
-  media::ReplicaInfo replica = MakeReplica(1, 0, 0);
-  QosSampler::Options options;
-  options.measurement_noise_sd = 0.1;
-  QosSampler sampler(options, 5);
-  for (int i = 0; i < 100; ++i) {
-    QosProfile profile = sampler.SampleStreaming(replica);
-    EXPECT_GE(profile.net_kbps, replica.bitrate_kbps * 0.5);
-    EXPECT_LE(profile.net_kbps, replica.bitrate_kbps * 1.5);
-  }
-}
-
-TEST(QosProfileTest, ToStringMentionsUnits) {
-  QosProfile profile{0.02, 119.0, 119.0, 238.0};
-  std::string s = profile.ToString();
-  EXPECT_NE(s.find("cpu"), std::string::npos);
-  EXPECT_NE(s.find("KB/s"), std::string::npos);
 }
 
 }  // namespace

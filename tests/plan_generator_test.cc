@@ -37,8 +37,7 @@ media::ReplicaInfo MakeReplica(int64_t oid, int64_t content, int site,
 class PlanGeneratorTest : public ::testing::Test {
  protected:
   PlanGeneratorTest()
-      : sites_({SiteId(0), SiteId(1)}),
-        metadata_(sites_, meta::DistributedMetadataEngine::Options()) {
+      : sites_({SiteId(0), SiteId(1)}) {
     EXPECT_TRUE(metadata_.InsertContent(MakeContent(0)).ok());
     // DVD master at both sites; VCD copy at site 0 only.
     EXPECT_TRUE(metadata_.InsertReplica(MakeReplica(0, 0, 0, 0)).ok());
@@ -51,7 +50,7 @@ class PlanGeneratorTest : public ::testing::Test {
   }
 
   std::vector<SiteId> sites_;
-  meta::DistributedMetadataEngine metadata_;
+  meta::MetadataStore metadata_;
 };
 
 TEST_F(PlanGeneratorTest, UnknownContentIsNotFound) {
@@ -228,17 +227,6 @@ TEST_F(PlanGeneratorTest, FrameDroppingUnlocksLowFrameRateWindows) {
   }
 }
 
-TEST_F(PlanGeneratorTest, MetadataLatencyIsAccumulated) {
-  PlanGenerator generator = MakeGenerator();
-  query::QosRequirement qos;
-  qos.range.min_frame_rate = 1.0;
-  SimTime latency = 0;
-  Result<std::vector<Plan>> plans =
-      generator.Generate(SiteId(0), LogicalOid(0), qos, &latency);
-  ASSERT_TRUE(plans.ok());
-  EXPECT_GT(latency, 0);
-}
-
 // The reference expansion: every transcode x drop x encryption
 // candidate is finalized in full, then the static rules filter it, and
 // each surviving plan's cache-served twin is finalized again — the
@@ -344,8 +332,7 @@ TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
   // Every Standard-ladder level stored at site 0; site 1 is the relay
   // target.
   const std::vector<SiteId> sites = {SiteId(0), SiteId(1)};
-  meta::DistributedMetadataEngine metadata(
-      sites, meta::DistributedMetadataEngine::Options());
+  meta::MetadataStore metadata;
   ASSERT_TRUE(metadata.InsertContent(MakeContent(0)).ok());
   const size_t levels = media::QualityLadder::Standard().levels.size();
   for (size_t level = 0; level < levels; ++level) {

@@ -78,8 +78,7 @@ void ExpectRankedAs(const PlanStream::Ranked& got, const Plan& want,
 class PlanStreamTest : public ::testing::Test {
  protected:
   PlanStreamTest()
-      : sites_({SiteId(0), SiteId(1)}),
-        metadata_(sites_, meta::DistributedMetadataEngine::Options()) {
+      : sites_({SiteId(0), SiteId(1)}) {
     DeclareBuckets(pool_);
     EXPECT_TRUE(metadata_.InsertContent(MakeContent(0)).ok());
     int64_t oid = 0;
@@ -127,7 +126,7 @@ class PlanStreamTest : public ::testing::Test {
   }
 
   std::vector<SiteId> sites_;
-  meta::DistributedMetadataEngine metadata_;
+  meta::MetadataStore metadata_;
   res::ResourcePool pool_;
   LrbCostModel lrb_;
 };
@@ -365,8 +364,7 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
   // rates a table holds never read the bitrate, so one table serves
   // both, while the retrieval and transfer entries still follow each
   // replica's own bitrate.
-  meta::DistributedMetadataEngine metadata(
-      sites_, meta::DistributedMetadataEngine::Options());
+  meta::MetadataStore metadata;
   ASSERT_TRUE(metadata.InsertContent(MakeContent(0)).ok());
   ASSERT_TRUE(metadata.InsertReplica(MakeReplica(0, 0, 0, 1)).ok());
   media::ReplicaInfo heavier = MakeReplica(1, 0, 1, 1);
@@ -446,7 +444,7 @@ TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
 // re-generates from scratch, where the manager reuses one stream.
 class EagerAdmissionOracle {
  public:
-  EagerAdmissionOracle(meta::DistributedMetadataEngine* metadata,
+  EagerAdmissionOracle(const meta::MetadataStore* metadata,
                        std::vector<SiteId> sites, res::CompositeQosApi* api,
                        CostModel* cost_model,
                        const QualityManager::Options& options)
@@ -643,8 +641,7 @@ TEST_F(StreamedVsEagerTest, StreamedMaterializesStrictlyFewerPlans) {
 // generate exactly `limit` plans — not the whole space.
 TEST(ExplainLimitTest, GenerationStopsAtTheLimit) {
   std::vector<SiteId> sites = {SiteId(0)};
-  meta::DistributedMetadataEngine metadata(
-      sites, meta::DistributedMetadataEngine::Options());
+  meta::MetadataStore metadata;
   ASSERT_TRUE(metadata.InsertContent(MakeContent(0)).ok());
   // Four ladder levels at one site: four groups of exactly one plan
   // each once dropping/transcoding/relay are off and no security is

@@ -148,8 +148,7 @@ TEST_P(PlanSpaceSweepTest, GeneratedPlansAreWellFormedAndSatisfying) {
   qos.range = profile.Translate(request);
 
   std::vector<SiteId> sites = {SiteId(0), SiteId(1), SiteId(2)};
-  meta::DistributedMetadataEngine metadata(
-      sites, meta::DistributedMetadataEngine::Options());
+  meta::MetadataStore metadata;
   media::LibraryOptions library_options;
   library_options.num_videos = 3;
   media::VideoLibrary library =

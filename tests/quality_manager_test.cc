@@ -34,7 +34,6 @@ class QualityManagerTest : public ::testing::Test {
  protected:
   QualityManagerTest()
       : sites_({SiteId(0), SiteId(1)}),
-        metadata_(sites_, meta::DistributedMetadataEngine::Options()),
         api_(&pool_, observability_.metrics()) {
     for (SiteId site : sites_) {
       EXPECT_TRUE(pool_.DeclareBucket({site, ResourceKind::kCpu}, 1.0).ok());
@@ -64,7 +63,7 @@ class QualityManagerTest : public ::testing::Test {
   }
 
   std::vector<SiteId> sites_;
-  meta::DistributedMetadataEngine metadata_;
+  meta::MetadataStore metadata_;
   res::ResourcePool pool_;
   obs::Observability observability_;
   res::CompositeQosApi api_;

@@ -245,8 +245,7 @@ TEST(PolicyConsolidationTest, FreedSpaceFeedsCreationsInSameCycle) {
 class ReplicationManagerTest : public ::testing::Test {
  protected:
   ReplicationManagerTest()
-      : sites_({SiteId(0), SiteId(1)}),
-        metadata_(sites_, meta::DistributedMetadataEngine::Options()) {
+      : sites_({SiteId(0), SiteId(1)}) {
     for (SiteId site : sites_) {
       // Unlimited space by default.
       stores_.push_back(std::make_unique<storage::ObjectStore>(site));
@@ -283,7 +282,7 @@ class ReplicationManagerTest : public ::testing::Test {
 
   sim::Simulator simulator_;
   std::vector<SiteId> sites_;
-  meta::DistributedMetadataEngine metadata_;
+  meta::MetadataStore metadata_;
   std::vector<std::unique_ptr<storage::ObjectStore>> stores_;
 };
 
@@ -298,10 +297,10 @@ TEST_F(ReplicationManagerTest, HotDemandMaterializesReplicas) {
   simulator_.RunAll();
   EXPECT_EQ(manager.stats().created, 2u);  // one per site
   // The planner-visible metadata now lists the new level-2 replicas.
-  auto replicas = metadata_.ReplicasOf(SiteId(0), LogicalOid(0));
   int level2 = 0;
-  for (const media::ReplicaInfo& replica : replicas) {
-    if (replica.qos == media::QualityLadder::Standard().levels[2]) ++level2;
+  for (const media::ReplicaInfo* replica :
+       metadata_.ReplicasOf(LogicalOid(0))) {
+    if (replica->qos == media::QualityLadder::Standard().levels[2]) ++level2;
   }
   EXPECT_EQ(level2, 2);
 }
@@ -346,19 +345,19 @@ TEST_F(ReplicationManagerTest, DropRemovesStorageAndMetadata) {
   simulator_.RunAll();
   // Find a created replica and evict it manually through the policy
   // execution path.
-  auto replicas = metadata_.ReplicasOf(SiteId(0), LogicalOid(0));
   PhysicalOid victim;
-  for (const media::ReplicaInfo& replica : replicas) {
-    if (replica.qos == media::QualityLadder::Standard().levels[2]) {
-      victim = replica.id;
+  for (const media::ReplicaInfo* replica :
+       metadata_.ReplicasOf(LogicalOid(0))) {
+    if (replica->qos == media::QualityLadder::Standard().levels[2]) {
+      victim = replica->id;
       break;
     }
   }
   ASSERT_TRUE(victim.valid());
   ASSERT_TRUE(metadata_.EraseReplica(victim).ok());
-  auto after = metadata_.ReplicasOf(SiteId(0), LogicalOid(0));
-  for (const media::ReplicaInfo& replica : after) {
-    EXPECT_NE(replica.id, victim);
+  for (const media::ReplicaInfo* replica :
+       metadata_.ReplicasOf(LogicalOid(0))) {
+    EXPECT_NE(replica->id, victim);
   }
 }
 

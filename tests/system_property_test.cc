@@ -1,9 +1,15 @@
 // System-level property sweep: a randomized storm of user operations
 // (submit, cancel, pause, resume, quality changes) against the QuaSAQ
 // facade must never corrupt resource accounting — buckets never
-// overflow, and everything drains to zero when the storm ends.
+// overflow, and everything drains to zero when the storm ends. The
+// CatalogWrites instances run the storm with dynamic replication and
+// segment caching on, so replica inserts and drops in the metadata
+// catalog interleave with the user operations.
 
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <vector>
 
 #include "core/system.h"
 #include "workload/traffic.h"
@@ -11,23 +17,47 @@
 namespace quasaq {
 namespace {
 
-class SystemStormTest : public ::testing::TestWithParam<uint64_t> {};
+struct StormCase {
+  uint64_t seed = 0;
+  bool catalog_writes = false;
+};
+
+// Prints the seed alone, which names each instance.
+void PrintTo(const StormCase& storm, std::ostream* os) { *os << storm.seed; }
+
+std::vector<StormCase> StormCases(bool catalog_writes) {
+  std::vector<StormCase> cases;
+  for (uint64_t seed = 1; seed < 7; ++seed) {
+    cases.push_back({seed, catalog_writes});
+  }
+  return cases;
+}
+
+class SystemStormTest : public ::testing::TestWithParam<StormCase> {};
 
 TEST_P(SystemStormTest, ResourceAccountingSurvivesRandomUserActions) {
+  const uint64_t seed = GetParam().seed;
   sim::Simulator simulator;
   core::MediaDbSystem::Options options;
   options.kind = core::SystemKind::kVdbmsQuasaq;
-  options.seed = GetParam();
+  options.seed = seed;
   options.library.min_duration_seconds = 20.0;
   options.library.max_duration_seconds = 60.0;
+  if (GetParam().catalog_writes) {
+    options.cache.enabled = true;
+    options.replication.enabled = true;
+    options.replication.manager.period = 10 * kSecond;
+    options.replication.manager.demand_window = 30 * kSecond;
+    options.replication.manager.policy.consolidate_cold_replicas = true;
+  }
   core::MediaDbSystem system(&simulator, options);
   core::UserProfile profile(UserId(1), "storm");
   workload::TrafficOptions traffic_options;
-  traffic_options.seed = GetParam() * 17 + 1;
+  traffic_options.seed = seed * 17 + 1;
   traffic_options.fraction_secure = 0.2;
   workload::TrafficGenerator traffic(traffic_options, 15,
                                      options.topology.SiteIds());
-  Rng rng(GetParam() * 31 + 7);
+  Rng rng(seed * 31 + 7);
 
   std::vector<SessionId> live;
   std::vector<SessionId> paused;
@@ -75,14 +105,25 @@ TEST_P(SystemStormTest, ResourceAccountingSurvivesRandomUserActions) {
   for (SessionId session : paused) {
     (void)system.CancelSession(session);
   }
+  // The replication timer never runs dry; stop it so the drain ends.
+  if (GetParam().catalog_writes) system.replication_manager()->Stop();
   simulator.RunAll();
   EXPECT_EQ(system.outstanding_sessions(), 0);
   EXPECT_EQ(system.pool().MaxUtilization(), 0.0)
       << system.pool().DebugString();
+  if (GetParam().catalog_writes) {
+    // The storm really wrote to the catalog.
+    const repl::ReplicationManager::Stats& stats =
+        system.replication_manager()->stats();
+    EXPECT_GE(stats.created, 1u);
+    EXPECT_GE(stats.dropped, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SystemStormTest,
-                         ::testing::Range<uint64_t>(1, 7));
+                         ::testing::ValuesIn(StormCases(false)));
+INSTANTIATE_TEST_SUITE_P(CatalogWrites, SystemStormTest,
+                         ::testing::ValuesIn(StormCases(true)));
 
 // Parser robustness: random garbage must produce a clean error, never a
 // crash; random valid queries always parse.
