@@ -42,6 +42,10 @@ void PlanStream::SeedFrontier() {
       tables_.push_back(generator_->BuildChoiceTable(groups_[i], qos_));
     }
     group_table_[i] = slot;
+    if (tables_[slot].choices.empty()) {
+      ++stats_.groups_skipped;
+      continue;
+    }
 
     Entry entry;
     entry.group_index = i;
@@ -69,9 +73,9 @@ void PlanStream::Reset(const query::QosRequirement& qos,
   gain_ = std::move(gain);
   plans_.clear();
   frontier_ = {};
-  // Each round enters every group again; groups_expanded keeps
-  // accumulating, so groups_pruned() stays the cumulative count of
-  // branches never expanded across rounds.
+  // Each round counts every group again; groups_skipped and
+  // groups_expanded keep accumulating, so groups_pruned() stays the
+  // cumulative count of seeded branches never expanded across rounds.
   stats_.groups += groups_.size();
   SeedFrontier();
 }

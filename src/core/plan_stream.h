@@ -39,13 +39,18 @@
 // yielded only once no group that could still beat it remains, with
 // ties between a group and a plan falling to the group index exactly as
 // Rank's enumeration-order tie-break does. So groups whose bound exceeds
-// the key of the plan the consumer stops at are never expanded at all —
-// including, under LRB, the many groups whose cost ties at the pool's
-// global max fill because none of their plans touches the hottest
-// bucket. For cost models without a sound bound (Random, the ablation
-// models, or a gain function) every group bound is zero: the stream
-// degenerates to full enumeration — still in bit-identical ranking
-// order, just without pruning.
+// the key of the plan the consumer stops at are never expanded at all.
+// A group whose choice table is empty (no transcode target and drop of
+// its stored quality meets the startup bound and the QoS window) is
+// never seeded: it would expand to no plan, so it gets no floor, no
+// pool read and no frontier entry — a static prune decided before any
+// costing. Leaving it out moves no decision: it makes no cost-model
+// call, and in the min-heap frontier every entry after one above
+// `max_key` is above it too, so Next() stops where it did. For cost
+// models without a sound bound (Random, the ablation models, or a gain
+// function) every seeded group's bound is zero: the stream degenerates
+// to full enumeration — still in bit-identical ranking order, just
+// without pruning.
 
 namespace quasaq::core {
 
@@ -60,8 +65,12 @@ class PlanStream {
   };
 
   struct Stats {
-    // (replica, delivery-site) prefixes the space decomposes into.
+    // (replica, delivery-site) prefixes the space decomposes into,
+    // counted once per round.
     size_t groups = 0;
+    // Groups whose round's choice table was empty: never seeded.
+    size_t groups_skipped = 0;
+    // Seeded groups popped and turned into plans.
     size_t groups_expanded = 0;
     // Plans materialized and costed (the work the eager path always
     // pays for the whole space).
@@ -92,7 +101,8 @@ class PlanStream {
   /// renegotiation's relaxation rounds reuse one stream instead of
   /// re-seeding enumeration per round. The cumulative stats keep
   /// counting across rounds (groups grows by the group count per round,
-  /// so groups_pruned() stays consistent). No-op on a failed stream.
+  /// and groups_skipped by that round's empty groups, so
+  /// groups_pruned() stays consistent). No-op on a failed stream.
   void Reset(const query::QosRequirement& qos,
              RuntimeCostEvaluator::GainFunction gain = {});
 
@@ -112,8 +122,11 @@ class PlanStream {
   /// Known at seeding, so it holds whether or not Next() stopped early.
   bool has_plans() const;
 
-  /// Number of unexpanded groups — the branches pruning saved so far.
-  size_t groups_pruned() const { return stats_.groups - stats_.groups_expanded; }
+  /// Number of seeded groups never expanded — the branches the lower
+  /// bound cut off so far.
+  size_t groups_pruned() const {
+    return stats_.groups - stats_.groups_skipped - stats_.groups_expanded;
+  }
 
   /// Ranking key at the head of the frontier: the lower bound every
   /// not-yet-yielded plan must meet or exceed. When a consumer stops
@@ -150,8 +163,9 @@ class PlanStream {
     }
   };
 
-  // Builds this round's choice tables and pushes every group's
-  // lower-bound entry onto the frontier (a gain disables the bound).
+  // Builds this round's choice tables and pushes the lower-bound entry
+  // of every group with a non-empty table onto the frontier (a gain
+  // disables the bound).
   void SeedFrontier();
   void ExpandGroup(size_t group_index);
 

@@ -60,6 +60,9 @@ QualityManager::Metrics::Metrics(obs::MetricsRegistry& registry)
           "renegotiation, however many relaxation rounds it retried)")),
       generated(registry.GetCounter("quasaq_plan_generated_total",
                                     "Plans materialized and costed")),
+      groups_skipped(registry.GetCounter(
+          "quasaq_plan_groups_skipped_total",
+          "Groups with no QoS-feasible choice, never seeded")),
       groups_pruned(
           registry.GetCounter("quasaq_plan_groups_pruned_total",
                               "Search branches the LRB lower bound cut off")),
@@ -85,6 +88,7 @@ QualityManager::Stats QualityManager::stats() const {
   snapshot.rejected_no_resources = read(metrics_.rejected_no_resources);
   snapshot.renegotiated = read(metrics_.admitted_relaxed);
   snapshot.plans_generated = read(metrics_.generated);
+  snapshot.groups_skipped = read(metrics_.groups_skipped);
   snapshot.groups_pruned = read(metrics_.groups_pruned);
   return snapshot;
 }
@@ -173,6 +177,7 @@ std::optional<QualityManager::Admitted> QualityManager::WalkRound(
   if (trace.track != 0) {
     TraceEnd(trace, {{"plans", std::to_string(stream.stats().plans_generated -
                                               generated_before)},
+                     {"skipped", std::to_string(stream.stats().groups_skipped)},
                      {"pruned", std::to_string(stream.groups_pruned())}});
   }
   return adopted;
@@ -235,6 +240,8 @@ QualityManager::Walked QualityManager::Walk(SiteId query_site,
 void QualityManager::AccountStream(const PlanStream& stream) {
   metrics_.generated->Increment(
       static_cast<double>(stream.stats().plans_generated));
+  metrics_.groups_skipped->Increment(
+      static_cast<double>(stream.stats().groups_skipped));
   metrics_.groups_pruned->Increment(
       static_cast<double>(stream.groups_pruned()));
 }

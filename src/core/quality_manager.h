@@ -106,7 +106,8 @@ class QualityManager {
     // Plans materialized and costed (admissions, renegotiations and
     // EXPLAIN): only the prefix of the ranking the walk expanded.
     uint64_t plans_generated = 0;
-    uint64_t groups_pruned = 0;  // branches never expanded
+    uint64_t groups_skipped = 0;  // no QoS-feasible choice, never seeded
+    uint64_t groups_pruned = 0;   // seeded, never expanded
   };
 
   // A successfully admitted query.
@@ -211,6 +212,7 @@ class QualityManager {
     obs::Counter* relaxations;
     obs::Counter* renegotiations;
     obs::Counter* generated;
+    obs::Counter* groups_skipped;
     obs::Counter* groups_pruned;
     obs::Histogram* per_query;
     obs::Histogram* cutoff_margin;
@@ -248,8 +250,8 @@ class QualityManager {
   // max_renegotiation_rounds rounds while nothing is adopted. With
   // `stop_at_overflow`, for an adopt step that judges plans against the
   // pool as ranked, a round under the pure LRB key ends where every plan
-  // left overflows. Accounts plans generated, groups pruned and the
-  // cutoff margin.
+  // left overflows. Accounts plans generated, groups skipped and
+  // pruned, and the cutoff margin.
   Walked Walk(SiteId query_site, LogicalOid content,
               const query::QosRequirement& qos, const UserProfile* profile,
               const TraceContext& trace, const Adopt& adopt,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -426,6 +427,141 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
   PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
                     qos);
   ExpectDrainsAs(stream, eager, evaluator, pool_);
+}
+
+// Groups whose choice table is empty under `qos`: no transcode target
+// and drop of their stored quality meets the window.
+size_t EmptyGroups(const PlanGenerator& generator,
+                   const query::QosRequirement& qos) {
+  Result<std::vector<PlanGenerator::GroupSeed>> groups =
+      generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+  EXPECT_TRUE(groups.ok());
+  size_t empty = 0;
+  for (const PlanGenerator::GroupSeed& seed : *groups) {
+    if (generator.BuildChoiceTable(seed, qos).choices.empty()) ++empty;
+  }
+  return empty;
+}
+
+// A 20 fps floor: the SIF level is stored at 15 fps and nothing raises a
+// frame rate, so its local and relayed groups have no choice, while the
+// DVD and VCD levels (23.97 fps) keep theirs.
+query::QosRequirement SifExcludingQos() {
+  query::QosRequirement qos;
+  qos.range.min_frame_rate = 20.0;
+  return qos;
+}
+
+TEST_F(PlanStreamTest, GroupsWithNoFeasibleChoiceAreNeverSeeded) {
+  PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
+  const query::QosRequirement qos = SifExcludingQos();
+  const size_t empty = EmptyGroups(generator, qos);
+  ASSERT_EQ(empty, 4u);  // SIF at 2 sites x 2 delivery sites
+  ResourceVector used;
+  used.Add({SiteId(0), ResourceKind::kNetworkBandwidth}, 2000.0);
+  used.Add({SiteId(1), ResourceKind::kDiskBandwidth}, 12000.0);
+  ASSERT_TRUE(pool_.Acquire(used).ok());
+
+  // The Random model draws once per costed plan, so an empty group that
+  // was still costed would shift its draws.
+  RandomCostModel eager_random(11);
+  RandomCostModel stream_random(11);
+  struct Models {
+    CostModel* eager;
+    CostModel* stream;
+  };
+  for (const Models& models :
+       {Models{&lrb_, &lrb_}, Models{&eager_random, &stream_random}}) {
+    RuntimeCostEvaluator eager_eval(models.eager);
+    RuntimeCostEvaluator stream_eval(models.stream);
+    std::vector<Plan> eager = EagerRanking(generator, eager_eval, qos, pool_);
+    ASSERT_FALSE(eager.empty());
+    PlanStream stream(&generator, &stream_eval, &pool_, SiteId(0),
+                      LogicalOid(0), qos);
+    ASSERT_TRUE(stream.has_plans());
+    EXPECT_EQ(stream.stats().groups, 12u);
+    EXPECT_EQ(stream.stats().groups_skipped, empty);
+    size_t i = 0;
+    while (std::optional<PlanStream::Ranked> ranked = stream.Next()) {
+      ASSERT_LT(i, eager.size());
+      EXPECT_EQ(ranked->plan.ToString(), eager[i].ToString()) << "rank " << i;
+      ++i;
+    }
+    EXPECT_EQ(i, eager.size());
+    // Drained: every seeded group was expanded, no skipped one was.
+    EXPECT_EQ(stream.stats().groups_expanded, 12u - empty);
+    EXPECT_EQ(stream.groups_pruned(), 0u);
+  }
+
+  // An admission-style stop after the first plan: the groups left
+  // unexpanded are the seeded ones alone.
+  RuntimeCostEvaluator evaluator(&lrb_);
+  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+                    qos);
+  ASSERT_TRUE(stream.Next().has_value());
+  EXPECT_EQ(stream.stats().groups_skipped, empty);
+  EXPECT_EQ(stream.groups_pruned(),
+            12u - empty - stream.stats().groups_expanded);
+}
+
+TEST_F(PlanStreamTest, AllEmptyTablesSeedNothingAndRejectAsNotFound) {
+  query::QosRequirement impossible;
+  impossible.range.min_frame_rate = 60.0;
+  PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
+  ASSERT_EQ(EmptyGroups(generator, impossible), 12u);
+  RuntimeCostEvaluator evaluator(&lrb_);
+  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+                    impossible);
+  ASSERT_TRUE(stream.status().ok());
+  EXPECT_FALSE(stream.has_plans());
+  EXPECT_FALSE(stream.FrontierBound().has_value());
+  EXPECT_FALSE(stream.Next().has_value());
+  EXPECT_EQ(stream.stats().groups_skipped, 12u);
+  EXPECT_EQ(stream.stats().groups_expanded, 0u);
+  EXPECT_EQ(stream.groups_pruned(), 0u);
+
+  obs::Observability observability;
+  res::CompositeQosApi api(&pool_, observability.metrics());
+  QualityManager manager(&metadata_, &api, &lrb_, sites_,
+                         QualityManager::Options(), observability);
+  Result<QualityManager::Admitted> admitted =
+      manager.AdmitQuery(SiteId(0), LogicalOid(0), impossible);
+  ASSERT_FALSE(admitted.ok());
+  EXPECT_EQ(admitted.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(admitted.status().message(), "no plan satisfies the QoS bounds");
+  const QualityManager::Stats stats = manager.stats();
+  EXPECT_EQ(stats.rejected_no_plan, 1u);
+  EXPECT_EQ(stats.plans_generated, 0u);
+  EXPECT_EQ(stats.groups_skipped, 12u);
+  EXPECT_EQ(stats.groups_pruned, 0u);
+}
+
+TEST_F(PlanStreamTest, GroupEmptyInOneRoundIsSeededAfterARelaxingReset) {
+  PlanGenerator generator(&metadata_, sites_, PlanGenerator::Options());
+  RuntimeCostEvaluator evaluator(&lrb_);
+  PlanStream stream(&generator, &evaluator, &pool_, SiteId(0), LogicalOid(0),
+                    SifExcludingQos());
+  ASSERT_TRUE(stream.Next().has_value());
+  EXPECT_EQ(stream.stats().groups_skipped, 4u);
+
+  // 10 fps admits the 15 fps SIF level again: every table has choices.
+  query::QosRequirement relaxed = SifExcludingQos();
+  relaxed.range.min_frame_rate = 10.0;
+  ASSERT_EQ(EmptyGroups(generator, relaxed), 0u);
+  std::vector<Plan> eager = EagerRanking(generator, evaluator, relaxed, pool_);
+  const media::AppQos sif = media::QualityLadder::Standard().levels[2];
+  ASSERT_TRUE(std::any_of(eager.begin(), eager.end(), [&](const Plan& plan) {
+    const media::ReplicaInfo* replica =
+        metadata_.FindReplica(plan.replica_oid);
+    return replica != nullptr && replica->qos == sif;
+  }));
+  const size_t expanded_before = stream.stats().groups_expanded;
+  stream.Reset(relaxed);
+  EXPECT_TRUE(stream.has_plans());
+  EXPECT_EQ(stream.stats().groups, 24u);
+  EXPECT_EQ(stream.stats().groups_skipped, 4u);  // round 1's alone
+  ExpectDrainsAs(stream, eager, evaluator, pool_);
+  EXPECT_EQ(stream.stats().groups_expanded, expanded_before + 12u);
 }
 
 TEST_F(PlanStreamTest, UnknownContentFailsConstruction) {
