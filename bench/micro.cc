@@ -1,13 +1,17 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
-// VBR frame generation, metadata catalog lookup, content search, and
-// resource-pool operations.
+// VBR frame generation, metadata catalog lookup, choice-table filtering,
+// content search, and resource-pool operations.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "common/resource_vector.h"
+#include "core/plan_generator.h"
+#include "core/qop.h"
 #include "media/frames.h"
 #include "media/library.h"
 #include "metadata/metadata_store.h"
@@ -66,6 +70,64 @@ void BM_MetadataReplicasOf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MetadataReplicasOf);
+
+// One ChoiceTable per iteration for a relayed group of the master
+// quality (the richest key: every ladder level is a transcode target),
+// under the 81 QoS windows the traffic generator's QoP levels translate
+// to, in turn. Only the first iteration prices the key's candidates; the
+// rest time the per-round filter.
+void BM_BuildChoiceTable(benchmark::State& state) {
+  static MetadataFixture* fixture = new MetadataFixture();
+  core::PlanGenerator generator(&fixture->store,
+                                {SiteId(0), SiteId(1), SiteId(2)},
+                                core::PlanGenerator::Options());
+  Result<std::vector<core::PlanGenerator::GroupSeed>> groups =
+      generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+  if (!groups.ok()) {
+    state.SkipWithError("no replicas");
+    return;
+  }
+  const media::AppQos master = fixture->library.contents[0].master_quality;
+  auto seed = std::find_if(
+      groups->begin(), groups->end(),
+      [&](const core::PlanGenerator::GroupSeed& group) {
+        return group.replica.qos == master &&
+               group.delivery_site != group.replica.site;
+      });
+  if (seed == groups->end()) {
+    state.SkipWithError("no relayed master-quality group");
+    return;
+  }
+  const core::UserProfile profile(UserId(0), "traffic-default");
+  const core::QopLevel levels[] = {core::QopLevel::kLow,
+                                   core::QopLevel::kMedium,
+                                   core::QopLevel::kHigh};
+  std::vector<query::QosRequirement> windows;
+  for (core::QopLevel spatial : levels) {
+    for (core::QopLevel temporal : levels) {
+      for (core::QopLevel color : levels) {
+        for (core::QopLevel audio : levels) {
+          core::QopRequest qop;
+          qop.spatial = spatial;
+          qop.temporal = temporal;
+          qop.color = color;
+          qop.audio = audio;
+          query::QosRequirement qos;
+          qos.range = profile.Translate(qop);
+          windows.push_back(qos);
+        }
+      }
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    core::PlanGenerator::ChoiceTable table =
+        generator.BuildChoiceTable(*seed, windows[next]);
+    benchmark::DoNotOptimize(table);
+    next = next + 1 == windows.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_BuildChoiceTable);
 
 void BM_ContentKeywordSearch(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();

@@ -151,6 +151,10 @@ BENCHMARK(BM_PlanGenerationScaling)
 // mean, and the plans each query costed, read from the manager's stats.
 // Arguments: site count, relay on (1) or off (0). Every site stores
 // every title, so with relay on the space grows with sites squared.
+// Each configuration runs a fixed number of admissions rather than a
+// time budget, so every build times the same prefix of the seeded query
+// stream against the same pool states, and admitted_pct and
+// plans_costed repeat exactly from build to build.
 void BM_StreamedAdmissionScaling(benchmark::State& state) {
   int sites = static_cast<int>(state.range(0));
   sim::Simulator simulator;
@@ -204,13 +208,17 @@ void BM_StreamedAdmissionScaling(benchmark::State& state) {
                  (options.quality.generator.enable_relay ? "on" : "off"));
 }
 BENCHMARK(BM_StreamedAdmissionScaling)
-    ->ArgNames({"sites", "relay"})
-    ->Args({16, 0})
-    ->Args({64, 0})
-    ->Args({256, 0})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({256, 1});
+    ->ArgNames({"sites", "relay"})->Args({16, 0})->Iterations(2000);
+BENCHMARK(BM_StreamedAdmissionScaling)
+    ->ArgNames({"sites", "relay"})->Args({64, 0})->Iterations(1000);
+BENCHMARK(BM_StreamedAdmissionScaling)
+    ->ArgNames({"sites", "relay"})->Args({256, 0})->Iterations(300);
+BENCHMARK(BM_StreamedAdmissionScaling)
+    ->ArgNames({"sites", "relay"})->Args({16, 1})->Iterations(2000);
+BENCHMARK(BM_StreamedAdmissionScaling)
+    ->ArgNames({"sites", "relay"})->Args({64, 1})->Iterations(300);
+BENCHMARK(BM_StreamedAdmissionScaling)
+    ->ArgNames({"sites", "relay"})->Args({256, 1})->Iterations(40);
 
 // Text-path costs (parse + content search).
 void BM_ParseQosQuery(benchmark::State& state) {

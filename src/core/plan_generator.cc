@@ -93,52 +93,89 @@ Result<std::vector<PlanGenerator::GroupSeed>> PlanGenerator::EnumerateGroups(
   return groups;
 }
 
-PlanGenerator::ChoiceTable PlanGenerator::BuildChoiceTable(
-    const GroupSeed& seed, const query::QosRequirement& qos) const {
+PlanGenerator::Candidates PlanGenerator::BuildCandidates(
+    const media::ReplicaInfo& replica, const ChoiceKey& key) const {
   // Only replica.qos is read below (KeyOf's contract): any replica of
   // the same stored quality yields the same doubles.
-  const media::ReplicaInfo& replica = seed.replica;
-  const bool prune = options_.apply_static_pruning;
-  ChoiceTable table;
-  table.key = KeyOf(seed);
-  table.encryptions = &EncryptionChoices(qos);
-  table.forward_cpu =
-      table.key.relayed ? RelayForwardCpu(replica, options_.constants) : 0.0;
+  Candidates candidates;
+  candidates.key = key;
+  candidates.forward_cpu =
+      key.relayed ? RelayForwardCpu(replica, options_.constants) : 0.0;
   auto visit_target = [&](const std::optional<media::AppQos>& target) {
-    // Time Guarantee: startup depends only on relay and transcode, so a
-    // target that cannot start in time fails for every drop and
-    // encryption. (A cache-served twin only starts sooner.)
-    if (prune && qos.max_startup_seconds > 0.0 &&
-        DiskStartupSeconds(table.key.relayed, target.has_value(),
-                           options_.constants) > qos.max_startup_seconds) {
-      return;
-    }
+    // Startup depends only on relay and transcode. (A cache-served twin
+    // only starts sooner.)
+    const double startup_seconds = DiskStartupSeconds(
+        key.relayed, target.has_value(), options_.constants);
     const net::TranscodeStage stage = net::MakeTranscodeStage(replica, target);
     for (media::FrameDropStrategy drop : drop_choices_) {
-      const net::StreamRates rates = net::ComputeStreamRates(
-          replica, stage, drop, options_.constants.streaming_cost);
-      // The delivered quality depends only on (target, drop).
-      if (prune && !qos.range.Contains(rates.delivered_qos)) continue;
-      table.min_wire_kbps = std::min(table.min_wire_kbps, rates.wire_rate_kbps);
-      for (media::EncryptionAlgorithm encryption : *table.encryptions) {
-        // EncryptionChoices already meets the security floor.
-        assert(!prune || qos.SatisfiedBy(rates.delivered_qos, encryption));
-        table.min_cpu = std::min(table.min_cpu, rates.CpuFraction(encryption));
-      }
-      table.choices.push_back(ChoiceTable::Choice{target, drop, rates});
+      candidates.list.push_back(Candidates::Candidate{
+          ChoiceTable::Choice{
+              target, drop,
+              net::ComputeStreamRates(replica, stage, drop,
+                                      options_.constants.streaming_cost)},
+          startup_seconds});
     }
   };
 
   // A4 candidates for this replica: stay at stored quality, or any
   // target the source quality can be down-converted to.
   visit_target(std::nullopt);
-  if (!options_.enable_transcoding) return table;
+  if (!options_.enable_transcoding) return candidates;
+  const bool prune = options_.apply_static_pruning;
   for (const media::AppQos& target : options_.transcode_targets) {
     if (prune && !media::TranscodeAllowed(replica.qos, target)) continue;
     if (!prune && target == replica.qos) {
       continue;  // identity transcode is meaningless in any mode
     }
     visit_target(target);
+  }
+  return candidates;
+}
+
+const PlanGenerator::Candidates& PlanGenerator::CandidatesOf(
+    const GroupSeed& seed) const {
+  const ChoiceKey key = KeyOf(seed);
+  MutexLock lock(&candidates_mu_);
+  for (const Candidates& candidates : candidates_) {
+    if (candidates.key == key) return candidates;
+  }
+  candidates_.push_back(BuildCandidates(seed.replica, key));
+  return candidates_.back();
+}
+
+size_t PlanGenerator::candidate_keys() const {
+  MutexLock lock(&candidates_mu_);
+  return candidates_.size();
+}
+
+PlanGenerator::ChoiceTable PlanGenerator::BuildChoiceTable(
+    const GroupSeed& seed, const query::QosRequirement& qos) const {
+  const Candidates& candidates = CandidatesOf(seed);
+  const bool prune = options_.apply_static_pruning;
+  ChoiceTable table;
+  table.key = candidates.key;
+  table.encryptions = &EncryptionChoices(qos);
+  table.forward_cpu = candidates.forward_cpu;
+  for (const Candidates::Candidate& candidate : candidates.list) {
+    const ChoiceTable::Choice& choice = candidate.choice;
+    // Time Guarantee: a target that cannot start in time fails for
+    // every drop and encryption.
+    if (prune && qos.max_startup_seconds > 0.0 &&
+        candidate.startup_seconds > qos.max_startup_seconds) {
+      continue;
+    }
+    // The delivered quality depends only on (target, drop).
+    if (prune && !qos.range.Contains(choice.rates.delivered_qos)) continue;
+    table.min_wire_kbps =
+        std::min(table.min_wire_kbps, choice.rates.wire_rate_kbps);
+    for (media::EncryptionAlgorithm encryption : *table.encryptions) {
+      // EncryptionChoices already meets the security floor.
+      assert(!prune ||
+             qos.SatisfiedBy(choice.rates.delivered_qos, encryption));
+      table.min_cpu =
+          std::min(table.min_cpu, choice.rates.CpuFraction(encryption));
+    }
+    table.choices.push_back(choice);
   }
   return table;
 }
@@ -210,11 +247,6 @@ ResourceVector PlanGenerator::GroupDemandFloor(const GroupSeed& seed,
                table.min_wire_kbps * options_.constants.buffer_seconds);
   }
   return demand;
-}
-
-ResourceVector PlanGenerator::GroupDemandFloor(
-    const GroupSeed& seed, const query::QosRequirement& qos) const {
-  return GroupDemandFloor(seed, BuildChoiceTable(seed, qos));
 }
 
 Result<std::vector<Plan>> PlanGenerator::Generate(

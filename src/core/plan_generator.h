@@ -1,6 +1,7 @@
 #ifndef QUASAQ_CORE_PLAN_GENERATOR_H_
 #define QUASAQ_CORE_PLAN_GENERATOR_H_
 
+#include <deque>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "core/plan.h"
 #include "media/library.h"
 #include "metadata/metadata_store.h"
@@ -40,13 +42,17 @@
 // transcode, so the static rules run once per pair, on rates taken from
 // a static frame-drop table (media::StandardFrameDropEffect), before any
 // encryption choice is priced. None of that reads more of the group than
-// its replica's stored quality and whether it is relayed, so the
-// survivors are collected into a ChoiceTable per (stored AppQos,
-// relayed) key and QoS requirement, which every group of that key shares
-// for both its demand floor and its expansion. Only the table's choices
-// are finalized into plans with a resource vector, and each cache-served
-// twin is patched from its finalized disk twin rather than finalized
-// again.
+// its replica's stored quality and whether it is relayed — its
+// ChoiceKey. The pairs, their rates and startup times do not read the
+// query either, so the generator prices them once per key, on first
+// use, and keeps them for its lifetime: one entry per distinct (stored
+// AppQos, relayed) key of the catalog, however many admissions follow.
+// A ChoiceTable is then only a filter of that list by one QoS
+// requirement (startup bound, then QoS window), which every group of
+// the key shares for both its demand floor and its expansion. Only the
+// table's choices are finalized into plans with a resource vector, and
+// each cache-served twin is patched from its finalized disk twin rather
+// than finalized again.
 
 namespace quasaq::core {
 
@@ -144,9 +150,11 @@ class PlanGenerator {
   };
 
   /// The ChoiceTable of `seed`'s key under `qos`; valid for every group
-  /// with the same KeyOf().
+  /// with the same KeyOf(). Filters the key's priced candidates, which
+  /// the first call for the key builds.
   ChoiceTable BuildChoiceTable(const GroupSeed& seed,
-                               const query::QosRequirement& qos) const;
+                               const query::QosRequirement& qos) const
+      QUASAQ_EXCLUDES(candidates_mu_);
 
   /// Stage 2: appends every surviving plan of `seed` to `out`, in eager
   /// enumeration order (cache-served twin immediately before its disk
@@ -170,9 +178,9 @@ class PlanGenerator {
   /// built for KeyOf(seed).
   ResourceVector GroupDemandFloor(const GroupSeed& seed,
                                   const ChoiceTable& table) const;
-  /// GroupDemandFloor on a table built for this call alone.
-  ResourceVector GroupDemandFloor(const GroupSeed& seed,
-                                  const query::QosRequirement& qos) const;
+
+  /// Number of ChoiceKeys whose candidates have been priced so far.
+  size_t candidate_keys() const QUASAQ_EXCLUDES(candidates_mu_);
 
   const Options& options() const { return options_; }
 
@@ -189,6 +197,25 @@ class PlanGenerator {
   const std::vector<media::EncryptionAlgorithm>& EncryptionChoices(
       const query::QosRequirement& qos) const;
 
+  // The QoS-independent half of a ChoiceTable: every (transcode target,
+  // drop) choice the options allow for one key, in eager enumeration
+  // order, with its startup time.
+  struct Candidates {
+    struct Candidate {
+      ChoiceTable::Choice choice;
+      double startup_seconds = 0.0;
+    };
+    ChoiceKey key;
+    double forward_cpu = 0.0;
+    std::vector<Candidate> list;
+  };
+  // The candidates of `seed`'s key, built on first use. The entry is
+  // immutable once stored and never moves, so it is read unlocked.
+  const Candidates& CandidatesOf(const GroupSeed& seed) const
+      QUASAQ_EXCLUDES(candidates_mu_);
+  Candidates BuildCandidates(const media::ReplicaInfo& replica,
+                             const ChoiceKey& key) const;
+
   const meta::MetadataStore* metadata_;
   std::vector<SiteId> sites_;
   Options options_;
@@ -199,6 +226,11 @@ class PlanGenerator {
   // Indexed by static_cast<int>(SecurityLevel); raw space at slot 0
   // when static pruning is off.
   std::vector<std::vector<media::EncryptionAlgorithm>> encryption_choices_;
+  // One entry per key seen so far, append-only (a deque keeps addresses
+  // stable). A leaf lock: building an entry takes no other lock.
+  mutable Mutex candidates_mu_;
+  mutable std::deque<Candidates> candidates_
+      QUASAQ_GUARDED_BY(candidates_mu_);
 };
 
 }  // namespace quasaq::core

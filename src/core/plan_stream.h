@@ -25,10 +25,11 @@
 //
 // The search is organized over (replica, delivery-site) groups — the
 // (A1, A2) prefixes of the enumeration. Each round (construction or
-// Reset) first builds one PlanGenerator::ChoiceTable per distinct
+// Reset) first filters one PlanGenerator::ChoiceTable per distinct
 // (stored quality, relayed) key among the groups — a handful, however
-// many groups share them — and every group's demand floor and expansion
-// read its key's table. Each group enters the frontier at the key
+// many groups share them — out of the candidates the generator priced
+// for that key once, for every admission, so a round computes no stream
+// rates; every group's demand floor and expansion read its key's table. Each group enters the frontier at the key
 // (LRB cost, normalized demand) of its demand floor
 // (PlanGenerator::GroupDemandFloor). The floor's entries are a subset of
 // every plan's entries of the group, in the same sorted order and none

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
@@ -10,8 +11,10 @@
 #include "cache/segment_cache.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/plan_generator.h"
 #include "core/session_manager.h"
 #include "core/system.h"
+#include "metadata/metadata_store.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -459,6 +462,95 @@ TEST(ConcurrencyStressTest, PerQueryPlanHistogramCountsEachAdmissionOnce) {
   // would move it by at least 1.
   EXPECT_NEAR(per_query.sum, generated, 0.5);
   EXPECT_EQ(static_cast<double>(per_query.count), queries);
+}
+
+// The plan generator prices each (stored quality, relayed) key on first
+// use. Here the first admissions of a fresh system race to do so: every
+// thread waits at a start line, then admits at once. The store must end
+// with one entry per key of the catalog, each priced whole — the tables
+// filtered from it equal a fresh single-threaded generator's, bit for
+// bit.
+TEST(ConcurrencyStressTest, FirstAdmissionsRaceToPriceCandidates) {
+  constexpr int kAdmissionsPerThread = 20;
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options;
+  options.kind = core::SystemKind::kVdbmsQuasaq;
+  options.topology = net::Topology::Uniform(4);
+  options.seed = 29;
+  core::MediaDbSystem system(&simulator, options);
+  const std::vector<SiteId> sites = system.topology().SiteIds();
+  const core::PlanGenerator& generator =
+      system.quality_manager()->generator();
+  ASSERT_EQ(generator.candidate_keys(), 0u);
+
+  query::QosRequirement wide;
+  wide.range.min_frame_rate = 1.0;
+  std::atomic<int> waiting{kThreads};
+  std::atomic<uint64_t> admitted{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const SiteId site = sites[static_cast<size_t>(t) % sites.size()];
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (int i = 0; i < kAdmissionsPerThread; ++i) {
+        LogicalOid content(static_cast<int64_t>((i + 2 * t) % 15));
+        core::MediaDbSystem::DeliveryOutcome outcome =
+            system.SubmitDelivery(site, content, wide);
+        if (!outcome.status.ok()) continue;
+        ++admitted;
+        EXPECT_TRUE(system.CancelSession(outcome.session).ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_GT(admitted.load(), 0u);
+
+  // Every title is stored at every site, so each stored quality has a
+  // local and a relayed key.
+  std::vector<media::AppQos> qualities;
+  meta::MetadataStore metadata;
+  for (const media::VideoContent& content : system.library().contents) {
+    ASSERT_TRUE(metadata.InsertContent(content).ok());
+  }
+  for (const media::ReplicaInfo& replica : system.library().replicas) {
+    ASSERT_TRUE(metadata.InsertReplica(replica).ok());
+    if (std::find(qualities.begin(), qualities.end(), replica.qos) ==
+        qualities.end()) {
+      qualities.push_back(replica.qos);
+    }
+  }
+  EXPECT_EQ(generator.candidate_keys(), 2 * qualities.size());
+
+  const core::PlanGenerator fresh(&metadata, sites, generator.options());
+  for (const media::VideoContent& content : system.library().contents) {
+    Result<std::vector<core::PlanGenerator::GroupSeed>> groups =
+        fresh.EnumerateGroups(sites[0], content.id);
+    ASSERT_TRUE(groups.ok());
+    for (const core::PlanGenerator::GroupSeed& seed : *groups) {
+      const core::PlanGenerator::ChoiceTable raced =
+          generator.BuildChoiceTable(seed, wide);
+      const core::PlanGenerator::ChoiceTable want =
+          fresh.BuildChoiceTable(seed, wide);
+      EXPECT_EQ(raced.forward_cpu, want.forward_cpu);
+      EXPECT_EQ(raced.min_wire_kbps, want.min_wire_kbps);
+      EXPECT_EQ(raced.min_cpu, want.min_cpu);
+      ASSERT_EQ(raced.choices.size(), want.choices.size());
+      for (size_t i = 0; i < want.choices.size(); ++i) {
+        EXPECT_EQ(raced.choices[i].target, want.choices[i].target);
+        EXPECT_EQ(raced.choices[i].drop, want.choices[i].drop);
+        EXPECT_EQ(raced.choices[i].rates.delivered_qos,
+                  want.choices[i].rates.delivered_qos);
+        EXPECT_EQ(raced.choices[i].rates.wire_rate_kbps,
+                  want.choices[i].rates.wire_rate_kbps);
+        EXPECT_EQ(raced.choices[i].rates.base_cpu_ms_per_second,
+                  want.choices[i].rates.base_cpu_ms_per_second);
+      }
+    }
+  }
+  // Comparing added no key.
+  EXPECT_EQ(generator.candidate_keys(), 2 * qualities.size());
 }
 
 // The metrics registry is the one object every instrumented subsystem

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/qop.h"
 #include "media/library.h"
+#include "net/rtp.h"
 
 namespace quasaq::core {
 namespace {
@@ -328,6 +333,124 @@ void ExpectIdenticalPlans(const Plan& expected, const Plan& actual) {
   }
 }
 
+// What the oracle says a group's ChoiceTable holds: the (target, drop)
+// pairs of its surviving plans in order, with the least wire rate and
+// CPU fraction over those plans, each priced through FinalizePlan's own
+// route. `plans` is a disk-served ReferenceExpandGroup result.
+struct ReferenceTable {
+  std::vector<const Plan*> choices;  // the first plan of each pair
+  double min_wire_kbps = std::numeric_limits<double>::infinity();
+  double min_cpu = std::numeric_limits<double>::infinity();
+};
+
+ReferenceTable MakeReferenceTable(const PlanGenerator::Options& options,
+                                  const media::ReplicaInfo& replica,
+                                  const std::vector<Plan>& plans) {
+  ReferenceTable table;
+  for (const Plan& plan : plans) {
+    if (table.choices.empty() ||
+        table.choices.back()->transform.transcode_target !=
+            plan.transform.transcode_target ||
+        table.choices.back()->transform.drop != plan.transform.drop) {
+      table.choices.push_back(&plan);
+    }
+    table.min_wire_kbps = std::min(table.min_wire_kbps, plan.wire_rate_kbps);
+    table.min_cpu = std::min(
+        table.min_cpu,
+        net::StreamCpuFraction(replica, plan.transform,
+                               options.constants.streaming_cost));
+  }
+  return table;
+}
+
+// The demand floor as GroupDemandFloor documents it, from the oracle's
+// table.
+ResourceVector ReferenceFloor(const PlanGenerator::Options& options,
+                              const PlanGenerator::GroupSeed& seed,
+                              const ReferenceTable& table) {
+  const media::ReplicaInfo& replica = seed.replica;
+  ResourceVector floor;
+  const double disk_kbps = replica.bitrate_kbps * (1.0 - seed.cache_fraction);
+  if (disk_kbps > 0.0) {
+    floor.Add({replica.site, ResourceKind::kDiskBandwidth}, disk_kbps);
+  }
+  if (seed.delivery_site != replica.site) {
+    const double forward_cpu = RelayForwardCpu(replica, options.constants);
+    floor.Add({replica.site, ResourceKind::kNetworkBandwidth},
+              replica.bitrate_kbps);
+    floor.Add({replica.site, ResourceKind::kCpu}, forward_cpu);
+    floor.Add({seed.delivery_site, ResourceKind::kCpu}, forward_cpu);
+  }
+  if (!table.choices.empty()) {
+    floor.Add({seed.delivery_site, ResourceKind::kCpu}, table.min_cpu);
+    floor.Add({seed.delivery_site, ResourceKind::kNetworkBandwidth},
+              table.min_wire_kbps);
+    floor.Add({seed.delivery_site, ResourceKind::kMemory},
+              table.min_wire_kbps * options.constants.buffer_seconds);
+  }
+  return floor;
+}
+
+// The group's table, demand floor and expansion under `qos` equal the
+// finalize-then-filter oracle's, bit for bit. Returns the number of
+// plans compared.
+size_t ExpectMatchesOracle(const PlanGenerator& generator,
+                           const PlanGenerator::GroupSeed& seed,
+                           const query::QosRequirement& qos) {
+  const PlanGenerator::Options& options = generator.options();
+  const media::ReplicaInfo& replica = seed.replica;
+  PlanGenerator::GroupSeed disk_seed = seed;
+  disk_seed.cache_fraction = 0.0;
+  const std::vector<Plan> disk_plans =
+      ReferenceExpandGroup(options, disk_seed, qos);
+  const ReferenceTable reference =
+      MakeReferenceTable(options, replica, disk_plans);
+
+  const PlanGenerator::ChoiceTable table =
+      generator.BuildChoiceTable(seed, qos);
+  EXPECT_TRUE(table.key == PlanGenerator::KeyOf(seed));
+  EXPECT_EQ(table.forward_cpu, seed.delivery_site != replica.site
+                                   ? RelayForwardCpu(replica, options.constants)
+                                   : 0.0);
+  EXPECT_EQ(table.min_wire_kbps, reference.min_wire_kbps);
+  EXPECT_EQ(table.min_cpu, reference.min_cpu);
+  EXPECT_EQ(table.choices.size(), reference.choices.size());
+  for (size_t i = 0;
+       i < std::min(table.choices.size(), reference.choices.size()); ++i) {
+    const PlanGenerator::ChoiceTable::Choice& choice = table.choices[i];
+    const Plan& want = *reference.choices[i];
+    EXPECT_EQ(choice.target, want.transform.transcode_target);
+    EXPECT_EQ(choice.drop, want.transform.drop);
+    EXPECT_EQ(choice.rates.delivered_qos, want.delivered_qos);
+    EXPECT_EQ(choice.rates.wire_rate_kbps, want.wire_rate_kbps);
+    EXPECT_EQ(choice.rates.CpuFraction(want.transform.encryption),
+              net::StreamCpuFraction(replica, want.transform,
+                                     options.constants.streaming_cost));
+  }
+
+  const ResourceVector floor = generator.GroupDemandFloor(seed, table);
+  const ResourceVector want_floor = ReferenceFloor(options, seed, reference);
+  EXPECT_EQ(floor.ToString(), want_floor.ToString());
+  if (floor.size() == want_floor.size()) {
+    for (size_t i = 0; i < floor.size(); ++i) {
+      EXPECT_EQ(floor.entries()[i].bucket, want_floor.entries()[i].bucket);
+      EXPECT_EQ(floor.entries()[i].units, want_floor.entries()[i].units);
+    }
+  }
+
+  const std::vector<Plan> expected =
+      seed.cache_fraction > 0.0 ? ReferenceExpandGroup(options, seed, qos)
+                                : disk_plans;
+  std::vector<Plan> actual;
+  generator.ExpandGroup(seed, table, actual);
+  EXPECT_EQ(actual.size(), expected.size());
+  if (actual.size() != expected.size()) return 0;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ExpectIdenticalPlans(expected[i], actual[i]);
+  }
+  return expected.size();
+}
+
 TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
   // Every Standard-ladder level stored at site 0; site 1 is the relay
   // target.
@@ -388,15 +511,7 @@ TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
                              " security=" +
                              std::to_string(static_cast<int>(security)) +
                              " startup=" + std::to_string(startup));
-                std::vector<Plan> expected =
-                    ReferenceExpandGroup(generator.options(), seed, qos);
-                std::vector<Plan> actual;
-                generator.ExpandGroup(seed, qos, actual);
-                ASSERT_EQ(actual.size(), expected.size());
-                for (size_t i = 0; i < expected.size(); ++i) {
-                  ExpectIdenticalPlans(expected[i], actual[i]);
-                }
-                plans_compared += expected.size();
+                plans_compared += ExpectMatchesOracle(generator, seed, qos);
               }
             }
           }
@@ -405,6 +520,68 @@ TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
     }
   }
   EXPECT_GT(plans_compared, 10000u);
+
+  // Every QoP request the traffic generator can draw (each of the four
+  // axes at one of three levels, times the security floor), translated
+  // through its default profile, crossed with Time Guarantees that cut
+  // nothing, relayed transcodes, every transcode, and everything but
+  // local untranscoded plans.
+  const core::UserProfile traffic_profile(UserId(0), "traffic-default");
+  const core::QopLevel qop_levels[] = {core::QopLevel::kLow,
+                                       core::QopLevel::kMedium,
+                                       core::QopLevel::kHigh};
+  std::vector<query::QosRequirement> sweep;
+  for (core::QopLevel spatial : qop_levels) {
+    for (core::QopLevel temporal : qop_levels) {
+      for (core::QopLevel color : qop_levels) {
+        for (core::QopLevel audio : qop_levels) {
+          for (media::SecurityLevel security : security_levels) {
+            for (double startup : startup_limits) {
+              core::QopRequest qop;
+              qop.spatial = spatial;
+              qop.temporal = temporal;
+              qop.color = color;
+              qop.audio = audio;
+              qop.security = security;
+              query::QosRequirement qos;
+              qos.range = traffic_profile.Translate(qop);
+              qos.min_security = security;
+              qos.max_startup_seconds = startup;
+              sweep.push_back(qos);
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_EQ(sweep.size(), 81u * 3u * std::size(startup_limits));
+  size_t sweep_compared = 0;
+  size_t empty_tables = 0;
+  for (bool pruning : {true, false}) {
+    PlanGenerator::Options options;
+    options.apply_static_pruning = pruning;
+    PlanGenerator generator(&metadata, sites, options);
+    Result<std::vector<PlanGenerator::GroupSeed>> groups =
+        generator.EnumerateGroups(SiteId(0), LogicalOid(0));
+    ASSERT_TRUE(groups.ok());
+    ASSERT_EQ(groups->size(), levels * 2);
+    for (size_t q = 0; q < sweep.size(); ++q) {
+      for (PlanGenerator::GroupSeed seed : *groups) {
+        // Alternate disk-only and cache-served groups across requests.
+        seed.cache_fraction = q % 2 == 0 ? 0.0 : 0.5;
+        SCOPED_TRACE("pruning=" + std::to_string(pruning) + " request=" +
+                     std::to_string(q) + " replica=" +
+                     std::to_string(seed.replica.id.value()) + " ->site" +
+                     std::to_string(seed.delivery_site.value()));
+        const size_t compared = ExpectMatchesOracle(generator, seed, sweep[q]);
+        if (compared == 0) ++empty_tables;
+        sweep_compared += compared;
+      }
+    }
+  }
+  // The sweep reaches both empty and non-empty tables.
+  EXPECT_GT(empty_tables, 0u);
+  EXPECT_GT(sweep_compared, 100000u);
 
   // The static drop table the expansion reads from equals the GOP walk
   // it replaced, entry by entry.

@@ -269,7 +269,8 @@ TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
       for (double cache_fraction : {0.0, 0.3, 1.0}) {
         seed.cache_fraction = cache_fraction;
         for (const query::QosRequirement& qos : requirements) {
-          ResourceVector floor = generator.GroupDemandFloor(seed, qos);
+          ResourceVector floor = generator.GroupDemandFloor(
+              seed, generator.BuildChoiceTable(seed, qos));
           double bound = lrb_.Cost(floor, pool_);
           std::vector<Plan> plans;
           generator.ExpandGroup(seed, qos, plans);
@@ -364,7 +365,9 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
   // Two replicas of the same stored quality whose bitrates differ: the
   // rates a table holds never read the bitrate, so one table serves
   // both, while the retrieval and transfer entries still follow each
-  // replica's own bitrate.
+  // replica's own bitrate. Each table below comes from a fresh
+  // generator, so its candidates are priced from the replica it is
+  // asked for, not from whichever replica of the key came first.
   meta::MetadataStore metadata;
   ASSERT_TRUE(metadata.InsertContent(MakeContent(0)).ok());
   ASSERT_TRUE(metadata.InsertReplica(MakeReplica(0, 0, 0, 1)).ok());
@@ -391,18 +394,25 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
                    " ->site" + std::to_string(seed.delivery_site.value()) +
                    " on the table of replica " +
                    std::to_string(other.replica.id.value()));
+      // (A table's encryption list points into its generator.)
+      const PlanGenerator other_generator(&metadata, sites_,
+                                          PlanGenerator::Options());
+      const PlanGenerator own_generator(&metadata, sites_,
+                                        PlanGenerator::Options());
       const PlanGenerator::ChoiceTable shared =
-          generator.BuildChoiceTable(other, qos);
+          other_generator.BuildChoiceTable(other, qos);
+      const PlanGenerator::ChoiceTable own =
+          own_generator.BuildChoiceTable(seed, qos);
       std::vector<Plan> own_plans;
       std::vector<Plan> shared_plans;
-      generator.ExpandGroup(seed, qos, own_plans);
+      generator.ExpandGroup(seed, own, own_plans);
       generator.ExpandGroup(seed, shared, shared_plans);
       ASSERT_FALSE(own_plans.empty());
       ASSERT_EQ(shared_plans.size(), own_plans.size());
       for (size_t i = 0; i < own_plans.size(); ++i) {
         ExpectIdenticalPlans(own_plans[i], shared_plans[i]);
       }
-      const ResourceVector own_floor = generator.GroupDemandFloor(seed, qos);
+      const ResourceVector own_floor = generator.GroupDemandFloor(seed, own);
       const ResourceVector shared_floor =
           generator.GroupDemandFloor(seed, shared);
       EXPECT_EQ(shared_floor.ToString(), own_floor.ToString());
@@ -769,6 +779,56 @@ TEST_F(StreamedVsEagerTest, StreamedMaterializesStrictlyFewerPlans) {
   EXPECT_GT(eager_->plans_generated(), 0u);
   EXPECT_LT(streamed_->stats().plans_generated, eager_->plans_generated());
   EXPECT_GT(streamed_->stats().groups_pruned, 0u);
+}
+
+// The generator prices each (stored quality, relayed) key once and keeps
+// it: admissions over many QoS windows, relaxation rounds included, add
+// no entry beyond one per key of the catalog, and a replica inserted
+// later at a new stored quality adds exactly its own keys.
+TEST_F(StreamedVsEagerTest, CandidateStoreHoldsOneEntryPerStoredQualityKey) {
+  const UserProfile profile(UserId(0), "traffic-default");
+  const QopLevel levels[] = {QopLevel::kLow, QopLevel::kMedium,
+                             QopLevel::kHigh};
+  std::vector<query::QosRequirement> windows;
+  for (QopLevel spatial : levels) {
+    for (QopLevel temporal : levels) {
+      for (QopLevel color : levels) {
+        for (double startup : {0.0, 3.0, 3.6}) {
+          QopRequest qop;
+          qop.spatial = spatial;
+          qop.temporal = temporal;
+          qop.color = color;
+          query::QosRequirement qos;
+          qos.range = profile.Translate(qop);
+          qos.max_startup_seconds = startup;
+          windows.push_back(qos);
+        }
+      }
+    }
+  }
+  const PlanGenerator& generator = streamed_->generator();
+  EXPECT_EQ(generator.candidate_keys(), 0u);  // nothing is priced up front
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const query::QosRequirement& qos : windows) {
+      ExpectSameOutcome(qos, &profile);
+    }
+    // Three stored qualities at two sites: a local and a relayed key
+    // each.
+    EXPECT_EQ(generator.candidate_keys(), 6u);
+  }
+  EXPECT_EQ(streamed_->stats().queries, 2 * windows.size());
+  // Some windows admitted; every rejection first ran its relaxation
+  // rounds, each a fresh set of tables over the same store.
+  EXPECT_GT(streamed_->stats().admitted, 0u);
+  EXPECT_GT(streamed_->stats().rejected_no_plan, 0u);
+
+  // The QCIF level, new to the catalog, stored at one site: relay still
+  // reaches it from the other, so it adds two keys.
+  ASSERT_TRUE(metadata_.InsertReplica(MakeReplica(6, 0, 1, 3)).ok());
+  for (const query::QosRequirement& qos : windows) {
+    ExpectSameOutcome(qos, &profile);
+  }
+  EXPECT_EQ(generator.candidate_keys(), 8u);
 }
 
 // Satellite regression: ExplainPlans used to enumerate and rank the full
