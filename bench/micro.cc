@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
 // VBR frame generation, metadata catalog lookup, choice-table filtering,
-// content search, and resource-pool operations.
+// plan-stream seeding, content search, and resource-pool operations.
 
 #include <benchmark/benchmark.h>
 
@@ -10,11 +10,15 @@
 #include <vector>
 
 #include "common/resource_vector.h"
+#include "core/cost_evaluator.h"
+#include "core/cost_model.h"
 #include "core/plan_generator.h"
+#include "core/plan_stream.h"
 #include "core/qop.h"
 #include "media/frames.h"
 #include "media/library.h"
 #include "metadata/metadata_store.h"
+#include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/content_search.h"
@@ -71,11 +75,36 @@ void BM_MetadataReplicasOf(benchmark::State& state) {
 }
 BENCHMARK(BM_MetadataReplicasOf);
 
+// The 81 QoS windows the traffic generator's QoP levels translate to.
+std::vector<query::QosRequirement> TrafficWindows() {
+  const core::UserProfile profile(UserId(0), "traffic-default");
+  const core::QopLevel levels[] = {core::QopLevel::kLow,
+                                   core::QopLevel::kMedium,
+                                   core::QopLevel::kHigh};
+  std::vector<query::QosRequirement> windows;
+  for (core::QopLevel spatial : levels) {
+    for (core::QopLevel temporal : levels) {
+      for (core::QopLevel color : levels) {
+        for (core::QopLevel audio : levels) {
+          core::QopRequest qop;
+          qop.spatial = spatial;
+          qop.temporal = temporal;
+          qop.color = color;
+          qop.audio = audio;
+          query::QosRequirement qos;
+          qos.range = profile.Translate(qop);
+          windows.push_back(qos);
+        }
+      }
+    }
+  }
+  return windows;
+}
+
 // One ChoiceTable per iteration for a relayed group of the master
 // quality (the richest key: every ladder level is a transcode target),
-// under the 81 QoS windows the traffic generator's QoP levels translate
-// to, in turn. Only the first iteration prices the key's candidates; the
-// rest time the per-round filter.
+// under the traffic windows in turn. Only the first iteration prices the
+// key's candidates; the rest time the per-round filter.
 void BM_BuildChoiceTable(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();
   core::PlanGenerator generator(&fixture->store,
@@ -98,27 +127,7 @@ void BM_BuildChoiceTable(benchmark::State& state) {
     state.SkipWithError("no relayed master-quality group");
     return;
   }
-  const core::UserProfile profile(UserId(0), "traffic-default");
-  const core::QopLevel levels[] = {core::QopLevel::kLow,
-                                   core::QopLevel::kMedium,
-                                   core::QopLevel::kHigh};
-  std::vector<query::QosRequirement> windows;
-  for (core::QopLevel spatial : levels) {
-    for (core::QopLevel temporal : levels) {
-      for (core::QopLevel color : levels) {
-        for (core::QopLevel audio : levels) {
-          core::QopRequest qop;
-          qop.spatial = spatial;
-          qop.temporal = temporal;
-          qop.color = color;
-          qop.audio = audio;
-          query::QosRequirement qos;
-          qos.range = profile.Translate(qop);
-          windows.push_back(qos);
-        }
-      }
-    }
-  }
+  const std::vector<query::QosRequirement> windows = TrafficWindows();
   size_t next = 0;
   for (auto _ : state) {
     core::PlanGenerator::ChoiceTable table =
@@ -128,6 +137,44 @@ void BM_BuildChoiceTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildChoiceTable);
+
+// Group seeding: one PlanStream construction per iteration (metadata
+// lookup, EnumerateGroups, then SeedFrontier's choice tables and group
+// floors) for a title on the 3-site testbed with relay on, under the
+// traffic windows in turn. Every bucket of the LRB pool holds a
+// different share of its capacity, 10% to 70%, so the floors' keys
+// differ. Nothing is expanded.
+void BM_PlanStreamSeed(benchmark::State& state) {
+  static MetadataFixture* fixture = new MetadataFixture();
+  const net::Topology topology = net::Topology::PaperTestbed();
+  core::PlanGenerator generator(&fixture->store, topology.SiteIds(),
+                                core::PlanGenerator::Options());
+  res::ResourcePool pool;
+  int loaded = 0;
+  for (const net::ServerSpec& server : topology.servers) {
+    const double capacities[kNumResourceKinds] = {
+        1.0, server.outbound_kbps, server.disk_kbps, server.memory_kb,
+        server.memory_bandwidth_kbps};
+    ResourceVector load;
+    for (int kind = 0; kind < kNumResourceKinds; ++kind) {
+      const BucketId bucket{server.id, static_cast<ResourceKind>(kind)};
+      if (!pool.DeclareBucket(bucket, capacities[kind]).ok()) std::abort();
+      load.Add(bucket, capacities[kind] * ((loaded++ % 7) + 1) / 10.0);
+    }
+    if (!pool.Acquire(load).ok()) std::abort();
+  }
+  core::LrbCostModel lrb;
+  core::RuntimeCostEvaluator evaluator(&lrb);
+  const std::vector<query::QosRequirement> windows = TrafficWindows();
+  size_t next = 0;
+  for (auto _ : state) {
+    core::PlanStream stream(&generator, &evaluator, &pool, SiteId(0),
+                            LogicalOid(0), windows[next]);
+    benchmark::DoNotOptimize(stream.FrontierBound());
+    next = next + 1 == windows.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_PlanStreamSeed);
 
 void BM_ContentKeywordSearch(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();

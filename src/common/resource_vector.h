@@ -85,6 +85,10 @@ class ResourceVector {
   /// removes the entry.
   void Set(const BucketId& bucket, double amount);
 
+  /// Removes every entry and keeps the capacity, so a vector refilled
+  /// over and over allocates only while it grows.
+  void Clear() { entries_.clear(); }
+
   /// Returns the units held for `bucket` (0 if absent).
   int64_t Units(const BucketId& bucket) const;
 

@@ -55,10 +55,10 @@ PlanGenerator::PlanGenerator(const meta::MetadataStore* metadata,
   }
 }
 
-const std::vector<media::EncryptionAlgorithm>&
-PlanGenerator::EncryptionChoices(const query::QosRequirement& qos) const {
-  if (!options_.apply_static_pruning) return encryption_choices_.front();
-  return encryption_choices_[static_cast<size_t>(qos.min_security)];
+const std::vector<media::EncryptionAlgorithm>& PlanGenerator::EncryptionsOf(
+    const ChoiceTable& table) const {
+  assert(table.encryption_slot < encryption_choices_.size());
+  return encryption_choices_[table.encryption_slot];
 }
 
 // The querying site is unnamed because the one catalog answers every
@@ -154,8 +154,12 @@ PlanGenerator::ChoiceTable PlanGenerator::BuildChoiceTable(
   const bool prune = options_.apply_static_pruning;
   ChoiceTable table;
   table.key = candidates.key;
-  table.encryptions = &EncryptionChoices(qos);
+  // Slot 0 holds the raw space when static pruning is off.
+  table.encryption_slot =
+      prune ? static_cast<size_t>(qos.min_security) : size_t{0};
   table.forward_cpu = candidates.forward_cpu;
+  const std::vector<media::EncryptionAlgorithm>& encryptions =
+      EncryptionsOf(table);
   for (const Candidates::Candidate& candidate : candidates.list) {
     const ChoiceTable::Choice& choice = candidate.choice;
     // Time Guarantee: a target that cannot start in time fails for
@@ -168,8 +172,8 @@ PlanGenerator::ChoiceTable PlanGenerator::BuildChoiceTable(
     if (prune && !qos.range.Contains(choice.rates.delivered_qos)) continue;
     table.min_wire_kbps =
         std::min(table.min_wire_kbps, choice.rates.wire_rate_kbps);
-    for (media::EncryptionAlgorithm encryption : *table.encryptions) {
-      // EncryptionChoices already meets the security floor.
+    for (media::EncryptionAlgorithm encryption : encryptions) {
+      // The slot's list already meets the security floor.
       assert(!prune ||
              qos.SatisfiedBy(choice.rates.delivered_qos, encryption));
       table.min_cpu =
@@ -185,8 +189,10 @@ void PlanGenerator::ExpandGroup(const GroupSeed& seed,
                                 std::vector<Plan>& out) const {
   assert(table.key == KeyOf(seed));
   const media::ReplicaInfo& replica = seed.replica;
+  const std::vector<media::EncryptionAlgorithm>& encryptions =
+      EncryptionsOf(table);
   for (const ChoiceTable::Choice& choice : table.choices) {
-    for (media::EncryptionAlgorithm encryption : *table.encryptions) {
+    for (media::EncryptionAlgorithm encryption : encryptions) {
       Plan plan;
       plan.replica_oid = replica.id;
       plan.source_site = replica.site;
@@ -213,11 +219,12 @@ void PlanGenerator::ExpandGroup(const GroupSeed& seed,
   ExpandGroup(seed, BuildChoiceTable(seed, qos), out);
 }
 
-ResourceVector PlanGenerator::GroupDemandFloor(const GroupSeed& seed,
-                                               const ChoiceTable& table) const {
+void PlanGenerator::GroupDemandFloor(const GroupSeed& seed,
+                                     const ChoiceTable& table,
+                                     ResourceVector& demand) const {
   assert(table.key == KeyOf(seed));
   const media::ReplicaInfo& replica = seed.replica;
-  ResourceVector demand;
+  demand.Clear();
   // Retrieval floor: when the group carries cache-served twins, the
   // cached variant reads only (1 - fraction) of the bytes from disk —
   // the component-wise minimum over both twins, so the bound stays
@@ -246,7 +253,6 @@ ResourceVector PlanGenerator::GroupDemandFloor(const GroupSeed& seed,
     demand.Add({seed.delivery_site, ResourceKind::kMemory},
                table.min_wire_kbps * options_.constants.buffer_seconds);
   }
-  return demand;
 }
 
 Result<std::vector<Plan>> PlanGenerator::Generate(

@@ -138,9 +138,11 @@ class PlanGenerator {
     // (all of them when static pruning is off), in eager enumeration
     // order.
     std::vector<Choice> choices;
-    // The A5 candidates for the requirement's security floor (owned by
-    // the generator).
-    const std::vector<media::EncryptionAlgorithm>* encryptions = nullptr;
+    // Slot of the requirement's security floor in the A5 candidate
+    // lists every generator with the same options builds alike, so the
+    // table stays valid on any such generator, and after the one that
+    // built it is gone.
+    size_t encryption_slot = 0;
     // RelayForwardCpu of the stored stream for relayed keys, else 0.
     double forward_cpu = 0.0;
     // The least wire rate and CPU fraction over choices x encryptions;
@@ -165,19 +167,21 @@ class PlanGenerator {
   void ExpandGroup(const GroupSeed& seed, const query::QosRequirement& qos,
                    std::vector<Plan>& out) const;
 
-  /// The demand every plan of `seed` that can satisfy the table's
-  /// requirement carries at minimum: disk bandwidth at the source (the
-  /// cache-served floor when the group has cached twins), the
-  /// server-to-server transfer share for relayed groups, and the least
-  /// wire rate, CPU and staging memory any QoS-feasible (transcode
-  /// target, drop) choice puts on the delivery site. Its entries are a
-  /// subset of every plan's entries, in the same sorted order and none
-  /// larger, so overlaying this vector on the pool lower-bounds both
-  /// the LRB cost and the normalized demand of every plan in the group —
-  /// the admissible frontier key PlanStream prunes with. `table` must be
-  /// built for KeyOf(seed).
-  ResourceVector GroupDemandFloor(const GroupSeed& seed,
-                                  const ChoiceTable& table) const;
+  /// Clears `demand`, then writes into it the floor of the group: what
+  /// every plan of `seed` that can satisfy the table's requirement
+  /// carries at minimum. That is disk bandwidth at the source (the cache-served floor when
+  /// the group has cached twins), the server-to-server transfer share
+  /// for relayed groups, and the least wire rate, CPU and staging memory
+  /// any QoS-feasible (transcode target, drop) choice puts on the
+  /// delivery site. Its entries are a subset of every plan's entries, in
+  /// the same sorted order and none larger, so overlaying this vector on
+  /// the pool lower-bounds both the LRB cost and the normalized demand
+  /// of every plan in the group — the admissible frontier key PlanStream
+  /// prunes with. Clearing keeps `demand`'s capacity, so a caller that
+  /// refills one vector group after group allocates only while it grows.
+  /// `table` must be built for KeyOf(seed).
+  void GroupDemandFloor(const GroupSeed& seed, const ChoiceTable& table,
+                        ResourceVector& demand) const;
 
   /// Number of ChoiceKeys whose candidates have been priced so far.
   size_t candidate_keys() const QUASAQ_EXCLUDES(candidates_mu_);
@@ -191,11 +195,9 @@ class PlanGenerator {
   const cache::CacheView* cache_view() const { return cache_view_; }
 
  private:
-  // The A5 candidates for a query's minimum security level, served from
-  // a table precomputed at construction, which ChoiceTable::encryptions
-  // points into.
-  const std::vector<media::EncryptionAlgorithm>& EncryptionChoices(
-      const query::QosRequirement& qos) const;
+  // The A5 candidates a table's encryption slot names.
+  const std::vector<media::EncryptionAlgorithm>& EncryptionsOf(
+      const ChoiceTable& table) const;
 
   // The QoS-independent half of a ChoiceTable: every (transcode target,
   // drop) choice the options allow for one key, in eager enumeration

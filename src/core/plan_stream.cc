@@ -50,10 +50,9 @@ void PlanStream::SeedFrontier() {
     Entry entry;
     entry.group_index = i;
     if (bounded) {
-      const ResourceVector floor =
-          generator_->GroupDemandFloor(groups_[i], tables_[slot]);
-      entry.cost = evaluator_->model().Cost(floor, *pool_);
-      entry.demand = pool_->FractionalDemand(floor);
+      generator_->GroupDemandFloor(groups_[i], tables_[slot], floor_);
+      entry.cost = evaluator_->model().Cost(floor_, *pool_);
+      entry.demand = pool_->FractionalDemand(floor_);
     } else {
       // Without a sound bound every group enters ahead of any plan:
       // nothing can be yielded before the whole space is expanded, which

@@ -29,17 +29,21 @@
 // (stored quality, relayed) key among the groups — a handful, however
 // many groups share them — out of the candidates the generator priced
 // for that key once, for every admission, so a round computes no stream
-// rates; every group's demand floor and expansion read its key's table. Each group enters the frontier at the key
-// (LRB cost, normalized demand) of its demand floor
-// (PlanGenerator::GroupDemandFloor). The floor's entries are a subset of
-// every plan's entries of the group, in the same sorted order and none
-// larger, so both overlays are monotone in it: bound <= true cost, and
-// on an exact cost tie floor demand <= plan demand, bit for bit. A
-// best-first frontier mixes unexpanded groups (keyed by that bound) with
-// already-costed plans (keyed by their exact ranking key); a plan is
-// yielded only once no group that could still beat it remains, with
-// ties between a group and a plan falling to the group index exactly as
-// Rank's enumeration-order tie-break does. So groups whose bound exceeds
+// rates; every group's demand floor and expansion read its key's table.
+// Each group enters the frontier at the key (LRB cost, normalized
+// demand) of its demand floor (PlanGenerator::GroupDemandFloor), which
+// is written into one scratch vector the stream keeps for its lifetime
+// and refills group after group, round after round: seeding a group
+// allocates nothing once that vector has grown to the largest floor, and
+// only the two scalars of the key outlive it. The floor's entries are a
+// subset of every plan's entries of the group, in the same sorted order
+// and none larger, so both overlays are monotone in it: bound <= true
+// cost, and on an exact cost tie floor demand <= plan demand, bit for
+// bit. A best-first frontier mixes unexpanded groups (keyed by that
+// bound) with already-costed plans (keyed by their exact ranking key); a
+// plan is yielded only once no group that could still beat it remains,
+// with ties between a group and a plan falling to the group index
+// exactly as Rank's enumeration-order tie-break does. So groups whose bound exceeds
 // the key of the plan the consumer stops at are never expanded at all.
 // A group whose choice table is empty (no transcode target and drop of
 // its stored quality meets the startup bound and the QoS window) is
@@ -181,6 +185,9 @@ class PlanStream {
   // them.
   std::vector<PlanGenerator::ChoiceTable> tables_;
   std::vector<size_t> group_table_;
+  // Scratch for the group floor being keyed, refilled for every seeded
+  // group of every round; only its Cost and FractionalDemand are kept.
+  ResourceVector floor_;
   std::vector<Ranked> plans_;  // materialized plans, stable slots
   std::priority_queue<Entry, std::vector<Entry>, EntryAfter> frontier_;
   Stats stats_;

@@ -333,6 +333,48 @@ void ExpectIdenticalPlans(const Plan& expected, const Plan& actual) {
   }
 }
 
+// A table names its encryption candidates by slot, not by address, so
+// it outlives the generator that built it: expanded on a second
+// generator with the same options, it yields the first one's plans.
+TEST_F(PlanGeneratorTest, TableOutlivesTheGeneratorThatBuiltIt) {
+  for (bool pruning : {true, false}) {
+    PlanGenerator::Options options;
+    options.apply_static_pruning = pruning;
+    for (media::SecurityLevel security :
+         {media::SecurityLevel::kNone, media::SecurityLevel::kStandard,
+          media::SecurityLevel::kStrong}) {
+      SCOPED_TRACE("pruning=" + std::to_string(pruning) + " security=" +
+                   std::to_string(static_cast<int>(security)));
+      query::QosRequirement qos;
+      qos.min_security = security;
+      std::vector<PlanGenerator::GroupSeed> groups;
+      std::vector<PlanGenerator::ChoiceTable> tables;
+      std::vector<Plan> expected;
+      {
+        PlanGenerator first = MakeGenerator(options);
+        Result<std::vector<PlanGenerator::GroupSeed>> enumerated =
+            first.EnumerateGroups(SiteId(0), LogicalOid(0));
+        ASSERT_TRUE(enumerated.ok());
+        groups = *enumerated;
+        for (const PlanGenerator::GroupSeed& seed : groups) {
+          tables.push_back(first.BuildChoiceTable(seed, qos));
+          first.ExpandGroup(seed, tables.back(), expected);
+        }
+      }
+      ASSERT_FALSE(expected.empty());
+      const PlanGenerator second = MakeGenerator(options);
+      std::vector<Plan> actual;
+      for (size_t i = 0; i < groups.size(); ++i) {
+        second.ExpandGroup(groups[i], tables[i], actual);
+      }
+      ASSERT_EQ(actual.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ExpectIdenticalPlans(expected[i], actual[i]);
+      }
+    }
+  }
+}
+
 // What the oracle says a group's ChoiceTable holds: the (target, drop)
 // pairs of its surviving plans in order, with the least wire rate and
 // CPU fraction over those plans, each priced through FinalizePlan's own
@@ -392,11 +434,14 @@ ResourceVector ReferenceFloor(const PlanGenerator::Options& options,
 }
 
 // The group's table, demand floor and expansion under `qos` equal the
-// finalize-then-filter oracle's, bit for bit. Returns the number of
-// plans compared.
+// finalize-then-filter oracle's, bit for bit. The floor is written into
+// `floor`, which the caller reuses from group to group, so an entry left
+// over from an earlier group shows up as a mismatch. Returns the number
+// of plans compared.
 size_t ExpectMatchesOracle(const PlanGenerator& generator,
                            const PlanGenerator::GroupSeed& seed,
-                           const query::QosRequirement& qos) {
+                           const query::QosRequirement& qos,
+                           ResourceVector& floor) {
   const PlanGenerator::Options& options = generator.options();
   const media::ReplicaInfo& replica = seed.replica;
   PlanGenerator::GroupSeed disk_seed = seed;
@@ -428,9 +473,10 @@ size_t ExpectMatchesOracle(const PlanGenerator& generator,
                                      options.constants.streaming_cost));
   }
 
-  const ResourceVector floor = generator.GroupDemandFloor(seed, table);
+  generator.GroupDemandFloor(seed, table, floor);
   const ResourceVector want_floor = ReferenceFloor(options, seed, reference);
   EXPECT_EQ(floor.ToString(), want_floor.ToString());
+  EXPECT_EQ(floor.size(), want_floor.size());
   if (floor.size() == want_floor.size()) {
     for (size_t i = 0; i < floor.size(); ++i) {
       EXPECT_EQ(floor.entries()[i].bucket, want_floor.entries()[i].bucket);
@@ -481,6 +527,9 @@ TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
       media::SecurityLevel::kNone, media::SecurityLevel::kStandard,
       media::SecurityLevel::kStrong};
 
+  // One floor vector for every group of both sweeps below, which go
+  // relayed <-> local, cached <-> uncached and empty <-> non-empty table.
+  ResourceVector floor;
   size_t plans_compared = 0;
   for (bool pruning : {true, false}) {
     for (bool relay : {true, false}) {
@@ -511,7 +560,8 @@ TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
                              " security=" +
                              std::to_string(static_cast<int>(security)) +
                              " startup=" + std::to_string(startup));
-                plans_compared += ExpectMatchesOracle(generator, seed, qos);
+                plans_compared +=
+                    ExpectMatchesOracle(generator, seed, qos, floor);
               }
             }
           }
@@ -573,7 +623,8 @@ TEST(PlanExpansionOracleTest, MatchesFinalizeThenFilterExpansion) {
                      std::to_string(q) + " replica=" +
                      std::to_string(seed.replica.id.value()) + " ->site" +
                      std::to_string(seed.delivery_site.value()));
-        const size_t compared = ExpectMatchesOracle(generator, seed, sweep[q]);
+        const size_t compared =
+            ExpectMatchesOracle(generator, seed, sweep[q], floor);
         if (compared == 0) ++empty_tables;
         sweep_compared += compared;
       }

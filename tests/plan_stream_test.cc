@@ -269,8 +269,9 @@ TEST_F(PlanStreamTest, GroupFloorNeverExceedsAnyPlanOfItsGroup) {
       for (double cache_fraction : {0.0, 0.3, 1.0}) {
         seed.cache_fraction = cache_fraction;
         for (const query::QosRequirement& qos : requirements) {
-          ResourceVector floor = generator.GroupDemandFloor(
-              seed, generator.BuildChoiceTable(seed, qos));
+          ResourceVector floor;
+          generator.GroupDemandFloor(
+              seed, generator.BuildChoiceTable(seed, qos), floor);
           double bound = lrb_.Cost(floor, pool_);
           std::vector<Plan> plans;
           generator.ExpandGroup(seed, qos, plans);
@@ -394,7 +395,8 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
                    " ->site" + std::to_string(seed.delivery_site.value()) +
                    " on the table of replica " +
                    std::to_string(other.replica.id.value()));
-      // (A table's encryption list points into its generator.)
+      // Each side's table is priced on its own fresh generator, so the
+      // two really come from different replicas.
       const PlanGenerator other_generator(&metadata, sites_,
                                           PlanGenerator::Options());
       const PlanGenerator own_generator(&metadata, sites_,
@@ -412,9 +414,10 @@ TEST_F(PlanStreamTest, ReplicasOfOneStoredQualityShareATable) {
       for (size_t i = 0; i < own_plans.size(); ++i) {
         ExpectIdenticalPlans(own_plans[i], shared_plans[i]);
       }
-      const ResourceVector own_floor = generator.GroupDemandFloor(seed, own);
-      const ResourceVector shared_floor =
-          generator.GroupDemandFloor(seed, shared);
+      ResourceVector own_floor;
+      ResourceVector shared_floor;
+      generator.GroupDemandFloor(seed, own, own_floor);
+      generator.GroupDemandFloor(seed, shared, shared_floor);
       EXPECT_EQ(shared_floor.ToString(), own_floor.ToString());
       ASSERT_EQ(shared_floor.size(), own_floor.size());
       for (size_t i = 0; i < own_floor.size(); ++i) {

@@ -121,5 +121,32 @@ TEST(ResourceVectorTest, SetReplacesInsertsAndRemoves) {
   EXPECT_EQ(v.size(), 1u);
 }
 
+// A cleared vector refilled by Adds equals one built fresh from the
+// same Adds, entry for entry: nothing of its earlier contents remains.
+TEST(ResourceVectorTest, ClearThenAddEqualsFreshVector) {
+  ResourceVector reused;
+  reused.Add(Cpu(2), 0.5);
+  reused.Add(Net(0), 190.0);
+  reused.Add(Net(1), 40.0);
+  reused.Add({SiteId(1), ResourceKind::kMemory}, 80.0);
+  reused.Clear();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_GE(reused.entries().capacity(), 4u);  // kept for the refill
+  EXPECT_EQ(reused.Units(Cpu(2)), 0);
+
+  ResourceVector fresh;
+  for (ResourceVector* v : {&reused, &fresh}) {
+    v->Add(Net(1), 25.0);
+    v->Add(Cpu(0), 0.125);
+    v->Add(Net(1), 5.0);
+  }
+  ASSERT_EQ(reused.size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(reused.entries()[i].bucket, fresh.entries()[i].bucket);
+    EXPECT_EQ(reused.entries()[i].units, fresh.entries()[i].units);
+  }
+  EXPECT_EQ(reused.ToString(), fresh.ToString());
+}
+
 }  // namespace
 }  // namespace quasaq
