@@ -1,12 +1,14 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
 // VBR frame generation, metadata catalog lookup, choice-table filtering,
-// plan-stream seeding, content search, and resource-pool operations.
+// plan-stream seeding, query parsing, content search, and resource-pool
+// operations.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/resource_vector.h"
@@ -15,6 +17,7 @@
 #include "core/plan_generator.h"
 #include "core/plan_stream.h"
 #include "core/qop.h"
+#include "core/query_producer.h"
 #include "media/frames.h"
 #include "media/library.h"
 #include "metadata/metadata_store.h"
@@ -22,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/content_search.h"
+#include "query/parser.h"
 #include "resource/pool.h"
 #include "simcore/simulator.h"
 
@@ -75,13 +79,12 @@ void BM_MetadataReplicasOf(benchmark::State& state) {
 }
 BENCHMARK(BM_MetadataReplicasOf);
 
-// The 81 QoS windows the traffic generator's QoP levels translate to.
-std::vector<query::QosRequirement> TrafficWindows() {
-  const core::UserProfile profile(UserId(0), "traffic-default");
+// The 81 QoP requests the traffic generator's levels range over.
+std::vector<core::QopRequest> TrafficRequests() {
   const core::QopLevel levels[] = {core::QopLevel::kLow,
                                    core::QopLevel::kMedium,
                                    core::QopLevel::kHigh};
-  std::vector<query::QosRequirement> windows;
+  std::vector<core::QopRequest> requests;
   for (core::QopLevel spatial : levels) {
     for (core::QopLevel temporal : levels) {
       for (core::QopLevel color : levels) {
@@ -91,12 +94,22 @@ std::vector<query::QosRequirement> TrafficWindows() {
           qop.temporal = temporal;
           qop.color = color;
           qop.audio = audio;
-          query::QosRequirement qos;
-          qos.range = profile.Translate(qop);
-          windows.push_back(qos);
+          requests.push_back(qop);
         }
       }
     }
+  }
+  return requests;
+}
+
+// The 81 QoS windows the traffic generator's QoP levels translate to.
+std::vector<query::QosRequirement> TrafficWindows() {
+  const core::UserProfile profile(UserId(0), "traffic-default");
+  std::vector<query::QosRequirement> windows;
+  for (const core::QopRequest& qop : TrafficRequests()) {
+    query::QosRequirement qos;
+    qos.range = profile.Translate(qop);
+    windows.push_back(qos);
   }
   return windows;
 }
@@ -175,6 +188,27 @@ void BM_PlanStreamSeed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanStreamSeed);
+
+// The query front end: one ParseQuery (lex, parse, validate) per
+// iteration over the texts a traffic generator's queries render to, a
+// title term under each of the 81 QoS windows, in turn.
+void BM_ParseQuery(benchmark::State& state) {
+  const core::UserProfile profile(UserId(0), "traffic-default");
+  const core::QueryProducer producer(&profile);
+  query::ContentPredicate content;
+  content.title = "video07";
+  std::vector<std::string> texts;
+  for (const core::QopRequest& qop : TrafficRequests()) {
+    texts.push_back(producer.ProduceText(content, qop));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    Result<query::ParsedQuery> parsed = query::ParseQuery(texts[next]);
+    benchmark::DoNotOptimize(parsed);
+    next = next + 1 == texts.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_ParseQuery);
 
 void BM_ContentKeywordSearch(benchmark::State& state) {
   static MetadataFixture* fixture = new MetadataFixture();

@@ -1,21 +1,41 @@
 #include "query/lexer.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <string>
 
 namespace quasaq::query {
 
 namespace {
 
+// ASCII classes as the C locale draws them, compared inline instead of
+// looked up per byte.
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+
+// Decodes a digit run; -1 when it does not fit an int.
+int DecodeInt(std::string_view digits) {
+  int value = 0;
+  const std::errc error =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value).ec;
+  return error == std::errc() ? value : -1;
 }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+// Decodes a decimal literal exactly as strtod does (both round
+// correctly), including its HUGE_VAL past the double range and 0 below
+// it; only a literal under 1 can underflow.
+double DecodeNumber(std::string_view text) {
+  double value = 0.0;
+  if (std::from_chars(text.data(), text.data() + text.size(), value).ec ==
+      std::errc::result_out_of_range) {
+    value = text[text.find_first_not_of('0')] == '.' ? 0.0 : HUGE_VAL;
+  }
+  return value;
 }
-
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
 
 }  // namespace
 
@@ -50,57 +70,53 @@ std::string_view TokenTypeName(TokenType type) {
 }
 
 Result<std::vector<Token>> Tokenize(std::string_view input) {
-  std::vector<Token> tokens;
-  size_t i = 0;
   const size_t n = input.size();
+  std::vector<Token> tokens;
+  // Every token but kEnd covers at least one byte: one allocation.
+  tokens.reserve(n + 1);
+  auto emit = [&](TokenType type, size_t start, size_t end) -> Token& {
+    Token& token = tokens.emplace_back();
+    token.type = type;
+    token.text = input.substr(start, end - start);
+    token.position = start;
+    return token;
+  };
+  size_t i = 0;
   while (i < n) {
     char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
     size_t start = i;
     if (c == ',') {
-      tokens.push_back({TokenType::kComma, ",", 0, 0, 0, start});
-      ++i;
+      emit(TokenType::kComma, start, ++i);
     } else if (c == '(') {
-      tokens.push_back({TokenType::kLParen, "(", 0, 0, 0, start});
-      ++i;
+      emit(TokenType::kLParen, start, ++i);
     } else if (c == ')') {
-      tokens.push_back({TokenType::kRParen, ")", 0, 0, 0, start});
-      ++i;
+      emit(TokenType::kRParen, start, ++i);
     } else if (c == ';') {
-      tokens.push_back({TokenType::kSemicolon, ";", 0, 0, 0, start});
-      ++i;
+      emit(TokenType::kSemicolon, start, ++i);
     } else if (c == '=') {
-      tokens.push_back({TokenType::kEq, "=", 0, 0, 0, start});
-      ++i;
+      emit(TokenType::kEq, start, ++i);
     } else if (c == '>' || c == '<') {
       if (i + 1 >= n || input[i + 1] != '=') {
         return Status::InvalidArgument(
             "expected '=' after '" + std::string(1, c) + "' at offset " +
             std::to_string(start));
       }
-      tokens.push_back({c == '>' ? TokenType::kGe : TokenType::kLe,
-                        std::string(1, c) + "=", 0, 0, 0, start});
       i += 2;
+      emit(c == '>' ? TokenType::kGe : TokenType::kLe, start, i);
     } else if (c == '\'') {
-      ++i;
-      std::string text;
-      bool closed = false;
-      while (i < n) {
-        if (input[i] == '\'') {
-          closed = true;
-          ++i;
-          break;
-        }
-        text += input[i++];
-      }
-      if (!closed) {
+      // No escapes: the contents are the bytes up to the next quote.
+      size_t close = input.find('\'', i + 1);
+      if (close == std::string_view::npos) {
         return Status::InvalidArgument("unterminated string at offset " +
                                        std::to_string(start));
       }
-      tokens.push_back({TokenType::kString, text, 0, 0, 0, start});
+      Token& token = emit(TokenType::kString, start + 1, close);
+      token.position = start;
+      i = close + 1;
     } else if (IsDigit(c)) {
       size_t j = i;
       while (j < n && IsDigit(input[j])) ++j;
@@ -108,14 +124,11 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
       // resolution literal (e.g. 320x240).
       if (j < n && (input[j] == 'x' || input[j] == 'X') && j + 1 < n &&
           IsDigit(input[j + 1])) {
-        int width = std::atoi(std::string(input.substr(i, j - i)).c_str());
         size_t k = j + 1;
         while (k < n && IsDigit(input[k])) ++k;
-        int height =
-            std::atoi(std::string(input.substr(j + 1, k - j - 1)).c_str());
-        tokens.push_back({TokenType::kResolution,
-                          std::string(input.substr(i, k - i)), 0, width,
-                          height, start});
+        Token& token = emit(TokenType::kResolution, start, k);
+        token.res_width = DecodeInt(input.substr(i, j - i));
+        token.res_height = DecodeInt(input.substr(j + 1, k - j - 1));
         i = k;
       } else {
         // Decimal number (integer or fractional part allowed).
@@ -123,16 +136,14 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
           ++j;
           while (j < n && IsDigit(input[j])) ++j;
         }
-        std::string text(input.substr(i, j - i));
-        tokens.push_back(
-            {TokenType::kNumber, text, std::atof(text.c_str()), 0, 0, start});
+        Token& token = emit(TokenType::kNumber, start, j);
+        token.number = DecodeNumber(token.text);
         i = j;
       }
     } else if (IsIdentStart(c)) {
       size_t j = i;
       while (j < n && IsIdentChar(input[j])) ++j;
-      tokens.push_back({TokenType::kIdent,
-                        std::string(input.substr(i, j - i)), 0, 0, 0, start});
+      emit(TokenType::kIdent, start, j);
       i = j;
     } else {
       return Status::InvalidArgument("unexpected character '" +
@@ -140,7 +151,7 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
                                      std::to_string(start));
     }
   }
-  tokens.push_back({TokenType::kEnd, "", 0, 0, 0, n});
+  emit(TokenType::kEnd, n, n);
   return tokens;
 }
 

@@ -1,7 +1,6 @@
 #ifndef QUASAQ_QUERY_LEXER_H_
 #define QUASAQ_QUERY_LEXER_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -9,6 +8,9 @@
 
 // Tokenizer for the QoS-aware query language. Keywords are recognized in
 // the parser (case-insensitively); the lexer only classifies shapes.
+//
+// Tokens are views: `Token::text` points into the input, so the input
+// must outlive every token lexed from it. Nothing is copied per token.
 
 namespace quasaq::query {
 
@@ -29,9 +31,11 @@ enum class TokenType {
 
 struct Token {
   TokenType type = TokenType::kEnd;
-  std::string text;        // raw text (string contents for kString)
+  // Raw text, viewing the input (string contents for kString).
+  std::string_view text;
   double number = 0.0;     // for kNumber
-  int res_width = 0;       // for kResolution
+  // For kResolution; -1 when that side does not fit an int.
+  int res_width = 0;
   int res_height = 0;
   size_t position = 0;     // byte offset in the input, for diagnostics
 };
@@ -39,9 +43,9 @@ struct Token {
 /// Returns a short name for `type` ("identifier", "','", ...).
 std::string_view TokenTypeName(TokenType type);
 
-/// Tokenizes `input`; the result always ends with a kEnd token.
-/// Fails with kInvalidArgument on an unrecognized character or an
-/// unterminated string literal.
+/// Tokenizes `input`; the result always ends with a kEnd token, and its
+/// tokens view `input`. Fails with kInvalidArgument on an unrecognized
+/// character or an unterminated string literal.
 Result<std::vector<Token>> Tokenize(std::string_view input);
 
 }  // namespace quasaq::query

@@ -1,28 +1,69 @@
 #include "query/parser.h"
 
-#include <cctype>
+#include <string>
+#include <vector>
+
+#include "query/lexer.h"
 
 namespace quasaq::query {
 
 namespace internal_parser {
 
+namespace {
+
+// ASCII case folding, as the C locale's tolower does it.
+char ToLower(char c) { return c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c; }
+
+}  // namespace
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ToLower(a[i]) != ToLower(b[i])) return false;
   }
   return true;
 }
 
-Parser::Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+}  // namespace internal_parser
 
-const Token& Parser::Peek() const { return tokens_[pos_]; }
+namespace {
 
-Token Parser::Consume() {
-  Token token = tokens_[pos_];
+using internal_parser::EqualsIgnoreCase;
+
+// The parser over one lexed token stream, which ends with kEnd. It reads
+// the tokens in place; only what the query keeps is copied out of them.
+class Parser {
+ public:
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
+
+  Result<ParsedQuery> Run();
+
+ private:
+  const Token& Peek() const { return tokens_[pos_]; }
+  const Token& Consume();
+  bool PeekKeyword(std::string_view keyword) const;
+  Status ExpectKeyword(std::string_view keyword);
+  Result<Token> Expect(TokenType type);
+  Result<TokenType> ExpectComparison();
+
+  Status ParseWhere(ParsedQuery& query);
+  Status ParseTerm(ParsedQuery& query);
+  Status ParseQosClause(ParsedQuery& query);
+  Status ParseQosItem(ParsedQuery& query);
+  Status Validate(const ParsedQuery& query) const;
+
+  Status ErrorAt(const Token& token, std::string message) const;
+
+  const std::vector<Token>& tokens_;
+  size_t pos_ = 0;
+};
+
+// True when `number` (never negative: the grammar has no sign) survives a
+// cast to int, i.e. is below 2^31.
+bool FitsInt(double number) { return number < 2147483648.0; }
+
+const Token& Parser::Consume() {
+  const Token& token = tokens_[pos_];
   if (pos_ + 1 < tokens_.size()) ++pos_;
   return token;
 }
@@ -33,12 +74,16 @@ bool Parser::PeekKeyword(std::string_view keyword) const {
 }
 
 Status Parser::ErrorAt(const Token& token, std::string message) const {
-  return Status::InvalidArgument(message + " at offset " +
-                                 std::to_string(token.position) + " (got " +
-                                 (token.type == TokenType::kEnd
-                                      ? std::string("end of input")
-                                      : "'" + token.text + "'") +
-                                 ")");
+  message += " at offset " + std::to_string(token.position) + " (got ";
+  if (token.type == TokenType::kEnd) {
+    message += "end of input";
+  } else {
+    message += '\'';
+    message += token.text;
+    message += '\'';
+  }
+  message += ')';
+  return Status::InvalidArgument(std::move(message));
 }
 
 Status Parser::ExpectKeyword(std::string_view keyword) {
@@ -55,6 +100,16 @@ Result<Token> Parser::Expect(TokenType type) {
                    "expected " + std::string(TokenTypeName(type)));
   }
   return Consume();
+}
+
+// Consumes one of `>=`, `<=` and `=`.
+Result<TokenType> Parser::ExpectComparison() {
+  const TokenType op = Peek().type;
+  if (op != TokenType::kGe && op != TokenType::kLe && op != TokenType::kEq) {
+    return ErrorAt(Peek(), "expected comparison operator");
+  }
+  Consume();
+  return op;
 }
 
 Result<ParsedQuery> Parser::Run() {
@@ -110,7 +165,7 @@ Status Parser::ParseTerm(ParsedQuery& query) {
     if (Result<Token> t = Expect(TokenType::kRParen); !t.ok()) {
       return t.status();
     }
-    query.content.keywords.push_back(keyword->text);
+    query.content.keywords.emplace_back(keyword->text);
     return Status::Ok();
   }
   if (PeekKeyword("TITLE")) {
@@ -144,6 +199,7 @@ Status Parser::ParseTerm(ParsedQuery& query) {
       Consume();
       Result<Token> k = Expect(TokenType::kNumber);
       if (!k.ok()) return k.status();
+      if (!FitsInt(k->number)) return ErrorAt(*k, "TOP out of range");
       query.content.top_k = static_cast<int>(k->number);
     }
     return Status::Ok();
@@ -166,50 +222,25 @@ Status Parser::ParseQosClause(ParsedQuery& query) {
   return Status::Ok();
 }
 
-namespace {
-
-Result<media::VideoFormat> ParseFormatName(const Token& token) {
-  if (EqualsIgnoreCase(token.text, "MPEG1")) {
-    return media::VideoFormat::kMpeg1;
+// The enum value `token` names, matched case-insensitively against
+// `names`, which lists the enum's values in order.
+template <typename Enum, size_t N>
+Result<Enum> ParseName(const Token& token, const std::string_view (&names)[N],
+                       std::string_view what) {
+  for (size_t i = 0; i < N; ++i) {
+    if (EqualsIgnoreCase(token.text, names[i])) return static_cast<Enum>(i);
   }
-  if (EqualsIgnoreCase(token.text, "MPEG2")) {
-    return media::VideoFormat::kMpeg2;
-  }
-  return Status::InvalidArgument("unknown format '" + token.text + "'");
+  std::string message = "unknown ";
+  message += what;
+  message += " '";
+  message += token.text;
+  message += '\'';
+  return Status::InvalidArgument(std::move(message));
 }
 
-Result<media::AudioQuality> ParseAudioName(const Token& token) {
-  if (EqualsIgnoreCase(token.text, "none")) {
-    return media::AudioQuality::kNone;
-  }
-  if (EqualsIgnoreCase(token.text, "phone")) {
-    return media::AudioQuality::kPhone;
-  }
-  if (EqualsIgnoreCase(token.text, "fm")) {
-    return media::AudioQuality::kFm;
-  }
-  if (EqualsIgnoreCase(token.text, "cd")) {
-    return media::AudioQuality::kCd;
-  }
-  return Status::InvalidArgument("unknown audio quality '" + token.text +
-                                 "'");
-}
-
-Result<media::SecurityLevel> ParseSecurityName(const Token& token) {
-  if (EqualsIgnoreCase(token.text, "none")) {
-    return media::SecurityLevel::kNone;
-  }
-  if (EqualsIgnoreCase(token.text, "standard")) {
-    return media::SecurityLevel::kStandard;
-  }
-  if (EqualsIgnoreCase(token.text, "strong")) {
-    return media::SecurityLevel::kStrong;
-  }
-  return Status::InvalidArgument("unknown security level '" + token.text +
-                                 "'");
-}
-
-}  // namespace
+constexpr std::string_view kFormatNames[] = {"MPEG1", "MPEG2"};
+constexpr std::string_view kAudioNames[] = {"none", "phone", "fm", "cd"};
+constexpr std::string_view kSecurityNames[] = {"none", "standard", "strong"};
 
 Status Parser::ParseQosItem(ParsedQuery& query) {
   Result<Token> name = Expect(TokenType::kIdent);
@@ -217,40 +248,38 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
   media::AppQosRange& range = query.qos.range;
 
   if (EqualsIgnoreCase(name->text, "resolution")) {
-    TokenType op = Peek().type;
-    if (op != TokenType::kGe && op != TokenType::kLe &&
-        op != TokenType::kEq) {
-      return ErrorAt(Peek(), "expected comparison operator");
-    }
-    Consume();
+    Result<TokenType> op = ExpectComparison();
+    if (!op.ok()) return op.status();
     Result<Token> value = Expect(TokenType::kResolution);
     if (!value.ok()) return value.status();
+    if (value->res_width < 0) {
+      return ErrorAt(*value, "resolution width out of range");
+    }
+    if (value->res_height < 0) {
+      return ErrorAt(*value, "resolution height out of range");
+    }
     media::Resolution r{value->res_width, value->res_height};
-    if (op != TokenType::kLe) range.min_resolution = r;
-    if (op != TokenType::kGe) range.max_resolution = r;
+    if (*op != TokenType::kLe) range.min_resolution = r;
+    if (*op != TokenType::kGe) range.max_resolution = r;
     return Status::Ok();
   }
   if (EqualsIgnoreCase(name->text, "framerate") ||
       EqualsIgnoreCase(name->text, "color")) {
     bool is_framerate = EqualsIgnoreCase(name->text, "framerate");
-    TokenType op = Peek().type;
-    if (op != TokenType::kGe && op != TokenType::kLe &&
-        op != TokenType::kEq) {
-      return ErrorAt(Peek(), "expected comparison operator");
-    }
-    Consume();
+    Result<TokenType> op = ExpectComparison();
+    if (!op.ok()) return op.status();
     Result<Token> value = Expect(TokenType::kNumber);
     if (!value.ok()) return value.status();
     if (is_framerate) {
-      if (op != TokenType::kLe) range.min_frame_rate = value->number;
-      if (op != TokenType::kGe) range.max_frame_rate = value->number;
+      if (*op != TokenType::kLe) range.min_frame_rate = value->number;
+      if (*op != TokenType::kGe) range.max_frame_rate = value->number;
     } else {
-      if (op != TokenType::kLe) {
-        range.min_color_depth_bits = static_cast<int>(value->number);
+      if (!FitsInt(value->number)) {
+        return ErrorAt(*value, "color depth out of range");
       }
-      if (op != TokenType::kGe) {
-        range.max_color_depth_bits = static_cast<int>(value->number);
-      }
+      const int bits = static_cast<int>(value->number);
+      if (*op != TokenType::kLe) range.min_color_depth_bits = bits;
+      if (*op != TokenType::kGe) range.max_color_depth_bits = bits;
     }
     return Status::Ok();
   }
@@ -259,7 +288,8 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
       Consume();
       Result<Token> fmt = Expect(TokenType::kIdent);
       if (!fmt.ok()) return fmt.status();
-      Result<media::VideoFormat> format = ParseFormatName(*fmt);
+      Result<media::VideoFormat> format =
+          ParseName<media::VideoFormat>(*fmt, kFormatNames, "format");
       if (!format.ok()) return format.status();
       range.accepted_formats = 1u << static_cast<int>(*format);
       return Status::Ok();
@@ -272,7 +302,8 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
     while (true) {
       Result<Token> fmt = Expect(TokenType::kIdent);
       if (!fmt.ok()) return fmt.status();
-      Result<media::VideoFormat> format = ParseFormatName(*fmt);
+      Result<media::VideoFormat> format =
+          ParseName<media::VideoFormat>(*fmt, kFormatNames, "format");
       if (!format.ok()) return format.status();
       mask |= 1u << static_cast<int>(*format);
       if (Peek().type != TokenType::kComma) break;
@@ -300,18 +331,15 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
     return Status::Ok();
   }
   if (EqualsIgnoreCase(name->text, "audio")) {
-    TokenType op = Peek().type;
-    if (op != TokenType::kGe && op != TokenType::kLe &&
-        op != TokenType::kEq) {
-      return ErrorAt(Peek(), "expected comparison operator");
-    }
-    Consume();
+    Result<TokenType> op = ExpectComparison();
+    if (!op.ok()) return op.status();
     Result<Token> level = Expect(TokenType::kIdent);
     if (!level.ok()) return level.status();
-    Result<media::AudioQuality> audio = ParseAudioName(*level);
+    Result<media::AudioQuality> audio =
+        ParseName<media::AudioQuality>(*level, kAudioNames, "audio quality");
     if (!audio.ok()) return audio.status();
-    if (op != TokenType::kLe) range.min_audio = *audio;
-    if (op != TokenType::kGe) range.max_audio = *audio;
+    if (*op != TokenType::kLe) range.min_audio = *audio;
+    if (*op != TokenType::kGe) range.max_audio = *audio;
     return Status::Ok();
   }
   if (EqualsIgnoreCase(name->text, "security")) {
@@ -322,12 +350,14 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
     Consume();
     Result<Token> level = Expect(TokenType::kIdent);
     if (!level.ok()) return level.status();
-    Result<media::SecurityLevel> security = ParseSecurityName(*level);
+    Result<media::SecurityLevel> security = ParseName<media::SecurityLevel>(
+        *level, kSecurityNames, "security level");
     if (!security.ok()) return security.status();
     query.qos.min_security = *security;
     return Status::Ok();
   }
-  return ErrorAt(*name, "unknown QoS parameter '" + name->text + "'");
+  return ErrorAt(*name,
+                 "unknown QoS parameter '" + std::string(name->text) + "'");
 }
 
 Status Parser::Validate(const ParsedQuery& query) const {
@@ -354,13 +384,12 @@ Status Parser::Validate(const ParsedQuery& query) const {
   return Status::Ok();
 }
 
-}  // namespace internal_parser
+}  // namespace
 
 Result<ParsedQuery> ParseQuery(std::string_view input) {
   Result<std::vector<Token>> tokens = Tokenize(input);
   if (!tokens.ok()) return tokens.status();
-  internal_parser::Parser parser(std::move(tokens).value());
-  return parser.Run();
+  return Parser(*tokens).Run();
 }
 
 }  // namespace quasaq::query

@@ -2,15 +2,15 @@
 #define QUASAQ_QUERY_PARSER_H_
 
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "query/ast.h"
-#include "query/lexer.h"
 
 // Recursive-descent parser for QoS-aware queries (grammar in ast.h).
 // Produces a ParsedQuery or a kInvalidArgument status pointing at the
-// offending token.
+// offending token. The parser walks the lexer's tokens, which view the
+// input, without copying them; the ParsedQuery owns copies of only the
+// text it keeps (target, title, keywords), so it may outlive the input.
 
 namespace quasaq::query {
 
@@ -18,32 +18,6 @@ namespace quasaq::query {
 Result<ParsedQuery> ParseQuery(std::string_view input);
 
 namespace internal_parser {
-
-// Exposed for tests: the parser over a pre-lexed token stream.
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens);
-
-  Result<ParsedQuery> Run();
-
- private:
-  const Token& Peek() const;
-  Token Consume();
-  bool PeekKeyword(std::string_view keyword) const;
-  Status ExpectKeyword(std::string_view keyword);
-  Result<Token> Expect(TokenType type);
-
-  Status ParseWhere(ParsedQuery& query);
-  Status ParseTerm(ParsedQuery& query);
-  Status ParseQosClause(ParsedQuery& query);
-  Status ParseQosItem(ParsedQuery& query);
-  Status Validate(const ParsedQuery& query) const;
-
-  Status ErrorAt(const Token& token, std::string message) const;
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
-};
 
 /// Case-insensitive comparison used for keywords and enum literals.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

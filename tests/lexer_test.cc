@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 namespace quasaq::query {
 namespace {
 
@@ -127,6 +130,41 @@ TEST(LexerTest, FullQueryTokenizes) {
       "(resolution >= 320x240, framerate >= 15.5)");
   EXPECT_GT(tokens.size(), 15u);
   EXPECT_EQ(tokens.back().type, TokenType::kEnd);
+}
+
+TEST(LexerTest, TokensViewTheInput) {
+  const std::string input = "SELECT 'sunset' >= 320x240 23.97";
+  auto tokens = MustTokenize(input);
+  ASSERT_EQ(tokens.size(), 6u);
+  for (size_t i = 0; i + 1 < tokens.size(); ++i) {
+    EXPECT_GE(tokens[i].text.data(), input.data());
+    EXPECT_LE(tokens[i].text.data() + tokens[i].text.size(),
+              input.data() + input.size());
+  }
+  EXPECT_EQ(tokens[1].text.data(), input.data() + 8);  // inside the quotes
+  EXPECT_EQ(tokens[1].position, 7u);                   // at the quote
+  EXPECT_EQ(tokens[2].text, ">=");
+  EXPECT_EQ(tokens[3].text, "320x240");
+}
+
+TEST(LexerTest, ResolutionSideBeyondIntIsMinusOne) {
+  auto tokens = MustTokenize("99999999999x240 320x2147483648 2147483647x1");
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[0].res_width, -1);
+  EXPECT_EQ(tokens[0].res_height, 240);
+  EXPECT_EQ(tokens[1].res_width, 320);
+  EXPECT_EQ(tokens[1].res_height, -1);
+  EXPECT_EQ(tokens[2].res_width, 2147483647);
+}
+
+TEST(LexerTest, NumbersBeyondDoubleRangeDecodeLikeStrtod) {
+  const std::string huge(400, '9');
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  auto tokens = MustTokenize(huge + " " + tiny + " 1.");
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[0].number, HUGE_VAL);
+  EXPECT_EQ(tokens[1].number, 0.0);
+  EXPECT_EQ(tokens[2].number, 1.0);
 }
 
 TEST(LexerTest, TokenTypeNames) {

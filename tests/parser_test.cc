@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/qop.h"
+#include "core/query_producer.h"
+#include "workload/traffic.h"
+
 namespace quasaq::query {
 namespace {
 
@@ -189,10 +196,193 @@ INSTANTIATE_TEST_SUITE_P(
                      "empty frame rate range"},
         BadQueryCase{"ZeroTop",
                      "SELECT v FROM videos WHERE SIMILAR(0.1) TOP 0",
-                     "TOP"}),
+                     "TOP"},
+        BadQueryCase{"ColorOutOfRange",
+                     "SELECT v FROM videos WITH QOS (color >= 99999999999)",
+                     "color depth out of range"},
+        BadQueryCase{"ResolutionWidthOutOfRange",
+                     "SELECT v FROM videos WITH QOS "
+                     "(resolution >= 99999999999x240)",
+                     "resolution width out of range"},
+        BadQueryCase{"ResolutionHeightOutOfRange",
+                     "SELECT v FROM videos WITH QOS "
+                     "(resolution >= 320x99999999999)",
+                     "resolution height out of range"},
+        BadQueryCase{"TopOutOfRange",
+                     "SELECT v FROM videos WHERE SIMILAR(0.1) TOP 99999999999",
+                     "TOP out of range"}),
     [](const ::testing::TestParamInfo<BadQueryCase>& info) {
       return info.param.name;
     });
+
+// The full diagnostic of every rejected query above, plus the lexer's
+// three errors, byte for byte: offsets and wording are part of the
+// interface. Only the out-of-range messages are newer than the rest.
+TEST(ParserDiagnosticsTest, MessagesAreExact) {
+  struct Case {
+    const char* text;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"video FROM videos",
+       "expected keyword 'SELECT' at offset 0 (got 'video')"},
+      {"SELECT video videos",
+       "expected keyword 'FROM' at offset 13 (got 'videos')"},
+      {"SELECT video FROM",
+       "expected identifier at offset 17 (got end of input)"},
+      {"SELECT v FROM videos WHERE",
+       "expected CONTAINS, TITLE or SIMILAR at offset 26 (got end of "
+       "input)"},
+      {"SELECT v FROM videos WHERE FOO('x')",
+       "expected CONTAINS, TITLE or SIMILAR at offset 27 (got 'FOO')"},
+      {"SELECT v FROM videos WHERE CONTAINS(42)",
+       "expected string at offset 36 (got '42')"},
+      {"SELECT v FROM videos WITH QOS (loudness >= 3)",
+       "unknown QoS parameter 'loudness' at offset 31 (got 'loudness')"},
+      {"SELECT v FROM videos WITH QOS (format = MPEG7)",
+       "unknown format 'MPEG7'"},
+      {"SELECT v FROM videos WITH QOS (security = medium)",
+       "unknown security level 'medium'"},
+      {"SELECT v FROM videos WITH QOS (resolution >= 42)",
+       "expected resolution at offset 45 (got '42')"},
+      {"SELECT v FROM videos extra",
+       "trailing input at offset 21 (got 'extra')"},
+      {"SELECT v FROM videos WITH QOS (resolution >= 720x480, "
+       "resolution <= 320x240)",
+       "empty resolution range"},
+      {"SELECT v FROM videos WITH QOS (framerate >= 30, framerate <= 10)",
+       "empty frame rate range"},
+      {"SELECT v FROM videos WHERE SIMILAR(0.1) TOP 0",
+       "TOP must be at least 1"},
+      {"SELECT v FROM videos WITH QOS (color >= 99999999999)",
+       "color depth out of range at offset 40 (got '99999999999')"},
+      {"SELECT v FROM videos WITH QOS (resolution >= 99999999999x240)",
+       "resolution width out of range at offset 45 (got "
+       "'99999999999x240')"},
+      {"SELECT v FROM videos WITH QOS (resolution >= 320x99999999999)",
+       "resolution height out of range at offset 45 (got "
+       "'320x99999999999')"},
+      {"SELECT v FROM videos WHERE SIMILAR(0.1) TOP 99999999999",
+       "TOP out of range at offset 44 (got '99999999999')"},
+      {"SELECT v FROM videos @", "unexpected character '@' at offset 21"},
+      {"SELECT v FROM videos WHERE CONTAINS('oops",
+       "unterminated string at offset 36"},
+      {"SELECT v FROM videos WITH QOS (framerate > 20)",
+       "expected '=' after '>' at offset 41"},
+  };
+  for (const Case& test_case : cases) {
+    Result<ParsedQuery> parsed = ParseQuery(test_case.text);
+    ASSERT_FALSE(parsed.ok()) << test_case.text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(), test_case.message) << test_case.text;
+  }
+}
+
+// Parses a private copy of `text` sized to the byte, freed before the
+// caller reads the result: under ASan a view that outlives its text, or
+// a read past its end, faults.
+Result<ParsedQuery> ParseCopy(std::string_view text) {
+  std::vector<char> copy(text.begin(), text.end());
+  return ParseQuery(std::string_view(copy.data(), copy.size()));
+}
+
+bool SameQos(const QosRequirement& a, const QosRequirement& b) {
+  const media::AppQosRange& x = a.range;
+  const media::AppQosRange& y = b.range;
+  return x.min_resolution == y.min_resolution &&
+         x.max_resolution == y.max_resolution &&
+         x.min_color_depth_bits == y.min_color_depth_bits &&
+         x.max_color_depth_bits == y.max_color_depth_bits &&
+         x.min_frame_rate == y.min_frame_rate &&
+         x.max_frame_rate == y.max_frame_rate &&
+         x.accepted_formats == y.accepted_formats &&
+         x.min_audio == y.min_audio && x.max_audio == y.max_audio &&
+         a.min_security == b.min_security &&
+         a.max_startup_seconds == b.max_startup_seconds;
+}
+
+// Every query the traffic generator can draw (81 QoP level combinations
+// x 3 security levels), with a title, a keyword and a similarity term,
+// renders to text that parses back to the same requirement and content.
+// Every prefix of one full query, and every substitution of one of its
+// bytes from a small alphabet, parses or is rejected as invalid.
+TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
+  const workload::TrafficGenerator traffic(workload::TrafficOptions(), 1,
+                                           {SiteId(0)});
+  const core::QueryProducer producer(&traffic.profile());
+  const core::QopLevel levels[] = {core::QopLevel::kLow,
+                                   core::QopLevel::kMedium,
+                                   core::QopLevel::kHigh};
+  const media::SecurityLevel securities[] = {media::SecurityLevel::kNone,
+                                             media::SecurityLevel::kStandard,
+                                             media::SecurityLevel::kStrong};
+  std::vector<ContentPredicate> contents(3);
+  contents[0].title = "video07";
+  contents[1].keywords = {"sunset"};
+  contents[2].similar_to = std::vector<double>{0.1, 0.3, 0.7};
+  contents[2].top_k = 3;
+
+  int round_trips = 0;
+  for (core::QopLevel spatial : levels) {
+    for (core::QopLevel temporal : levels) {
+      for (core::QopLevel color : levels) {
+        for (core::QopLevel audio : levels) {
+          for (media::SecurityLevel security : securities) {
+            core::QopRequest request;
+            request.spatial = spatial;
+            request.temporal = temporal;
+            request.color = color;
+            request.audio = audio;
+            request.security = security;
+            for (const ContentPredicate& content : contents) {
+              const std::string text = producer.ProduceText(content, request);
+              Result<ParsedQuery> parsed = ParseCopy(text);
+              ASSERT_TRUE(parsed.ok())
+                  << parsed.status().ToString() << "\n" << text;
+              const ParsedQuery direct = producer.Produce(content, request);
+              EXPECT_EQ(parsed->target, direct.target) << text;
+              EXPECT_TRUE(SameQos(parsed->qos, direct.qos)) << text;
+              EXPECT_EQ(parsed->content.keywords, content.keywords) << text;
+              EXPECT_EQ(parsed->content.title, content.title) << text;
+              EXPECT_EQ(parsed->content.similar_to, content.similar_to)
+                  << text;
+              EXPECT_EQ(parsed->content.top_k, content.top_k) << text;
+              ++round_trips;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(round_trips, 81 * 3 * 3);
+
+  core::QopRequest richest;
+  richest.spatial = richest.temporal = richest.color = richest.audio =
+      core::QopLevel::kHigh;
+  richest.security = media::SecurityLevel::kStrong;
+  ContentPredicate content;
+  content.title = "video07";
+  content.keywords = {"sunset"};
+  content.similar_to = std::vector<double>{0.25, 0.5};
+  content.top_k = 3;
+  const std::string text = producer.ProduceText(content, richest);
+  auto parses_or_rejects = [](std::string_view mutant) {
+    Result<ParsedQuery> parsed = ParseCopy(mutant);
+    return parsed.ok() ||
+           parsed.status().code() == StatusCode::kInvalidArgument;
+  };
+  for (size_t length = 0; length <= text.size(); ++length) {
+    EXPECT_TRUE(parses_or_rejects(std::string_view(text).substr(0, length)))
+        << text.substr(0, length);
+  }
+  for (size_t i = 0; i < text.size(); ++i) {
+    for (char byte : std::string_view("'x9.(> ")) {
+      std::string mutant = text;
+      mutant[i] = byte;
+      EXPECT_TRUE(parses_or_rejects(mutant)) << mutant;
+    }
+  }
+}
 
 TEST(ParserInternalsTest, EqualsIgnoreCase) {
   using internal_parser::EqualsIgnoreCase;
