@@ -1,8 +1,8 @@
 // Admission-pipeline scaling: wall-clock throughput of the delivery hot
 // path (admit -> session-table probes -> cancel) under real submitter
-// threads, swept over thread count. Every admission serializes on the
-// one session table and the one resource pool, so this harness shows
-// what concurrency buys (and costs) end to end (the CI smoke leg runs
+// threads, swept over thread count. Every facade call serializes on the
+// MediaDbSystem's one lock, so this harness shows what concurrency buys
+// (and costs) end to end (the CI smoke leg runs
 // `bench_admission_scale --smoke`).
 //
 // Unlike the simulation harnesses this one measures *wall-clock* time:
@@ -33,7 +33,7 @@ core::MediaDbSystem::Options BaseOptions() {
   options.topology = net::Topology::Uniform(kSites);
   options.seed = 11;
   // Tiny plan space: the harness measures the admission pipeline, not
-  // plan enumeration, so each admit should be dominated by the locks
+  // plan enumeration, so each admit should be dominated by the lock
   // and table work.
   options.quality.generator.enable_transcoding = false;
   options.quality.generator.enable_frame_dropping = false;
@@ -49,8 +49,8 @@ struct SweepResult {
 
 // `threads` submitters, each pinned to one site (threads round-robin
 // over the 4 sites, so with 8 threads two share a site).
-// Each cycle admits a delivery, probes the session table a few times
-// (the Find-equivalent concurrent readers use), and cancels.
+// Each cycle admits a delivery, looks the session up a few times
+// (FindSession, as concurrent observers do), and cancels.
 SweepResult RunSweep(int threads, int ops_per_thread,
                      core::MediaDbSystem::ObservabilitySnapshot* obs) {
   sim::Simulator simulator;
@@ -81,8 +81,7 @@ SweepResult RunSweep(int threads, int ops_per_thread,
         // Session-table probes: what concurrent observers (renegotiation,
         // dashboards) do between admit and teardown.
         for (int probe = 0; probe < 4; ++probe) {
-          auto record = system.session_manager().Snapshot(outcome.session);
-          if (!record.has_value()) ++fail;
+          if (!system.FindSession(outcome.session).has_value()) ++fail;
         }
         Status cancelled = system.CancelSession(outcome.session);
         if (!cancelled.ok()) ++fail;

@@ -17,14 +17,9 @@
 // read-only CacheView interface that the Plan Generator consults to emit
 // cache-served plan variants without depending on the cache machinery.
 //
-// Thread-safe by construction: the manager's own state (the site list
-// and the cache array) is immutable after the constructor, so it needs
-// no lock of its own — concurrency control lives entirely in the
-// per-site SegmentCache locks, letting accesses on different sites
-// proceed in parallel. A streamed session (OnStream) is a sequence of
-// per-segment critical sections, not one atomic operation; concurrent
-// streams on the same site interleave at segment granularity, exactly
-// like the read-through cache it models.
+// Thread-compatible, like the per-site caches it owns: it takes no lock,
+// and in a MediaDbSystem every call runs under the facade's one lock
+// (docs/ARCHITECTURE.md "Threading model").
 
 namespace quasaq::cache {
 
@@ -83,7 +78,7 @@ class CacheManager : public CacheView {
   std::string ReportString() const;
 
  private:
-  // All three are immutable after construction (see class comment).
+  // The site list and the cache array are fixed at construction.
   std::vector<SiteId> sites_;
   Options options_;
   std::vector<std::unique_ptr<SegmentCache>> caches_;  // parallel to sites_

@@ -18,7 +18,6 @@ SegmentCache::SegmentCache(const Options& options,
 
 void SegmentCache::set_metrics(obs::MetricsRegistry* registry,
                                std::string_view site_label) {
-  MutexLock lock(&mu_);
   if (registry == nullptr) {
     metrics_ = Metrics{};
     return;
@@ -96,12 +95,6 @@ bool SegmentCache::EvictFor(double needed_kb, SimTime now) {
 
 bool SegmentCache::Insert(const SegmentKey& key, double size_kb,
                           SimTime now) {
-  MutexLock lock(&mu_);
-  return InsertLocked(key, size_kb, now);
-}
-
-bool SegmentCache::InsertLocked(const SegmentKey& key, double size_kb,
-                                SimTime now) {
   assert(size_kb >= 0.0);
   auto it = segments_.find(key);
   if (it != segments_.end()) {
@@ -135,7 +128,6 @@ bool SegmentCache::InsertLocked(const SegmentKey& key, double size_kb,
 
 bool SegmentCache::Access(const SegmentKey& key, double size_kb,
                           SimTime now) {
-  MutexLock lock(&mu_);
   auto it = segments_.find(key);
   if (it != segments_.end()) {
     ++counters_.hits;
@@ -153,17 +145,15 @@ bool SegmentCache::Access(const SegmentKey& key, double size_kb,
     metrics_.misses->Increment();
     metrics_.miss_kb->Increment(size_kb);
   }
-  InsertLocked(key, size_kb, now);
+  Insert(key, size_kb, now);
   return false;
 }
 
 bool SegmentCache::Contains(const SegmentKey& key) const {
-  MutexLock lock(&mu_);
   return segments_.find(key) != segments_.end();
 }
 
 void SegmentCache::Erase(const SegmentKey& key) {
-  MutexLock lock(&mu_);
   auto it = segments_.find(key);
   if (it == segments_.end()) return;
   used_kb_ -= it->second.size_kb;
@@ -174,7 +164,6 @@ void SegmentCache::Erase(const SegmentKey& key) {
 }
 
 size_t SegmentCache::EraseReplica(PhysicalOid replica) {
-  MutexLock lock(&mu_);
   size_t dropped = 0;
   for (auto it = segments_.begin(); it != segments_.end();) {
     if (it->first.replica == replica) {
@@ -192,19 +181,16 @@ size_t SegmentCache::EraseReplica(PhysicalOid replica) {
 }
 
 double SegmentCache::CachedKbOf(PhysicalOid replica) const {
-  MutexLock lock(&mu_);
   auto it = replica_kb_.find(replica);
   return it != replica_kb_.end() ? it->second : 0.0;
 }
 
 int SegmentCache::CachedSegmentsOf(PhysicalOid replica) const {
-  MutexLock lock(&mu_);
   auto it = replica_segments_.find(replica);
   return it != replica_segments_.end() ? it->second : 0;
 }
 
 std::string SegmentCache::ReportString() const {
-  MutexLock lock(&mu_);
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "cache[%s]: %.0f/%.0f KB in %zu segments, hits=%llu "

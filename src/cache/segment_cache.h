@@ -8,7 +8,6 @@
 
 #include "common/ids.h"
 #include "common/sim_time.h"
-#include "common/sync.h"
 #include "cache/eviction.h"
 #include "cache/segment.h"
 #include "obs/metrics.h"
@@ -21,12 +20,9 @@
 // hit/miss sequences — are a deterministic function of the access
 // sequence.
 //
-// Thread-safe: this is the per-site lock of the cache subsystem. One
-// mutex guards the segment table, the per-replica byte accounting, and
-// the hit/miss counters, so concurrent readers, fills, and evictions on
-// one site serialize here while different sites proceed in parallel
-// (CacheManager holds no lock of its own). SegmentCache::mu_ is a leaf
-// lock: nothing else is acquired while it is held.
+// Thread-compatible: the cache takes no lock. Its callers serialize, and
+// in a MediaDbSystem they do so under the facade's one lock
+// (docs/ARCHITECTURE.md "Threading model").
 
 namespace quasaq::cache {
 
@@ -70,63 +66,49 @@ class SegmentCache {
   /// resident, touching its recency/popularity; on a miss the segment is
   /// filled in (unless larger than the cache), evicting as needed. All
   /// counters are charged.
-  bool Access(const SegmentKey& key, double size_kb, SimTime now)
-      QUASAQ_EXCLUDES(mu_);
+  bool Access(const SegmentKey& key, double size_kb, SimTime now);
 
   /// Inserts without hit/miss accounting (warm-up / prefetch). Returns
   /// false when the segment cannot be admitted. Re-inserting a resident
   /// segment only touches it.
-  bool Insert(const SegmentKey& key, double size_kb, SimTime now)
-      QUASAQ_EXCLUDES(mu_);
+  bool Insert(const SegmentKey& key, double size_kb, SimTime now);
 
   /// Residency check with no side effects (the planner's admission-time
   /// peek must not distort recency or the hit ratio).
-  bool Contains(const SegmentKey& key) const QUASAQ_EXCLUDES(mu_);
+  bool Contains(const SegmentKey& key) const;
 
   /// Drops one segment if resident.
-  void Erase(const SegmentKey& key) QUASAQ_EXCLUDES(mu_);
+  void Erase(const SegmentKey& key);
 
   /// Invalidates every segment of `replica` (e.g. after the replica is
   /// evicted from storage). Returns the number of segments dropped.
   /// Not charged as evictions — nothing was displaced by pressure.
-  size_t EraseReplica(PhysicalOid replica) QUASAQ_EXCLUDES(mu_);
+  size_t EraseReplica(PhysicalOid replica);
 
   /// Total resident KB of `replica`'s segments.
-  double CachedKbOf(PhysicalOid replica) const QUASAQ_EXCLUDES(mu_);
+  double CachedKbOf(PhysicalOid replica) const;
 
   /// Number of resident segments of `replica`.
-  int CachedSegmentsOf(PhysicalOid replica) const QUASAQ_EXCLUDES(mu_);
+  int CachedSegmentsOf(PhysicalOid replica) const;
 
-  double used_kb() const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return used_kb_;
-  }
+  double used_kb() const { return used_kb_; }
   double capacity_kb() const { return options_.capacity_kb; }
-  size_t segment_count() const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return segments_.size();
-  }
-  /// Snapshot of the counters (by value: the struct is shared state).
-  Counters counters() const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return counters_;
-  }
+  size_t segment_count() const { return segments_.size(); }
+  Counters counters() const { return counters_; }
   std::string_view policy_name() const { return policy_->name(); }
 
   /// One-line operator report: policy, fill, hit ratio.
-  std::string ReportString() const QUASAQ_EXCLUDES(mu_);
+  std::string ReportString() const;
 
   /// Mirrors the counters into `registry` as a site-labeled series
   /// (`site_label` is the label value, normally the site id). nullptr
   /// detaches. The registry must outlive the cache; call before the
   /// first Access so registry totals match counters().
-  void set_metrics(obs::MetricsRegistry* registry, std::string_view site_label)
-      QUASAQ_EXCLUDES(mu_);
+  void set_metrics(obs::MetricsRegistry* registry, std::string_view site_label);
 
  private:
   // Registry handles resolved once in set_metrics; all nullptr when
-  // unobserved. Emitted under mu_ — the registry's locks are leaves,
-  // consistent with mu_ being otherwise leaf-level.
+  // unobserved.
   struct Metrics {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
@@ -139,26 +121,20 @@ class SegmentCache {
     obs::Gauge* used_kb = nullptr;
   };
 
-  void Touch(SegmentMeta& meta, SimTime now) QUASAQ_REQUIRES(mu_);
+  void Touch(SegmentMeta& meta, SimTime now);
   // Evicts lowest-scored segments until `needed_kb` fits. Returns false
   // when the cache cannot make enough room (needed_kb > capacity).
-  bool EvictFor(double needed_kb, SimTime now) QUASAQ_REQUIRES(mu_);
-  // Lock-assuming body of Insert, shared with the Access miss path.
-  bool InsertLocked(const SegmentKey& key, double size_kb, SimTime now)
-      QUASAQ_REQUIRES(mu_);
+  bool EvictFor(double needed_kb, SimTime now);
 
   Options options_;                         // immutable after construction
   std::unique_ptr<EvictionPolicy> policy_;  // immutable after construction
-  mutable Mutex mu_;
-  std::unordered_map<SegmentKey, SegmentMeta> segments_
-      QUASAQ_GUARDED_BY(mu_);
+  std::unordered_map<SegmentKey, SegmentMeta> segments_;
   // Resident KB per replica, for O(1) warmth lookups by the planner.
-  std::unordered_map<PhysicalOid, double> replica_kb_ QUASAQ_GUARDED_BY(mu_);
-  std::unordered_map<PhysicalOid, int> replica_segments_
-      QUASAQ_GUARDED_BY(mu_);
-  double used_kb_ QUASAQ_GUARDED_BY(mu_) = 0.0;
-  Counters counters_ QUASAQ_GUARDED_BY(mu_);
-  Metrics metrics_ QUASAQ_GUARDED_BY(mu_);
+  std::unordered_map<PhysicalOid, double> replica_kb_;
+  std::unordered_map<PhysicalOid, int> replica_segments_;
+  double used_kb_ = 0.0;
+  Counters counters_;
+  Metrics metrics_;
 };
 
 }  // namespace quasaq::cache

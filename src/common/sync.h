@@ -1,7 +1,6 @@
 #ifndef QUASAQ_COMMON_SYNC_H_
 #define QUASAQ_COMMON_SYNC_H_
 
-#include <condition_variable>
 #include <mutex>
 
 // Synchronization primitives carrying Clang thread-safety annotations
@@ -12,8 +11,8 @@
 // flaky benchmark. On non-Clang compilers every annotation expands to
 // nothing and the wrappers are thin veneers over <mutex>.
 //
-// The annotated subsystems, their locks, and the lock ordering are
-// documented in docs/ARCHITECTURE.md ("Threading model").
+// Where the locks are and what they guard is documented in
+// docs/ARCHITECTURE.md ("Threading model").
 
 #if defined(__clang__) && !defined(SWIG)
 #define QUASAQ_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -27,15 +26,11 @@
 #define QUASAQ_SCOPED_CAPABILITY QUASAQ_THREAD_ANNOTATION_(scoped_lockable)
 // The member may only be read/written while holding the given lock.
 #define QUASAQ_GUARDED_BY(x) QUASAQ_THREAD_ANNOTATION_(guarded_by(x))
-// The pointed-to data (not the pointer) is guarded by the given lock.
-#define QUASAQ_PT_GUARDED_BY(x) QUASAQ_THREAD_ANNOTATION_(pt_guarded_by(x))
 // The function acquires / releases the listed capabilities.
 #define QUASAQ_ACQUIRE(...) \
   QUASAQ_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 #define QUASAQ_RELEASE(...) \
   QUASAQ_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define QUASAQ_TRY_ACQUIRE(...) \
-  QUASAQ_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 // The caller must already hold the listed capabilities.
 #define QUASAQ_REQUIRES(...) \
   QUASAQ_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
@@ -43,15 +38,6 @@
 // public entry points that take the lock themselves).
 #define QUASAQ_EXCLUDES(...) \
   QUASAQ_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-// The function returns a reference to the given capability.
-#define QUASAQ_RETURN_CAPABILITY(x) \
-  QUASAQ_THREAD_ANNOTATION_(lock_returned(x))
-// Runtime assertion that the capability is held (informs the analysis).
-#define QUASAQ_ASSERT_CAPABILITY(x) \
-  QUASAQ_THREAD_ANNOTATION_(assert_capability(x))
-// Escape hatch: disable the analysis for one function.
-#define QUASAQ_NO_THREAD_SAFETY_ANALYSIS \
-  QUASAQ_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 namespace quasaq {
 
@@ -66,14 +52,8 @@ class QUASAQ_CAPABILITY("mutex") Mutex {
 
   void Lock() QUASAQ_ACQUIRE() { mu_.lock(); }
   void Unlock() QUASAQ_RELEASE() { mu_.unlock(); }
-  bool TryLock() QUASAQ_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  /// No-op at runtime; tells the analysis the lock is held (for
-  /// callbacks invoked from contexts the analysis cannot see).
-  void AssertHeld() const QUASAQ_ASSERT_CAPABILITY(this) {}
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -89,42 +69,6 @@ class QUASAQ_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-// Condition variable over a Mutex. The Mutex is a parameter of Wait —
-// not bound at construction — because Clang's analysis matches
-// capability expressions syntactically: REQUIRES(mu) on the parameter
-// unifies with whatever lock expression the caller actually holds,
-// whereas a stored `cv.mu_` never would. Wait() adopts the already-held
-// Mutex into a std::unique_lock (the standard wait protocol) and
-// releases the adoption before returning, so the caller's discipline —
-// hold the Mutex across the wait — is undisturbed.
-class CondVar {
- public:
-  CondVar() = default;
-
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu` and blocks until notified; `mu` is
-  /// re-held on return. Spurious wakeups are possible — use Await.
-  void Wait(Mutex* mu) QUASAQ_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // ownership stays with the caller's MutexLock
-  }
-
-  /// Waits until `pred()` holds, re-checking after every wakeup.
-  template <typename Predicate>
-  void Await(Mutex* mu, Predicate pred) QUASAQ_REQUIRES(mu) {
-    while (!pred()) Wait(mu);
-  }
-
-  void Signal() { cv_.notify_one(); }
-  void SignalAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace quasaq

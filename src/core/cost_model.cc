@@ -23,8 +23,7 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 double LrbCostModel::Cost(const ResourceVector& demand,
                           const res::ResourcePool& pool) {
   // Fullest bucket once the demand is overlaid: the touched buckets
-  // plus the pool's fullest untouched one, read under one pool-lock
-  // acquisition.
+  // plus the pool's fullest untouched one.
   return pool.OverlayMaxFill(demand);
 }
 

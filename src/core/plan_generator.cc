@@ -135,17 +135,11 @@ PlanGenerator::Candidates PlanGenerator::BuildCandidates(
 const PlanGenerator::Candidates& PlanGenerator::CandidatesOf(
     const GroupSeed& seed) const {
   const ChoiceKey key = KeyOf(seed);
-  MutexLock lock(&candidates_mu_);
   for (const Candidates& candidates : candidates_) {
     if (candidates.key == key) return candidates;
   }
   candidates_.push_back(BuildCandidates(seed.replica, key));
   return candidates_.back();
-}
-
-size_t PlanGenerator::candidate_keys() const {
-  MutexLock lock(&candidates_mu_);
-  return candidates_.size();
 }
 
 PlanGenerator::ChoiceTable PlanGenerator::BuildChoiceTable(

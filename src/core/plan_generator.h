@@ -10,7 +10,6 @@
 #include "common/ids.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "core/plan.h"
 #include "media/library.h"
 #include "metadata/metadata_store.h"
@@ -53,6 +52,10 @@
 // table's choices are finalized into plans with a resource vector, and
 // each cache-served twin is patched from its finalized disk twin rather
 // than finalized again.
+//
+// Thread-compatible: the candidate store fills in lazily, from const
+// methods too, so callers serialize. In a MediaDbSystem they do so under
+// the facade's one lock (docs/ARCHITECTURE.md "Threading model").
 
 namespace quasaq::core {
 
@@ -155,8 +158,7 @@ class PlanGenerator {
   /// with the same KeyOf(). Filters the key's priced candidates, which
   /// the first call for the key builds.
   ChoiceTable BuildChoiceTable(const GroupSeed& seed,
-                               const query::QosRequirement& qos) const
-      QUASAQ_EXCLUDES(candidates_mu_);
+                               const query::QosRequirement& qos) const;
 
   /// Stage 2: appends every surviving plan of `seed` to `out`, in eager
   /// enumeration order (cache-served twin immediately before its disk
@@ -184,7 +186,7 @@ class PlanGenerator {
                         ResourceVector& demand) const;
 
   /// Number of ChoiceKeys whose candidates have been priced so far.
-  size_t candidate_keys() const QUASAQ_EXCLUDES(candidates_mu_);
+  size_t candidate_keys() const { return candidates_.size(); }
 
   const Options& options() const { return options_; }
 
@@ -211,10 +213,9 @@ class PlanGenerator {
     double forward_cpu = 0.0;
     std::vector<Candidate> list;
   };
-  // The candidates of `seed`'s key, built on first use. The entry is
-  // immutable once stored and never moves, so it is read unlocked.
-  const Candidates& CandidatesOf(const GroupSeed& seed) const
-      QUASAQ_EXCLUDES(candidates_mu_);
+  // The candidates of `seed`'s key, built on first use. The entry never
+  // changes or moves once stored.
+  const Candidates& CandidatesOf(const GroupSeed& seed) const;
   Candidates BuildCandidates(const media::ReplicaInfo& replica,
                              const ChoiceKey& key) const;
 
@@ -222,17 +223,14 @@ class PlanGenerator {
   std::vector<SiteId> sites_;
   Options options_;
   const cache::CacheView* cache_view_ = nullptr;
-  // Immutable after construction (thread-compatible with concurrent
-  // BuildChoiceTable calls).
+  // Immutable after construction.
   std::vector<media::FrameDropStrategy> drop_choices_;
   // Indexed by static_cast<int>(SecurityLevel); raw space at slot 0
   // when static pruning is off.
   std::vector<std::vector<media::EncryptionAlgorithm>> encryption_choices_;
   // One entry per key seen so far, append-only (a deque keeps addresses
-  // stable). A leaf lock: building an entry takes no other lock.
-  mutable Mutex candidates_mu_;
-  mutable std::deque<Candidates> candidates_
-      QUASAQ_GUARDED_BY(candidates_mu_);
+  // stable).
+  mutable std::deque<Candidates> candidates_;
 };
 
 }  // namespace quasaq::core

@@ -252,8 +252,8 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
   metrics_.queries->Increment();
   TraceBegin(trace, "delivery.admit");
   // Reserve is the one fit test. The walk stops before plans whose LRB
-  // key already overflows, so a denial here is a race with a concurrent
-  // admission or a plan ranked by a model with no such bound.
+  // key already overflows, so a denial here is a plan ranked by a model
+  // with no such bound.
   Walked walked = Walk(
       query_site, content, qos, profile, trace,
       [this](const ResourceVector& resources)
@@ -263,8 +263,7 @@ Result<QualityManager::Admitted> QualityManager::AdmitQuery(
         return *reservation;
       },
       /*stop_at_overflow=*/true);
-  // This admission's own plans: a manager-wide delta would also count
-  // concurrent admissions and EXPLAINs.
+  // This admission's own plans, counted on its stream.
   metrics_.per_query->Observe(static_cast<double>(walked.plans_generated));
   const char* outcome = nullptr;
   if (walked.result.ok()) {

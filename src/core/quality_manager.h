@@ -43,22 +43,20 @@
 // materialize-and-sort walk would pick. Under the pure LRB key,
 // admissions and paused renegotiations also end a round where the
 // frontier head's key is above 1 (exact in resource units): every plan
-// left overflows a bucket, so stopping there changes no decision, and a
-// Reserve denial can only be a race with another thread. The live swap
-// walks on, because its ranking counts the reservation it releases.
+// left overflows a bucket, so stopping there changes no decision, and
+// Reserve never denies a plan the walk reaches (callers serialize, so
+// usage cannot move between ranking and reserving). The live swap walks
+// on, because its ranking counts the reservation it releases.
 //
 // The counters live only in the metrics registry passed at
 // construction; stats() reads them.
 //
-// Thread-safety: Admit/Renegotiate/Explain may run concurrently from
-// many threads, traced or not, under either optimization goal. What
-// belongs to one query — its gain and its trace context — travels as
-// arguments down the walk; the shared planner state (generator,
-// evaluator) is immutable or internally synchronized, the metadata
-// catalog is only read (its writes never overlap a walk), and the
-// counters are registry atomics. One seam remains: under the Random
-// cost model, concurrent walks share the model's RNG
-// (docs/ARCHITECTURE.md).
+// Thread-compatible: the manager takes no lock, and neither do the
+// generator's candidate store, the cost model (the Random model's RNG
+// included) or the Composite QoS API it walks against. In a
+// MediaDbSystem every call runs under the facade's one lock
+// (docs/ARCHITECTURE.md "Threading model"). What belongs to one query,
+// its gain and its trace context, travels as arguments down the walk.
 
 namespace quasaq::core {
 

@@ -1,9 +1,23 @@
 #include "core/query_producer.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 
 namespace quasaq::core {
+
+namespace {
+
+// Appends `value` in the shortest fixed-point form that the lexer
+// decodes back to the same double (the query language has no exponent).
+void AppendNumber(std::string& text, double value) {
+  char buf[400];  // the fixed form of any double fits
+  const std::to_chars_result result =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::fixed);
+  text.append(buf, result.ptr);
+}
+
+}  // namespace
 
 QueryProducer::QueryProducer(const UserProfile* profile) : profile_(profile) {
   assert(profile_ != nullptr);
@@ -39,9 +53,7 @@ std::string QueryProducer::ProduceText(const query::ContentPredicate& content,
     std::string term = "SIMILAR(";
     for (size_t i = 0; i < content.similar_to->size(); ++i) {
       if (i > 0) term += ", ";
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", (*content.similar_to)[i]);
-      term += buf;
+      AppendNumber(term, (*content.similar_to)[i]);
     }
     term += ")";
     if (content.top_k != 1) {
@@ -52,14 +64,17 @@ std::string QueryProducer::ProduceText(const query::ContentPredicate& content,
 
   media::AppQosRange range = profile_->Translate(request);
   char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      " WITH QOS (resolution >= %dx%d, resolution <= %dx%d,"
-      " framerate >= %g, framerate <= %g, color >= %d, color <= %d",
-      range.min_resolution.width, range.min_resolution.height,
-      range.max_resolution.width, range.max_resolution.height,
-      range.min_frame_rate, range.max_frame_rate,
-      range.min_color_depth_bits, range.max_color_depth_bits);
+  std::snprintf(buf, sizeof(buf),
+                " WITH QOS (resolution >= %dx%d, resolution <= %dx%d,"
+                " framerate >= ",
+                range.min_resolution.width, range.min_resolution.height,
+                range.max_resolution.width, range.max_resolution.height);
+  text += buf;
+  AppendNumber(text, range.min_frame_rate);
+  text += ", framerate <= ";
+  AppendNumber(text, range.max_frame_rate);
+  std::snprintf(buf, sizeof(buf), ", color >= %d, color <= %d",
+                range.min_color_depth_bits, range.max_color_depth_bits);
   text += buf;
   text += ", audio >= ";
   text += media::AudioQualityName(range.min_audio);

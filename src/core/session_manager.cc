@@ -50,7 +50,6 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
   const SimTime now = simulator_->Now();
   record.start = now;
   record.expected_end = now + SecondsToSimTime(duration_seconds);
-  MutexLock lock(&mu_);
   const SessionId id(next_seq_++);
   if (record.vdbms_units > 0) {
     vdbms_site_units_[record.site] += record.vdbms_units;
@@ -69,21 +68,11 @@ SessionId SessionManager::Start(Record record, double duration_seconds) {
 }
 
 const SessionManager::Record* SessionManager::Find(SessionId session) const {
-  MutexLock lock(&mu_);
   auto it = sessions_.find(session);
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-std::optional<SessionManager::Record> SessionManager::Snapshot(
-    SessionId session) const {
-  MutexLock lock(&mu_);
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) return std::nullopt;
-  return it->second;
-}
-
 double SessionManager::vdbms_active_kbps(SiteId site) const {
-  MutexLock lock(&mu_);
   auto it = vdbms_site_units_.find(site);
   return it == vdbms_site_units_.end()
              ? 0.0
@@ -91,7 +80,6 @@ double SessionManager::vdbms_active_kbps(SiteId site) const {
 }
 
 int SessionManager::outstanding() const {
-  MutexLock lock(&mu_);
   return static_cast<int>(sessions_.size());
 }
 
@@ -103,7 +91,6 @@ void SessionManager::UnpinVdbms(const Record& record) {
 }
 
 Status SessionManager::Pause(SessionId session) {
-  MutexLock lock(&mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return Status::NotFound("no such session");
   Record& record = it->second;
@@ -134,7 +121,6 @@ Status SessionManager::Pause(SessionId session) {
 }
 
 Status SessionManager::Resume(SessionId session) {
-  MutexLock lock(&mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return Status::NotFound("no such session");
   Record& record = it->second;
@@ -172,7 +158,6 @@ Status SessionManager::Resume(SessionId session) {
 }
 
 Status SessionManager::Cancel(SessionId session) {
-  MutexLock lock(&mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return Status::NotFound("no such session");
   const Record& record = it->second;
@@ -198,7 +183,6 @@ Status SessionManager::Cancel(SessionId session) {
 Status SessionManager::AdoptRenegotiatedPlan(SessionId session,
                                              SiteId delivery_site,
                                              const ResourceVector& resources) {
-  MutexLock lock(&mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return Status::NotFound("no such session");
   Record& record = it->second;
@@ -208,39 +192,30 @@ Status SessionManager::AdoptRenegotiatedPlan(SessionId session,
 }
 
 void SessionManager::Complete(SessionId id) {
-  SimTime completed_at = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return;  // cancelled earlier
-    const Record& record = it->second;
-    if (record.reservation != res::kInvalidReservationId) {
-      Status status = qos_api_->Release(record.reservation);
-      assert(status.ok());
-      (void)status;
-    }
-    UnpinVdbms(record);
-    completed_at = simulator_->Now();
-    metrics_.completed->Increment();
-    metrics_.duration_seconds->Observe(
-        SimTimeToSeconds(completed_at - record.start));
-    if (record.trace_track != 0) {
-      // Closes session.stream (and a dangling session.paused, if the
-      // caller completed a paused session) plus the delivery root span.
-      tracer_->EndAll(record.trace_track, completed_at);
-    }
-    sessions_.erase(it);
-    SampleActive(completed_at);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) return;  // cancelled earlier
+  const Record& record = it->second;
+  if (record.reservation != res::kInvalidReservationId) {
+    Status status = qos_api_->Release(record.reservation);
+    assert(status.ok());
+    (void)status;
   }
-  CompleteCallback callback;
-  {
-    MutexLock lock(&config_mu_);
-    callback = on_complete_;
+  UnpinVdbms(record);
+  const SimTime completed_at = simulator_->Now();
+  metrics_.completed->Increment();
+  metrics_.duration_seconds->Observe(
+      SimTimeToSeconds(completed_at - record.start));
+  if (record.trace_track != 0) {
+    // Closes session.stream (and a dangling session.paused, if the
+    // caller completed a paused session) plus the delivery root span.
+    tracer_->EndAll(record.trace_track, completed_at);
   }
-  // Invoke outside every lock: the facade's completion hook (and user
-  // callbacks behind it) may re-enter this manager, e.g. to cancel or
-  // start a follow-up session.
-  if (callback) callback(id, completed_at);
+  sessions_.erase(it);
+  SampleActive(completed_at);
+  // Last, once the table is consistent: the facade's completion hook
+  // (and user callbacks behind it) may re-enter this manager, e.g. to
+  // cancel or start a follow-up session.
+  if (on_complete_) on_complete_(id, completed_at);
 }
 
 }  // namespace quasaq::core

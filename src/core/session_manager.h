@@ -3,14 +3,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 
 #include "common/ids.h"
 #include "common/resource_vector.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "obs/observability.h"
 #include "resource/composite_api.h"
 #include "simcore/simulator.h"
@@ -25,16 +23,11 @@
 // which alone decides *when* resources are released: exactly once, at
 // completion, cancellation, or pause.
 //
-// Thread-safe: one annotated Mutex guards the whole table, so
-// concurrent lifecycle calls serialize and the release-exactly-once
-// invariant holds under any interleaving. Every simulator ScheduleAt /
-// Cancel the manager makes runs under that lock too — but *driving* the
-// simulator (Step/RunAll) must not overlap with session calls from
-// other threads; the clock itself stays single-threaded. Lock order:
-// SessionManager::mu_ → CompositeQosApi::mu_ → ResourcePool::mu_
-// (docs/ARCHITECTURE.md "Threading model").
-// set_on_complete is configuration: call it before lifecycle calls run
-// concurrently.
+// Thread-compatible: the manager takes no lock. Its callers serialize:
+// in a MediaDbSystem the lifecycle calls run under the facade's one
+// lock, and completion runs on the thread that steps the simulator,
+// which must not overlap facade calls (docs/ARCHITECTURE.md
+// "Threading model").
 
 namespace quasaq::core {
 
@@ -72,47 +65,39 @@ class SessionManager {
   /// Registers a delivery and schedules its completion, and pins
   /// `record.vdbms_units` on the record's site. IDs are the dense
   /// sequence 1, 2, 3...
-  SessionId Start(Record record, double duration_seconds)
-      QUASAQ_EXCLUDES(mu_);
+  SessionId Start(Record record, double duration_seconds);
 
   /// Pauses a running session. Its reserved resources are released
   /// while paused (a paused stream sends nothing) after their vector is
   /// captured into the record for Resume; playback time stops accruing.
-  Status Pause(SessionId session) QUASAQ_EXCLUDES(mu_);
+  Status Pause(SessionId session);
 
   /// Resumes a paused session — effectively a renegotiation, since the
   /// released resources must be re-admitted. Fails with
   /// kResourceExhausted when the system can no longer carry the stream;
   /// the session then stays paused, its resources still released.
-  Status Resume(SessionId session) QUASAQ_EXCLUDES(mu_);
+  Status Resume(SessionId session);
 
   /// Aborts a session early, releasing whatever it still holds.
-  Status Cancel(SessionId session) QUASAQ_EXCLUDES(mu_);
+  Status Cancel(SessionId session);
 
   /// Re-points a session at a renegotiated delivery site. A running
   /// session's reservation handle is unchanged (renegotiation swaps the
   /// vector in place); a paused session records `resources` as the
   /// vector Resume re-admits, and nothing is acquired until then.
   Status AdoptRenegotiatedPlan(SessionId session, SiteId delivery_site,
-                               const ResourceVector& resources)
-      QUASAQ_EXCLUDES(mu_);
+                               const ResourceVector& resources);
 
-  /// The session's record, or nullptr. Invalidated by any mutation, so
-  /// only serialized callers (the single-threaded driver, tests) may
-  /// hold the pointer; concurrent observers must use Snapshot().
-  const Record* Find(SessionId session) const QUASAQ_EXCLUDES(mu_);
-
-  /// Copy of the session's record, or nullopt — the concurrency-safe
-  /// flavor of Find().
-  std::optional<Record> Snapshot(SessionId session) const
-      QUASAQ_EXCLUDES(mu_);
+  /// The session's record, or nullptr. Invalidated by the next
+  /// lifecycle call.
+  const Record* Find(SessionId session) const;
 
   /// Active VDBMS-pinned bitrate currently streaming from `site`, KB/s
   /// (the exact sum of the live pins; 0 once they are all unpinned).
-  double vdbms_active_kbps(SiteId site) const QUASAQ_EXCLUDES(mu_);
+  double vdbms_active_kbps(SiteId site) const;
 
   /// Sessions currently streaming or paused.
-  int outstanding() const QUASAQ_EXCLUDES(mu_);
+  int outstanding() const;
   /// Sessions that ran to completion (the registry counter).
   uint64_t completed() const {
     return static_cast<uint64_t>(metrics_.completed->value());
@@ -123,14 +108,11 @@ class SessionManager {
   }
 
   void set_on_complete(CompleteCallback callback) {
-    MutexLock lock(&config_mu_);
     on_complete_ = std::move(callback);
   }
 
  private:
-  // Registry handles, resolved at construction. Counters and gauge
-  // values are lock-free; the histogram and gauge history take leaf
-  // locks, so they are emitted while mu_ is held.
+  // Registry handles, resolved at construction.
   struct Metrics {
     explicit Metrics(obs::MetricsRegistry& registry);
     obs::Counter* started;
@@ -146,24 +128,21 @@ class SessionManager {
 
   // Samples the active-session gauge (and bumps the peak) after
   // the session table's size changed: Start, Cancel and Complete.
-  void SampleActive(SimTime now) QUASAQ_REQUIRES(mu_);
-  void Complete(SessionId id) QUASAQ_EXCLUDES(mu_);
+  void SampleActive(SimTime now);
+  void Complete(SessionId id);
   // Returns the session's pinned VDBMS bitrate to its site (no-op for
   // reservation-backed sessions).
-  void UnpinVdbms(const Record& record) QUASAQ_REQUIRES(mu_);
+  void UnpinVdbms(const Record& record);
 
   sim::Simulator* simulator_;      // set at construction, never reassigned
   res::CompositeQosApi* qos_api_;  // likewise
   obs::Tracer* tracer_;            // likewise
   const Metrics metrics_;
-  mutable Mutex mu_;
-  int64_t next_seq_ QUASAQ_GUARDED_BY(mu_) = 1;
-  std::unordered_map<SessionId, Record> sessions_ QUASAQ_GUARDED_BY(mu_);
+  int64_t next_seq_ = 1;
+  std::unordered_map<SessionId, Record> sessions_;
   // Sum of the live pins per site, in resource units of KB/s.
-  std::unordered_map<SiteId, int64_t> vdbms_site_units_
-      QUASAQ_GUARDED_BY(mu_);
-  mutable Mutex config_mu_;
-  CompleteCallback on_complete_ QUASAQ_GUARDED_BY(config_mu_);
+  std::unordered_map<SiteId, int64_t> vdbms_site_units_;
+  CompleteCallback on_complete_;
 };
 
 }  // namespace quasaq::core

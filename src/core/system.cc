@@ -121,12 +121,18 @@ std::vector<LogicalOid> MediaDbSystem::ResolveContent(
 MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
     SiteId client_site, LogicalOid content, const query::QosRequirement& qos,
     const UserProfile* profile) {
+  MutexLock lock(&mu_);
+  return Deliver(client_site, content, qos, profile);
+}
+
+MediaDbSystem::DeliveryOutcome MediaDbSystem::Deliver(
+    SiteId client_site, LogicalOid content, const query::QosRequirement& qos,
+    const UserProfile* profile) {
   submitted_->Increment();
   obs::Tracer& tracer = observability_.tracer();
   const SimTime now = simulator_->Now();
   // The delivery's trace track (0 when tracing is off) travels down
-  // every layer as an argument, so concurrent submissions share no
-  // per-query state.
+  // every layer as an argument.
   int64_t trace_track = 0;
   if (options_.observability.tracing) {
     trace_track = tracer.NewTrack(
@@ -152,7 +158,7 @@ MediaDbSystem::DeliveryOutcome MediaDbSystem::SubmitDelivery(
   }
   if (outcome.status.ok()) {
     // The new reservation moved utilization; record the step.
-    SampleResourceTelemetry();
+    pool_telemetry_->Sample(now);
   } else {
     rejected_->Increment();
     if (trace_track != 0) {
@@ -297,9 +303,9 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
     return Status::FailedPrecondition(
         "mid-playback renegotiation requires QuaSAQ");
   }
-  std::optional<SessionManager::Record> record =
-      session_manager_.Snapshot(session);
-  if (!record.has_value()) return Status::NotFound("no such session");
+  MutexLock lock(&mu_);
+  const SessionManager::Record* record = session_manager_.Find(session);
+  if (record == nullptr) return Status::NotFound("no such session");
   obs::Tracer& tracer = observability_.tracer();
   const int64_t track = record->trace_track;
   const SimTime now = simulator_->Now();
@@ -324,12 +330,12 @@ Result<MediaDbSystem::DeliveryOutcome> MediaDbSystem::ChangeSessionQos(
                {{"outcome", admitted.ok() ? "adopted" : "rejected"}});
   }
   if (!admitted.ok()) return admitted.status();
-  SampleResourceTelemetry();
+  pool_telemetry_->Sample(now);
   Status adopted = session_manager_.AdoptRenegotiatedPlan(
       session, admitted->plan.delivery_site, admitted->plan.resources);
-  // The session can only disappear between the snapshot above and the
-  // adoption if the caller raced its own cancel/complete; surface that
-  // instead of silently keeping the renegotiated reservation unadopted.
+  // The session was found above under the same lock; should adoption
+  // still fail, surface it instead of silently keeping the renegotiated
+  // reservation unadopted.
   if (!adopted.ok()) return adopted;
   DeliveryOutcome outcome;
   outcome.status = Status::Ok();
@@ -351,6 +357,14 @@ MediaDbSystem::TakeObservabilitySnapshot() const {
   return snapshot;
 }
 
+std::optional<SessionManager::Record> MediaDbSystem::FindSession(
+    SessionId session) const {
+  MutexLock lock(&mu_);
+  const SessionManager::Record* record = session_manager_.Find(session);
+  if (record == nullptr) return std::nullopt;
+  return *record;
+}
+
 MediaDbSystem::Stats MediaDbSystem::stats() const {
   Stats snapshot;
   snapshot.submitted = static_cast<uint64_t>(submitted_->value());
@@ -365,17 +379,17 @@ void MediaDbSystem::SampleResourceTelemetry() {
 }
 
 std::string MediaDbSystem::ReportString() const {
-  const Stats totals = stats();
+  MutexLock lock(&mu_);
   char buf[160];
   std::snprintf(
       buf, sizeof(buf),
       "%s: submitted=%llu admitted=%llu rejected=%llu completed=%llu "
       "outstanding=%d",
       std::string(SystemKindName(options_.kind)).c_str(),
-      static_cast<unsigned long long>(totals.submitted),
-      static_cast<unsigned long long>(totals.admitted),
-      static_cast<unsigned long long>(totals.rejected),
-      static_cast<unsigned long long>(totals.completed),
+      static_cast<unsigned long long>(submitted_->value()),
+      static_cast<unsigned long long>(session_manager_.started()),
+      static_cast<unsigned long long>(rejected_->value()),
+      static_cast<unsigned long long>(session_manager_.completed()),
       session_manager_.outstanding());
   std::string out(buf);
   out += "\nbuckets: " + pool_.DebugString();
@@ -422,6 +436,7 @@ Result<MediaDbSystem::Explanation> MediaDbSystem::ExplainTextQuery(
   Result<query::ParsedQuery> parsed =
       ParseAndResolve(text, &explanation.content);
   if (!parsed.ok()) return parsed.status();
+  MutexLock lock(&mu_);
   Result<std::vector<QualityManager::RankedPlan>> plans =
       quality_manager_->ExplainPlans(client_site, explanation.content,
                                      parsed->qos, max_plans);
@@ -439,8 +454,9 @@ Result<MediaDbSystem::TextQueryOutcome> MediaDbSystem::SubmitTextQuery(
     return Status::FailedPrecondition(
         "EXPLAIN queries must go through ExplainTextQuery");
   }
+  MutexLock lock(&mu_);
   outcome.delivery =
-      SubmitDelivery(client_site, outcome.content, parsed->qos, profile);
+      Deliver(client_site, outcome.content, parsed->qos, profile);
   return outcome;
 }
 

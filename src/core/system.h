@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "cache/cache_manager.h"
 #include "common/ids.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "core/cost_model.h"
 #include "core/qop.h"
 #include "core/quality_manager.h"
@@ -53,6 +55,17 @@
 // Sessions are modeled at the session level here (admission +
 // timed completion); the frame-level QoS path of Figure 5 uses
 // net::RtpStreamingSession with the CPU schedulers directly.
+//
+// Threading: one Mutex, mu_, serializes every entry point that reads or
+// writes the planning, resource, session or cache state, so those
+// components take no lock of their own. Entry points never call one
+// another, and private helpers that assume the lock say so with
+// QUASAQ_REQUIRES. SubmitTextQuery and ExplainTextQuery parse and
+// resolve content before they take it. The thread that steps the
+// simulator must not overlap facade calls: session completion (and
+// replication) run on it without the lock. The component accessors
+// (pool(), quality_manager(), ...) are unsynchronized, for use while no
+// other thread calls the facade. See docs/ARCHITECTURE.md.
 
 namespace quasaq::core {
 
@@ -147,7 +160,8 @@ class MediaDbSystem {
   /// (VDBMS+QoSAPI) or full QuaSAQ planning.
   DeliveryOutcome SubmitDelivery(SiteId client_site, LogicalOid content,
                                  const query::QosRequirement& qos,
-                                 const UserProfile* profile = nullptr);
+                                 const UserProfile* profile = nullptr)
+      QUASAQ_EXCLUDES(mu_);
 
   struct TextQueryOutcome {
     LogicalOid content;
@@ -160,7 +174,8 @@ class MediaDbSystem {
   Result<TextQueryOutcome> SubmitTextQuery(SiteId client_site,
                                            std::string_view text,
                                            const UserProfile* profile =
-                                               nullptr);
+                                               nullptr)
+      QUASAQ_EXCLUDES(mu_);
 
   struct Explanation {
     LogicalOid content;
@@ -177,10 +192,12 @@ class MediaDbSystem {
   /// `max_plans` entries have been yielded from the plan stream.
   Result<Explanation> ExplainTextQuery(SiteId client_site,
                                        std::string_view text,
-                                       size_t max_plans = 10);
+                                       size_t max_plans = 10)
+      QUASAQ_EXCLUDES(mu_);
 
   /// Aborts a running session early, releasing its resources.
-  Status CancelSession(SessionId session) {
+  Status CancelSession(SessionId session) QUASAQ_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
     return session_manager_.Cancel(session);
   }
 
@@ -194,12 +211,13 @@ class MediaDbSystem {
   /// errors propagate, leaving the old reservation intact.
   Result<DeliveryOutcome> ChangeSessionQos(
       SessionId session, const query::QosRequirement& new_qos,
-      const UserProfile* profile = nullptr);
+      const UserProfile* profile = nullptr) QUASAQ_EXCLUDES(mu_);
 
   /// User action: pauses a running session. Its reserved resources are
   /// released while paused (a paused stream sends nothing); playback
   /// time stops accruing.
-  Status PauseSession(SessionId session) {
+  Status PauseSession(SessionId session) QUASAQ_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
     return session_manager_.Pause(session);
   }
 
@@ -207,15 +225,23 @@ class MediaDbSystem {
   /// renegotiation, since the released resources must be re-admitted.
   /// Fails with kResourceExhausted when the system can no longer carry
   /// the stream; the session then stays paused.
-  Status ResumeSession(SessionId session) {
+  Status ResumeSession(SessionId session) QUASAQ_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
     return session_manager_.Resume(session);
   }
+
+  /// A copy of the session's record, or nullopt for unknown sessions.
+  std::optional<SessionManager::Record> FindSession(SessionId session) const
+      QUASAQ_EXCLUDES(mu_);
 
   void set_on_session_complete(SessionCompleteCallback callback) {
     on_session_complete_ = std::move(callback);
   }
 
-  int outstanding_sessions() const { return session_manager_.outstanding(); }
+  int outstanding_sessions() const QUASAQ_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return session_manager_.outstanding();
+  }
   /// Reads the query counters from the registry: admitted and completed
   /// are the session layer's started and completed counters.
   Stats stats() const;
@@ -228,7 +254,7 @@ class MediaDbSystem {
 
   /// Multi-line operator report: query counters, bucket fill, bottleneck
   /// resource, and (when enabled) replication activity.
-  std::string ReportString() const;
+  std::string ReportString() const QUASAQ_EXCLUDES(mu_);
   QualityManager* quality_manager() { return quality_manager_.get(); }
   /// The session lifecycle layer (session table, pause/resume state).
   const SessionManager& session_manager() const { return session_manager_; }
@@ -261,9 +287,10 @@ class MediaDbSystem {
   ObservabilitySnapshot TakeObservabilitySnapshot() const;
 
   /// Records one utilization sample per resource bucket at the current
-  /// sim time. The facade calls this whenever utilization moves (session
-  /// start and completion); harnesses wanting a fixed cadence can drive
-  /// it from a periodic simulator task.
+  /// sim time. The facade samples whenever utilization moves (session
+  /// start and completion); harnesses wanting a fixed cadence can call
+  /// this from a periodic simulator task, which runs on the simulator's
+  /// thread and so takes no lock.
   void SampleResourceTelemetry();
 
  private:
@@ -271,18 +298,21 @@ class MediaDbSystem {
   /// matching logical OID (stored into `content`).
   Result<query::ParsedQuery> ParseAndResolve(std::string_view text,
                                              LogicalOid* content) const;
-  // `trace_track` is the delivery's span track (0 = untraced); it is a
-  // parameter, not a member, so concurrent (untraced) submissions never
-  // share mutable facade state.
+  // The body of SubmitDelivery, shared with SubmitTextQuery.
+  DeliveryOutcome Deliver(SiteId client_site, LogicalOid content,
+                          const query::QosRequirement& qos,
+                          const UserProfile* profile) QUASAQ_REQUIRES(mu_);
+  // `trace_track` is the delivery's span track (0 = untraced).
   DeliveryOutcome DeliverVdbms(SiteId site, LogicalOid content,
-                               int64_t trace_track);
+                               int64_t trace_track) QUASAQ_REQUIRES(mu_);
   DeliveryOutcome DeliverQosApi(SiteId site, LogicalOid content,
-                                int64_t trace_track);
+                                int64_t trace_track) QUASAQ_REQUIRES(mu_);
   DeliveryOutcome DeliverQuasaq(SiteId site, LogicalOid content,
                                 const query::QosRequirement& qos,
                                 const UserProfile* profile,
-                                int64_t trace_track);
+                                int64_t trace_track) QUASAQ_REQUIRES(mu_);
 
+  mutable Mutex mu_;
   sim::Simulator* simulator_;
   Options options_;
   obs::Observability observability_;

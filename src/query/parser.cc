@@ -1,5 +1,6 @@
 #include "query/parser.h"
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,12 @@ class Parser {
   bool PeekKeyword(std::string_view keyword) const;
   Status ExpectKeyword(std::string_view keyword);
   Result<Token> Expect(TokenType type);
+  // A number literal that decodes to a finite double (the lexer decodes
+  // one past the double range as infinity).
+  Result<Token> ExpectFiniteNumber();
+  // A number literal naming a whole int (never negative: the grammar has
+  // no sign); `what` names the value in the diagnostics.
+  Result<int> ExpectWholeNumber(std::string_view what);
   Result<TokenType> ExpectComparison();
 
   Status ParseWhere(ParsedQuery& query);
@@ -57,10 +64,6 @@ class Parser {
   const std::vector<Token>& tokens_;
   size_t pos_ = 0;
 };
-
-// True when `number` (never negative: the grammar has no sign) survives a
-// cast to int, i.e. is below 2^31.
-bool FitsInt(double number) { return number < 2147483648.0; }
 
 const Token& Parser::Consume() {
   const Token& token = tokens_[pos_];
@@ -100,6 +103,27 @@ Result<Token> Parser::Expect(TokenType type) {
                    "expected " + std::string(TokenTypeName(type)));
   }
   return Consume();
+}
+
+Result<Token> Parser::ExpectFiniteNumber() {
+  Result<Token> token = Expect(TokenType::kNumber);
+  if (token.ok() && std::isinf(token->number)) {
+    return ErrorAt(*token, "number out of range");
+  }
+  return token;
+}
+
+Result<int> Parser::ExpectWholeNumber(std::string_view what) {
+  Result<Token> token = Expect(TokenType::kNumber);
+  if (!token.ok()) return token.status();
+  // Below 2^31, so the value survives a cast to int.
+  if (!(token->number < 2147483648.0)) {
+    return ErrorAt(*token, std::string(what) + " out of range");
+  }
+  if (token->number != std::floor(token->number)) {
+    return ErrorAt(*token, std::string(what) + " must be a whole number");
+  }
+  return static_cast<int>(token->number);
 }
 
 // Consumes one of `>=`, `<=` and `=`.
@@ -182,12 +206,12 @@ Status Parser::ParseTerm(ParsedQuery& query) {
       return t.status();
     }
     std::vector<double> features;
-    Result<Token> first = Expect(TokenType::kNumber);
+    Result<Token> first = ExpectFiniteNumber();
     if (!first.ok()) return first.status();
     features.push_back(first->number);
     while (Peek().type == TokenType::kComma) {
       Consume();
-      Result<Token> next = Expect(TokenType::kNumber);
+      Result<Token> next = ExpectFiniteNumber();
       if (!next.ok()) return next.status();
       features.push_back(next->number);
     }
@@ -197,10 +221,9 @@ Status Parser::ParseTerm(ParsedQuery& query) {
     query.content.similar_to = std::move(features);
     if (PeekKeyword("TOP")) {
       Consume();
-      Result<Token> k = Expect(TokenType::kNumber);
+      Result<int> k = ExpectWholeNumber("TOP");
       if (!k.ok()) return k.status();
-      if (!FitsInt(k->number)) return ErrorAt(*k, "TOP out of range");
-      query.content.top_k = static_cast<int>(k->number);
+      query.content.top_k = *k;
     }
     return Status::Ok();
   }
@@ -268,18 +291,16 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
     bool is_framerate = EqualsIgnoreCase(name->text, "framerate");
     Result<TokenType> op = ExpectComparison();
     if (!op.ok()) return op.status();
-    Result<Token> value = Expect(TokenType::kNumber);
-    if (!value.ok()) return value.status();
     if (is_framerate) {
-      if (*op != TokenType::kLe) range.min_frame_rate = value->number;
-      if (*op != TokenType::kGe) range.max_frame_rate = value->number;
+      Result<Token> rate = ExpectFiniteNumber();
+      if (!rate.ok()) return rate.status();
+      if (*op != TokenType::kLe) range.min_frame_rate = rate->number;
+      if (*op != TokenType::kGe) range.max_frame_rate = rate->number;
     } else {
-      if (!FitsInt(value->number)) {
-        return ErrorAt(*value, "color depth out of range");
-      }
-      const int bits = static_cast<int>(value->number);
-      if (*op != TokenType::kLe) range.min_color_depth_bits = bits;
-      if (*op != TokenType::kGe) range.max_color_depth_bits = bits;
+      Result<int> bits = ExpectWholeNumber("color depth");
+      if (!bits.ok()) return bits.status();
+      if (*op != TokenType::kLe) range.min_color_depth_bits = *bits;
+      if (*op != TokenType::kGe) range.max_color_depth_bits = *bits;
     }
     return Status::Ok();
   }
@@ -322,7 +343,7 @@ Status Parser::ParseQosItem(ParsedQuery& query) {
       return ErrorAt(Peek(), "expected '<=' or '=' after startup");
     }
     Consume();
-    Result<Token> value = Expect(TokenType::kNumber);
+    Result<Token> value = ExpectFiniteNumber();
     if (!value.ok()) return value.status();
     if (value->number <= 0.0) {
       return ErrorAt(*value, "startup bound must be positive");

@@ -17,7 +17,6 @@ void CompositeQosApi::AccountAttempt(
 }
 
 std::string CompositeQosApi::BottleneckReport() const {
-  MutexLock lock(&mu_);
   const char* worst = nullptr;
   uint64_t worst_denials = 0;
   uint64_t total_denials = 0;
@@ -60,7 +59,6 @@ CompositeQosApi::CompositeQosApi(ResourcePool* pool,
 }
 
 CompositeQosApi::Stats CompositeQosApi::stats() const {
-  MutexLock lock(&mu_);
   Stats snapshot;
   snapshot.admitted =
       static_cast<uint64_t>(metrics_.reserve_accepted->value());
@@ -79,7 +77,6 @@ bool CompositeQosApi::Admissible(const ResourceVector& demand) const {
 }
 
 Result<ReservationId> CompositeQosApi::Reserve(const ResourceVector& demand) {
-  MutexLock lock(&mu_);
   ResourcePool::KindCounts overflowed{};
   Status status = pool_->Acquire(demand, &overflowed);
   AccountAttempt(demand, overflowed);
@@ -94,7 +91,6 @@ Result<ReservationId> CompositeQosApi::Reserve(const ResourceVector& demand) {
 }
 
 Status CompositeQosApi::Release(ReservationId id) {
-  MutexLock lock(&mu_);
   auto it = reservations_.find(id);
   if (it == reservations_.end()) {
     return Status::NotFound("unknown reservation");
@@ -109,14 +105,13 @@ Status CompositeQosApi::Release(ReservationId id) {
 
 Status CompositeQosApi::Renegotiate(ReservationId id,
                                     const ResourceVector& new_demand) {
-  MutexLock lock(&mu_);
   auto it = reservations_.find(id);
   if (it == reservations_.end()) {
     return Status::NotFound("unknown reservation");
   }
   // Tentatively release the old demand, then try the new one; restore on
   // failure so a failed renegotiation leaves the session running at its
-  // previously agreed quality. mu_ is held throughout, so no other
+  // previously agreed quality. Callers serialize, so no other
   // reservation can slip into the momentarily freed capacity.
   Status freed = pool_->Release(it->second);
   assert(freed.ok());
@@ -135,7 +130,6 @@ Status CompositeQosApi::Renegotiate(ReservationId id,
 }
 
 const ResourceVector* CompositeQosApi::Find(ReservationId id) const {
-  MutexLock lock(&mu_);
   auto it = reservations_.find(id);
   return it == reservations_.end() ? nullptr : &it->second;
 }

@@ -6,7 +6,6 @@
 
 #include "common/resource_vector.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "obs/metrics.h"
 #include "resource/pool.h"
 
@@ -16,13 +15,11 @@
 // admission control, resource reservation, and renegotiation.
 // Reservations are all-or-nothing across every bucket a plan touches.
 //
-// Thread-safe: one mutex guards the reservation table and the
-// per-kind statistics. The pool's own leaf lock is acquired while this
-// one is held (lock order: CompositeQosApi::mu_ → ResourcePool::mu_,
-// see docs/ARCHITECTURE.md), which keeps release-then-acquire
-// renegotiation atomic with respect to other reservations. The
-// reservation counters live only in the metrics registry; they are
-// bumped under mu_, so stats() (which also takes mu_) never tears.
+// Thread-compatible: the API takes no lock. Its callers serialize, and
+// in a MediaDbSystem they do so under the facade's one lock, which also
+// keeps release-then-acquire renegotiation atomic with respect to other
+// reservations (docs/ARCHITECTURE.md "Threading model"). The
+// reservation counters live only in the metrics registry.
 
 namespace quasaq::res {
 
@@ -58,31 +55,24 @@ class CompositeQosApi {
 
   /// Reserves `demand` for the lifetime of a delivery job. On success
   /// the buckets are charged and a reservation handle is returned.
-  Result<ReservationId> Reserve(const ResourceVector& demand)
-      QUASAQ_EXCLUDES(mu_);
+  Result<ReservationId> Reserve(const ResourceVector& demand);
 
   /// Releases a reservation completely.
-  Status Release(ReservationId id) QUASAQ_EXCLUDES(mu_);
+  Status Release(ReservationId id);
 
   /// Renegotiation: atomically replaces the reservation's demand with
   /// `new_demand` (used when the user changes QoS mid-playback or a
   /// degraded plan is adopted). On failure the old reservation stands.
-  Status Renegotiate(ReservationId id, const ResourceVector& new_demand)
-      QUASAQ_EXCLUDES(mu_);
+  Status Renegotiate(ReservationId id, const ResourceVector& new_demand);
 
   /// Returns the reserved vector for `id`, or nullptr. The pointee is
-  /// stable until the reservation is released or renegotiated; callers
-  /// that cannot rule out a concurrent release must copy immediately.
-  const ResourceVector* Find(ReservationId id) const QUASAQ_EXCLUDES(mu_);
+  /// stable until the reservation is released or renegotiated.
+  const ResourceVector* Find(ReservationId id) const;
 
-  size_t active_reservations() const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return reservations_.size();
-  }
+  size_t active_reservations() const { return reservations_.size(); }
   /// Reads the registry counters.
-  Stats stats() const QUASAQ_EXCLUDES(mu_);
-  KindStats kind_stats(ResourceKind kind) const QUASAQ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  Stats stats() const;
+  KindStats kind_stats(ResourceKind kind) const {
     return kind_stats_[static_cast<size_t>(kind)];
   }
   const ResourcePool& pool() const { return *pool_; }
@@ -90,11 +80,10 @@ class CompositeQosApi {
   /// The resource kind that vetoed the most reservations so far, or
   /// empty when nothing has been denied — the operator's first answer
   /// to "what do we buy more of?".
-  std::string BottleneckReport() const QUASAQ_EXCLUDES(mu_);
+  std::string BottleneckReport() const;
 
  private:
-  // Registry handles, resolved at construction. Lock-free counters, so
-  // they need no guard.
+  // Registry handles, resolved at construction.
   struct Metrics {
     explicit Metrics(obs::MetricsRegistry& registry);
     obs::Counter* reserve_accepted;
@@ -107,16 +96,13 @@ class CompositeQosApi {
   // Charges per-kind request/denial accounting for one attempt;
   // `overflowed` is what the pool reported for a failed Acquire.
   void AccountAttempt(const ResourceVector& demand,
-                      const ResourcePool::KindCounts& overflowed)
-      QUASAQ_REQUIRES(mu_);
+                      const ResourcePool::KindCounts& overflowed);
 
   ResourcePool* pool_;  // set at construction, never reassigned
   const Metrics metrics_;
-  mutable Mutex mu_;
-  ReservationId next_id_ QUASAQ_GUARDED_BY(mu_) = 1;
-  std::unordered_map<ReservationId, ResourceVector> reservations_
-      QUASAQ_GUARDED_BY(mu_);
-  KindStats kind_stats_[kNumResourceKinds] QUASAQ_GUARDED_BY(mu_) = {};
+  ReservationId next_id_ = 1;
+  std::unordered_map<ReservationId, ResourceVector> reservations_;
+  KindStats kind_stats_[kNumResourceKinds] = {};
 };
 
 }  // namespace quasaq::res

@@ -31,7 +31,6 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
     return Status::InvalidArgument("bucket " + BucketIdToString(bucket) +
                                    " declared at an invalid site");
   }
-  MutexLock lock(&mu_);
   const size_t slot = Slot(bucket);
   if (slot >= buckets_.size()) buckets_.resize(slot + 1);
   if (buckets_[slot].capacity != 0) {
@@ -43,7 +42,7 @@ Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
   return Status::Ok();
 }
 
-const ResourcePool::BucketState* ResourcePool::FindLocked(
+const ResourcePool::BucketState* ResourcePool::Find(
     const BucketId& bucket) const {
   if (!bucket.site.valid()) return nullptr;
   const size_t slot = Slot(bucket);
@@ -54,10 +53,9 @@ const ResourcePool::BucketState* ResourcePool::FindLocked(
 }
 
 double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
-  MutexLock lock(&mu_);
   double max_fill = max_fill_;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    const BucketState* state = FindLocked(e.bucket);
+    const BucketState* state = Find(e.bucket);
     if (state == nullptr) continue;
     max_fill =
         std::max(max_fill, Fill(state->used + e.units, state->capacity));
@@ -66,7 +64,6 @@ double ResourcePool::OverlayMaxFill(const ResourceVector& demand) const {
 }
 
 double ResourcePool::OverlaySquaredFill(const ResourceVector& demand) const {
-  MutexLock lock(&mu_);
   double total = 0.0;
   for (size_t slot = 0; slot < buckets_.size(); ++slot) {
     const BucketState& state = buckets_[slot];
@@ -79,10 +76,9 @@ double ResourcePool::OverlaySquaredFill(const ResourceVector& demand) const {
 }
 
 double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
-  MutexLock lock(&mu_);
   double total = 0.0;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    const BucketState* state = FindLocked(e.bucket);
+    const BucketState* state = Find(e.bucket);
     if (state == nullptr) continue;
     total += Fill(e.units, state->capacity);
   }
@@ -91,7 +87,6 @@ double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
 
 std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
     const {
-  MutexLock lock(&mu_);
   std::vector<std::pair<BucketId, double>> out;
   out.reserve(buckets_.size());
   for (size_t slot = 0; slot < buckets_.size(); ++slot) {
@@ -103,28 +98,25 @@ std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
 }
 
 double ResourcePool::Capacity(const BucketId& bucket) const {
-  MutexLock lock(&mu_);
-  const BucketState* state = FindLocked(bucket);
+  const BucketState* state = Find(bucket);
   return state == nullptr ? 0.0 : FromResourceUnits(state->capacity);
 }
 
 double ResourcePool::Used(const BucketId& bucket) const {
-  MutexLock lock(&mu_);
-  const BucketState* state = FindLocked(bucket);
+  const BucketState* state = Find(bucket);
   return state == nullptr ? 0.0 : FromResourceUnits(state->used);
 }
 
 double ResourcePool::Utilization(const BucketId& bucket) const {
-  MutexLock lock(&mu_);
-  const BucketState* state = FindLocked(bucket);
+  const BucketState* state = Find(bucket);
   return state == nullptr ? 0.0 : Fill(state->used, state->capacity);
 }
 
-bool ResourcePool::FitsLocked(const ResourceVector& demand,
-                              KindCounts* overflowed) const {
+bool ResourcePool::Fits(const ResourceVector& demand,
+                        KindCounts* overflowed) const {
   bool fits = true;
   for (const ResourceVector::Entry& e : demand.entries()) {
-    const BucketState* state = FindLocked(e.bucket);
+    const BucketState* state = Find(e.bucket);
     if (state == nullptr) return false;
     if (e.units > state->capacity - state->used) {
       if (overflowed == nullptr) return false;
@@ -135,21 +127,15 @@ bool ResourcePool::FitsLocked(const ResourceVector& demand,
   return fits;
 }
 
-bool ResourcePool::Fits(const ResourceVector& demand) const {
-  MutexLock lock(&mu_);
-  return FitsLocked(demand);
-}
-
 Status ResourcePool::Acquire(const ResourceVector& demand,
                              KindCounts* overflowed) {
-  MutexLock lock(&mu_);
   for (const ResourceVector::Entry& e : demand.entries()) {
-    if (FindLocked(e.bucket) == nullptr) {
+    if (Find(e.bucket) == nullptr) {
       return Status::NotFound("undeclared bucket " +
                               BucketIdToString(e.bucket));
     }
   }
-  if (!FitsLocked(demand, overflowed)) {
+  if (!Fits(demand, overflowed)) {
     return Status::ResourceExhausted("bucket would overflow");
   }
   // Usage only grows here, so only the touched buckets can raise the
@@ -163,10 +149,9 @@ Status ResourcePool::Acquire(const ResourceVector& demand,
 }
 
 Status ResourcePool::Release(const ResourceVector& demand) {
-  MutexLock lock(&mu_);
   Status status = Status::Ok();
   for (const ResourceVector::Entry& e : demand.entries()) {
-    if (FindLocked(e.bucket) == nullptr) {
+    if (Find(e.bucket) == nullptr) {
       status = Status::FailedPrecondition("release touches undeclared bucket " +
                                           BucketIdToString(e.bucket));
       continue;
@@ -189,7 +174,6 @@ Status ResourcePool::Release(const ResourceVector& demand) {
 }
 
 std::vector<BucketId> ResourcePool::Buckets() const {
-  MutexLock lock(&mu_);
   std::vector<BucketId> out;
   for (size_t slot = 0; slot < buckets_.size(); ++slot) {
     if (buckets_[slot].capacity != 0) out.push_back(BucketAt(slot));
@@ -198,7 +182,6 @@ std::vector<BucketId> ResourcePool::Buckets() const {
 }
 
 double ResourcePool::MaxUtilization() const {
-  MutexLock lock(&mu_);
   return max_fill_;
 }
 

@@ -9,7 +9,6 @@
 
 #include "common/resource_vector.h"
 #include "common/status.h"
-#include "common/sync.h"
 
 // Registry of the system's resource buckets: each (site, kind) bucket
 // has a fixed capacity R_i and a current usage U_i. This is the state
@@ -19,10 +18,9 @@
 // vector indexed by the dense slot site * kNumResourceKinds + kind,
 // next to the pool's current max fill.
 //
-// Thread-safe: one mutex guards the whole bucket table, so concurrent
-// AdmitQuery calls cost plans against a consistent usage snapshot and
-// Acquire stays all-or-nothing under contention. ResourcePool::mu_ is a
-// leaf lock in the system's lock order (docs/ARCHITECTURE.md).
+// Thread-compatible: the pool takes no lock. Its callers serialize, and
+// in a MediaDbSystem they do so under the facade's one lock
+// (docs/ARCHITECTURE.md "Threading model").
 
 namespace quasaq::res {
 
@@ -33,24 +31,24 @@ class ResourcePool {
   /// or an invalid site, and with kAlreadyExists on a declared bucket;
   /// nothing changes on failure. Storage is dense in the site id, so
   /// sites are expected to be numbered from 0.
-  Status DeclareBucket(const BucketId& bucket, double capacity)
-      QUASAQ_EXCLUDES(mu_);
+  Status DeclareBucket(const BucketId& bucket, double capacity);
 
-  double Capacity(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
-  double Used(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
+  double Capacity(const BucketId& bucket) const;
+  double Used(const BucketId& bucket) const;
 
   /// U_i / R_i for one bucket, in [0, 1].
-  double Utilization(const BucketId& bucket) const QUASAQ_EXCLUDES(mu_);
-
-  /// True when every entry of `demand` fits: U_i + r_i <= R_i for all
-  /// touched buckets (and every touched bucket is declared). Advisory
-  /// under concurrency: usage may move between this check and a later
-  /// Acquire, which re-validates atomically.
-  bool Fits(const ResourceVector& demand) const QUASAQ_EXCLUDES(mu_);
+  double Utilization(const BucketId& bucket) const;
 
   // Per resource kind, how many entries of a demand overflow their
   // bucket.
   using KindCounts = std::array<uint64_t, kNumResourceKinds>;
+
+  /// True when every entry of `demand` fits: U_i + r_i <= R_i for all
+  /// touched buckets (and every touched bucket is declared). Stops at
+  /// the first overflow unless `overflowed` is non-null, in which case
+  /// every overflowing entry is counted into it by kind.
+  bool Fits(const ResourceVector& demand,
+            KindCounts* overflowed = nullptr) const;
 
   /// Atomically adds `demand` to usage. Fails with kResourceExhausted
   /// (nothing is changed) when any bucket would overflow, and
@@ -58,37 +56,34 @@ class ResourcePool {
   /// kResourceExhausted, adds to `overflowed` (when non-null) the
   /// entries that overflowed, by kind, judged by the same fit test.
   Status Acquire(const ResourceVector& demand,
-                 KindCounts* overflowed = nullptr) QUASAQ_EXCLUDES(mu_);
+                 KindCounts* overflowed = nullptr);
 
   /// Subtracts `demand` from usage. Usage never goes negative: an
   /// over-release is clamped to zero and reported as
   /// kFailedPrecondition (as is a release touching an undeclared
   /// bucket) so accounting bugs surface in release builds instead of
   /// silently corrupting the usage vectors the cost model reads.
-  Status Release(const ResourceVector& demand) QUASAQ_EXCLUDES(mu_);
+  Status Release(const ResourceVector& demand);
 
   /// All declared buckets, sorted by id.
-  std::vector<BucketId> Buckets() const QUASAQ_EXCLUDES(mu_);
+  std::vector<BucketId> Buckets() const;
 
   /// Overlay fill — the LRB inner loop: max over every declared bucket
   /// of (U_i + demand_i) / R_i, above 1 exactly when a bucket overflows.
   /// A touched bucket's overlay is never below its own fill U_i / R_i,
   /// so this is the max of the pool's current max fill and the touched
-  /// buckets' overlays: O(|demand|) under one lock acquisition, and the
-  /// same double a full scan of every bucket computes.
-  double OverlayMaxFill(const ResourceVector& demand) const
-      QUASAQ_EXCLUDES(mu_);
+  /// buckets' overlays: O(|demand|), and the same double a full scan of
+  /// every bucket computes.
+  double OverlayMaxFill(const ResourceVector& demand) const;
 
   /// Overlay quadratic fill: sum over declared buckets — in sorted id
   /// order, so the floating-point accumulation is reproducible — of
   /// ((U_i + demand_i) / R_i)^2.
-  double OverlaySquaredFill(const ResourceVector& demand) const
-      QUASAQ_EXCLUDES(mu_);
+  double OverlaySquaredFill(const ResourceVector& demand) const;
 
   /// Sum over `demand`'s entries (in entry order) of amount / capacity;
   /// undeclared buckets contribute nothing.
-  double FractionalDemand(const ResourceVector& demand) const
-      QUASAQ_EXCLUDES(mu_);
+  double FractionalDemand(const ResourceVector& demand) const;
 
   /// The dense slot of `bucket`: site * kNumResourceKinds + kind, so
   /// slot order is BucketId order. Requires a valid site.
@@ -97,17 +92,16 @@ class ResourcePool {
            static_cast<size_t>(bucket.kind);
   }
 
-  /// (bucket, U_i / R_i) for every declared bucket in sorted id order,
-  /// read under one lock acquisition (telemetry's bulk Utilization).
-  std::vector<std::pair<BucketId, double>> UtilizationSnapshot() const
-      QUASAQ_EXCLUDES(mu_);
+  /// (bucket, U_i / R_i) for every declared bucket in sorted id order
+  /// (telemetry's bulk Utilization).
+  std::vector<std::pair<BucketId, double>> UtilizationSnapshot() const;
 
   /// The highest utilization across all declared buckets (a cached
   /// scalar, kept current by Acquire and Release).
-  double MaxUtilization() const QUASAQ_EXCLUDES(mu_);
+  double MaxUtilization() const;
 
   /// Renders a one-line fill report, e.g. "site0/cpu=0.42 ...".
-  std::string DebugString() const QUASAQ_EXCLUDES(mu_);
+  std::string DebugString() const;
 
  private:
   // Resource units. A slot with capacity 0 was never declared
@@ -118,19 +112,12 @@ class ResourcePool {
   };
 
   // The declared bucket's state, or nullptr when `bucket` is undeclared.
-  const BucketState* FindLocked(const BucketId& bucket) const
-      QUASAQ_REQUIRES(mu_);
-  // Stops at the first overflow unless `overflowed` is non-null, in
-  // which case every overflowing entry is counted into it.
-  bool FitsLocked(const ResourceVector& demand,
-                  KindCounts* overflowed = nullptr) const
-      QUASAQ_REQUIRES(mu_);
+  const BucketState* Find(const BucketId& bucket) const;
 
-  mutable Mutex mu_;
   // Indexed by Slot(); buckets are never undeclared.
-  std::vector<BucketState> buckets_ QUASAQ_GUARDED_BY(mu_);
+  std::vector<BucketState> buckets_;
   // max of U_i / R_i over declared buckets (0 when there are none).
-  double max_fill_ QUASAQ_GUARDED_BY(mu_) = 0.0;
+  double max_fill_ = 0.0;
 };
 
 }  // namespace quasaq::res

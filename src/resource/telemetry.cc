@@ -34,9 +34,8 @@ obs::Gauge* PoolTelemetry::GaugeFor(const BucketId& bucket) {
 }
 
 void PoolTelemetry::Sample(SimTime now) {
-  // One pool-lock acquisition for the whole sweep; after Prime every
-  // bucket's gauge is resolved, so GaugeFor never mutates gauges_ and
-  // concurrent admissions can sample without coordinating.
+  // After Prime every bucket's gauge is resolved, so GaugeFor never
+  // mutates gauges_.
   for (const auto& [bucket, utilization] : pool_->UtilizationSnapshot()) {
     GaugeFor(bucket)->Sample(now, utilization);
   }

@@ -30,8 +30,7 @@ class PoolTelemetry {
 
   /// Resolves the gauge series of every currently declared bucket.
   /// Call again after declaring buckets post-construction; afterwards
-  /// Sample is read-only on the series map and therefore safe to call
-  /// from concurrent admissions.
+  /// Sample never touches the registry.
   void Prime();
 
   /// Records one utilization sample per declared bucket at `now`.
@@ -44,10 +43,8 @@ class PoolTelemetry {
   const ResourcePool* pool_;
   obs::MetricsRegistry* registry_;
   // Buckets are never undeclared, so resolved series pointers are
-  // cached for the pool's lifetime. After Prime has seen every bucket,
-  // Sample only reads this vector (gauge updates are internally
-  // synchronized), so concurrent samplers need no extra lock. Indexed
-  // by ResourcePool::Slot; nullptr marks a bucket not yet resolved.
+  // cached for the pool's lifetime. Indexed by ResourcePool::Slot;
+  // nullptr marks a bucket not yet resolved.
   std::vector<obs::Gauge*> gauges_;
 };
 

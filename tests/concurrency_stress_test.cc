@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,20 +20,19 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "resource/composite_api.h"
-#include "resource/pool.h"
 #include "simcore/simulator.h"
 
-// Multi-threaded stress tests for the subsystems that carry thread-safety
-// annotations (src/common/sync.h): ResourcePool, CompositeQosApi,
-// SegmentCache/CacheManager, and SessionManager. These are the tests the
-// `tsan` CI leg runs under -fsanitize=thread — the annotations promise
-// the locking discipline is *declared* correctly; TSan on these
-// interleavings checks the declarations describe reality.
+// Multi-threaded stress tests. The planning, resource, session and
+// cache components take no lock of their own: the MediaDbSystem facade
+// serializes every call under its one mutex (src/core/system.h). So the
+// ledger and cache interleavings below drive the facade from worker
+// threads, and the obs primitives, which keep their own leaf locks, are
+// driven directly. These are the tests the `tsan` CI leg runs under
+// -fsanitize=thread.
 //
 // The simulator clock stays single-threaded throughout (see the
-// SessionManager header): worker threads mutate sessions while the
-// clock stands still, and RunAll happens after every thread has joined.
+// MediaDbSystem header): worker threads call the facade while the clock
+// stands still, and RunAll happens after every thread has joined.
 
 namespace quasaq {
 namespace {
@@ -39,296 +40,396 @@ namespace {
 constexpr int kThreads = 8;
 constexpr int kIterations = 400;
 
-BucketId Net(int site) {
-  return {SiteId(site), ResourceKind::kNetworkBandwidth};
+query::QosRequirement AnyQuality() {
+  query::QosRequirement qos;
+  qos.range.min_frame_rate = 1.0;
+  return qos;
 }
 
-TEST(ConcurrencyStressTest, PoolAcquireReleaseNeverCorruptsUsage) {
-  res::ResourcePool pool;
-  for (int site = 0; site < 4; ++site) {
-    ASSERT_TRUE(pool.DeclareBucket(Net(site), 1000.0).ok());
+core::MediaDbSystem::Options StressOptions(core::SystemKind kind,
+                                           uint64_t seed) {
+  core::MediaDbSystem::Options options;
+  options.kind = kind;
+  options.topology = net::Topology::Uniform(4);
+  options.seed = seed;
+  return options;
+}
+
+// QuaSAQ with per-site segment caching on: every admission streams its
+// replica through the source site's cache.
+core::MediaDbSystem::Options CachedQuasaqOptions(uint64_t seed,
+                                                 double cache_kb) {
+  core::MediaDbSystem::Options options =
+      StressOptions(core::SystemKind::kVdbmsQuasaq, seed);
+  options.cache.enabled = true;
+  options.cache.manager.cache.capacity_kb = cache_kb;
+  return options;
+}
+
+// DVD resolution at 20 frames/s or more.
+query::QosRequirement DvdQuality() {
+  query::QosRequirement qos;
+  qos.range.min_resolution = media::kResolutionDvd;
+  qos.range.min_frame_rate = 20.0;
+  return qos;
+}
+
+// A quarter of the paper's outbound bandwidth per server: a few dozen
+// DVD sessions fill the links.
+void NarrowLinks(core::MediaDbSystem::Options& options) {
+  for (net::ServerSpec& server : options.topology.servers) {
+    server.outbound_kbps = 800.0;
   }
+}
+
+// Every bucket of the system's pool is back at zero usage.
+void ExpectPoolDrained(core::MediaDbSystem& system) {
+  EXPECT_EQ(system.qos_api().active_reservations(), 0u);
+  for (const BucketId& bucket : system.pool().Buckets()) {
+    EXPECT_EQ(system.pool().Used(bucket), 0.0) << BucketIdToString(bucket);
+  }
+  EXPECT_EQ(system.pool().MaxUtilization(), 0.0);
+}
+
+// Threads admit, hold up to a dozen sessions each and cancel them in
+// random order, so acquisitions and releases of the pool interleave
+// near capacity, where admissions start to be refused.
+TEST(ConcurrencyStressTest, PoolAcquireReleaseNeverCorruptsUsage) {
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options =
+      CachedQuasaqOptions(/*seed=*/31, /*cache_kb=*/64.0 * 1024);
+  NarrowLinks(options);
+  core::MediaDbSystem system(&simulator, options);
+  const std::vector<SiteId> sites = system.topology().SiteIds();
   std::atomic<uint64_t> admitted{0};
   std::atomic<uint64_t> rejected{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &admitted, &rejected, t] {
+    threads.emplace_back([&, t] {
       Rng rng(1000 + t);
-      for (int i = 0; i < kIterations; ++i) {
-        ResourceVector demand;
-        demand.Add(Net(static_cast<int>(rng.UniformInt(0, 3))),
-                   rng.Uniform(1.0, 400.0));
-        if (pool.Acquire(demand).ok()) {
+      std::vector<SessionId> held;
+      for (int i = 0; i < kIterations / 4; ++i) {
+        if (held.size() >= 12 || (!held.empty() && rng.Bernoulli(0.3))) {
+          const size_t victim = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int>(held.size()) - 1));
+          EXPECT_TRUE(system.CancelSession(held[victim]).ok());
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(victim));
+          continue;
+        }
+        const SiteId site = sites[rng.UniformInt(0, 3)];
+        core::MediaDbSystem::DeliveryOutcome outcome = system.SubmitDelivery(
+            site, LogicalOid(rng.UniformInt(0, 14)), DvdQuality());
+        if (outcome.status.ok()) {
           ++admitted;
-          // The snapshot any concurrent reader costs against is
-          // internally consistent: usage never exceeds capacity.
-          EXPECT_LE(pool.MaxUtilization(), 1.0);
-          ASSERT_TRUE(pool.Release(demand).ok());
+          held.push_back(outcome.session);
         } else {
           ++rejected;
         }
       }
+      for (SessionId id : held) EXPECT_TRUE(system.CancelSession(id).ok());
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(admitted + rejected, uint64_t{kThreads} * kIterations);
+  const core::MediaDbSystem::Stats stats = system.stats();
+  EXPECT_EQ(stats.submitted, admitted + rejected);
+  EXPECT_EQ(stats.admitted, admitted.load());
+  EXPECT_GT(admitted.load(), 0u);
+  EXPECT_EQ(system.outstanding_sessions(), 0);
   // Every admitted demand was released: the pool drains to zero.
-  for (int site = 0; site < 4; ++site) {
-    EXPECT_EQ(pool.Used(Net(site)), 0.0);
-  }
+  ExpectPoolDrained(system);
 }
 
+// Reserve/release balance of the Composite QoS API, driven through
+// admissions and cancellations. The VDBMS+QoSAPI configuration reserves
+// the master-quality stream with no plan choice, so on narrow links the
+// API's denial path runs too.
 TEST(ConcurrencyStressTest, CompositeApiReserveReleaseBalances) {
-  res::ResourcePool pool;
-  ASSERT_TRUE(pool.DeclareBucket(Net(0), 500.0).ok());
-  obs::MetricsRegistry registry;
-  res::CompositeQosApi api(&pool, registry);
+  sim::Simulator simulator;
+  core::MediaDbSystem::Options options =
+      StressOptions(core::SystemKind::kVdbmsQosApi, /*seed=*/37);
+  NarrowLinks(options);
+  core::MediaDbSystem system(&simulator, options);
+  const std::vector<SiteId> sites = system.topology().SiteIds();
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&api, t] {
+    threads.emplace_back([&, t] {
       Rng rng(2000 + t);
-      std::vector<res::ReservationId> held;
-      for (int i = 0; i < kIterations; ++i) {
+      const SiteId site = sites[static_cast<size_t>(t) % sites.size()];
+      std::vector<SessionId> held;
+      for (int i = 0; i < kIterations / 4; ++i) {
         if (!held.empty() && rng.Bernoulli(0.5)) {
-          EXPECT_TRUE(api.Release(held.back()).ok());
+          EXPECT_TRUE(system.CancelSession(held.back()).ok());
           held.pop_back();
         } else {
-          ResourceVector demand;
-          demand.Add(Net(0), rng.Uniform(1.0, 60.0));
-          Result<res::ReservationId> r = api.Reserve(demand);
-          if (r.ok()) held.push_back(*r);
+          core::MediaDbSystem::DeliveryOutcome outcome =
+              system.SubmitDelivery(site, LogicalOid(rng.UniformInt(0, 14)),
+                                    AnyQuality());
+          if (outcome.status.ok()) held.push_back(outcome.session);
         }
       }
-      for (res::ReservationId id : held) {
-        EXPECT_TRUE(api.Release(id).ok());
-      }
+      for (SessionId id : held) EXPECT_TRUE(system.CancelSession(id).ok());
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(api.active_reservations(), 0u);
-  EXPECT_EQ(pool.Used(Net(0)), 0.0);
-  res::CompositeQosApi::Stats stats = api.stats();
+  ExpectPoolDrained(system);
+  const res::CompositeQosApi::Stats stats = system.qos_api().stats();
+  EXPECT_GT(stats.admitted, 0u);
   EXPECT_EQ(stats.admitted, stats.released);
 }
 
+// A cache far smaller than the working set: concurrent admissions fill
+// it, hit it and evict from it while EXPLAIN and the operator report
+// read it.
 TEST(ConcurrencyStressTest, SegmentCacheReadsFillsAndEvictions) {
-  // Tiny capacity: fills, evictions, and rejections all exercised.
-  cache::SegmentCache segment_cache(
-      {.capacity_kb = 64.0, .policy = "lru", .popularity_half_life = 0});
-  std::atomic<uint64_t> accesses{0};
+  sim::Simulator simulator;
+  core::MediaDbSystem system(
+      &simulator, CachedQuasaqOptions(/*seed=*/41, /*cache_kb=*/8.0 * 1024));
+  const std::vector<SiteId> sites = system.topology().SiteIds();
+  const std::string explain =
+      "EXPLAIN SELECT video FROM videos WHERE CONTAINS('" +
+      system.library().contents.front().keywords.front() +
+      "') WITH QOS (framerate >= 1)";
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&segment_cache, &accesses, t] {
+    threads.emplace_back([&, t] {
       Rng rng(3000 + t);
-      for (int i = 0; i < kIterations; ++i) {
-        PhysicalOid replica(static_cast<int>(rng.UniformInt(0, 3)));
-        cache::SegmentKey key{replica,
-                              static_cast<int32_t>(rng.UniformInt(0, 15))};
-        double roll = rng.Uniform(0.0, 1.0);
-        if (roll < 0.70) {
-          segment_cache.Access(key, 4.0, SimTime(i) * kSecond);
-          ++accesses;
-        } else if (roll < 0.80) {
-          segment_cache.Contains(key);  // planner peek, no side effects
-        } else if (roll < 0.90) {
-          EXPECT_GE(segment_cache.CachedKbOf(replica), 0.0);
-        } else if (roll < 0.95) {
-          segment_cache.Erase(key);
-        } else {
-          segment_cache.EraseReplica(replica);
-        }
-        EXPECT_LE(segment_cache.used_kb(),
-                  segment_cache.capacity_kb() + 1e-9);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  cache::SegmentCache::Counters counters = segment_cache.counters();
-  EXPECT_EQ(counters.hits + counters.misses, accesses.load());
-  EXPECT_LE(segment_cache.used_kb(), segment_cache.capacity_kb() + 1e-9);
-}
-
-TEST(ConcurrencyStressTest, CacheManagerParallelSitesAndInvalidation) {
-  std::vector<SiteId> sites = {SiteId(0), SiteId(1), SiteId(2), SiteId(3)};
-  cache::CacheManager::Options options;
-  options.cache.capacity_kb = 512.0;
-  options.cache.policy = "utility";
-  cache::CacheManager manager(sites, options);
-
-  std::vector<media::ReplicaInfo> replicas(6);
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    replicas[r].id = PhysicalOid(static_cast<int64_t>(r));
-    replicas[r].content = LogicalOid(static_cast<int64_t>(r));
-    replicas[r].site = sites[r % sites.size()];
-    replicas[r].duration_seconds = 40.0;
-    replicas[r].bitrate_kbps = 16.0;
-    replicas[r].size_kb = 640.0;
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&manager, &replicas, &sites, t] {
-      Rng rng(4000 + t);
       for (int i = 0; i < kIterations / 4; ++i) {
-        const media::ReplicaInfo& replica =
-            replicas[rng.UniformInt(0, static_cast<int>(replicas.size()) - 1)];
-        SiteId site = sites[rng.UniformInt(0, 3)];
-        double roll = rng.Uniform(0.0, 1.0);
-        if (roll < 0.6) {
-          manager.OnStream(site, replica, SimTime(i) * kSecond);
+        const SiteId site = sites[rng.UniformInt(0, 3)];
+        const double roll = rng.Uniform(0.0, 1.0);
+        if (roll < 0.8) {
+          core::MediaDbSystem::DeliveryOutcome outcome =
+              system.SubmitDelivery(site, LogicalOid(rng.UniformInt(0, 4)),
+                                    AnyQuality());
+          if (outcome.status.ok()) {
+            EXPECT_TRUE(system.CancelSession(outcome.session).ok());
+          }
         } else if (roll < 0.9) {
-          double fraction = manager.CachedFraction(site, replica);
-          EXPECT_GE(fraction, 0.0);
-          EXPECT_LE(fraction, 1.0);
+          EXPECT_TRUE(system.ExplainTextQuery(site, explain).ok());
         } else {
-          manager.EraseReplica(replica.id);
+          EXPECT_NE(system.ReportString().find("cache total"),
+                    std::string::npos);
         }
       }
     });
   }
   for (std::thread& t : threads) t.join();
+  const cache::CacheManager& manager = *system.cache_manager();
+  const cache::SegmentCache::Counters total = manager.TotalCounters();
+  EXPECT_GT(total.hits, 0u);
+  EXPECT_GT(total.misses, 0u);
+  EXPECT_GT(total.evictions, 0u);
+  // The registry mirrors every access the caches counted.
+  obs::MetricsRegistry& registry = system.observability().metrics();
+  double hits = 0.0;
+  double misses = 0.0;
   for (SiteId site : sites) {
     const cache::SegmentCache* c = manager.at(site);
     ASSERT_NE(c, nullptr);
     EXPECT_LE(c->used_kb(), c->capacity_kb() + 1e-9);
+    const obs::Labels labels = {{"site", std::to_string(site.value())}};
+    hits += registry.GetCounter("quasaq_cache_hits_total", "", labels)->value();
+    misses +=
+        registry.GetCounter("quasaq_cache_misses_total", "", labels)->value();
   }
-  cache::SegmentCache::Counters total = manager.TotalCounters();
+  EXPECT_EQ(hits, static_cast<double>(total.hits));
+  EXPECT_EQ(misses, static_cast<double>(total.misses));
+  ExpectPoolDrained(system);
+}
+
+// Submitters on every site stream through all four caches at once. In
+// between two such phases the driver thread invalidates replicas, as the
+// replication manager does on the simulator's thread; a dropped replica
+// reads cold everywhere until it streams again.
+TEST(ConcurrencyStressTest, CacheManagerParallelSitesAndInvalidation) {
+  sim::Simulator simulator;
+  core::MediaDbSystem system(
+      &simulator, CachedQuasaqOptions(/*seed=*/43, /*cache_kb=*/64.0 * 1024));
+  const std::vector<SiteId> sites = system.topology().SiteIds();
+  auto run_phase = [&](int seed_base) {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(static_cast<uint64_t>(seed_base + t));
+        const SiteId site = sites[static_cast<size_t>(t) % sites.size()];
+        for (int i = 0; i < kIterations / 8; ++i) {
+          core::MediaDbSystem::DeliveryOutcome outcome =
+              system.SubmitDelivery(site, LogicalOid(rng.UniformInt(0, 5)),
+                                    AnyQuality());
+          if (outcome.status.ok()) {
+            EXPECT_TRUE(system.CancelSession(outcome.session).ok());
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  };
+
+  run_phase(4000);
+  cache::CacheManager& manager = *system.cache_manager();
+  size_t invalidated = 0;
+  for (const media::ReplicaInfo& replica : system.library().replicas) {
+    if (replica.content.value() % 2 != 0) continue;
+    manager.EraseReplica(replica.id);
+    for (SiteId site : sites) {
+      EXPECT_EQ(manager.CachedFraction(site, replica), 0.0);
+    }
+    ++invalidated;
+  }
+  EXPECT_GT(invalidated, 0u);
+  run_phase(4100);
+
+  for (SiteId site : sites) {
+    const cache::SegmentCache* c = manager.at(site);
+    ASSERT_NE(c, nullptr);
+    EXPECT_LE(c->used_kb(), c->capacity_kb() + 1e-9);
+    for (const media::ReplicaInfo& replica : system.library().replicas) {
+      const double fraction = manager.CachedFraction(site, replica);
+      EXPECT_GE(fraction, 0.0);
+      EXPECT_LE(fraction, 1.0);
+    }
+  }
+  const cache::SegmentCache::Counters total = manager.TotalCounters();
   EXPECT_GT(total.hits + total.misses, 0u);
+  ExpectPoolDrained(system);
 }
 
 // The pause/resume interleaving stress: threads start, pause, resume and
-// cancel sessions concurrently while the simulated clock stands still;
-// the release-exactly-once invariant must survive every interleaving.
+// cancel sessions through the facade while the simulated clock stands
+// still; the release-exactly-once invariant must survive every
+// interleaving. Plain VDBMS pins bitrate per site, QuaSAQ reserves.
 TEST(ConcurrencyStressTest, SessionLifecycleInterleavings) {
   constexpr int kSessionsPerThread = 24;
-  sim::Simulator simulator;
-  res::ResourcePool pool;
-  // Big enough that every Start and every Resume re-admission fits:
-  // the invariant under test is bookkeeping, not admission pressure.
-  ASSERT_TRUE(
-      pool.DeclareBucket(Net(0), 1e9).ok());
-  obs::Observability observability;
-  res::CompositeQosApi api(&pool, observability.metrics());
-  core::SessionManager manager(&simulator, &api, observability);
-  std::atomic<uint64_t> completions{0};
-  manager.set_on_complete(
-      [&completions](SessionId, SimTime) { ++completions; });
+  const core::MediaDbSystem::Options configs[] = {
+      StressOptions(core::SystemKind::kVdbms, /*seed=*/47),
+      CachedQuasaqOptions(/*seed=*/47, /*cache_kb=*/64.0 * 1024)};
+  for (const core::MediaDbSystem::Options& options : configs) {
+    SCOPED_TRACE(std::string(core::SystemKindName(options.kind)));
+    sim::Simulator simulator;
+    core::MediaDbSystem system(&simulator, options);
+    const std::vector<SiteId> sites = system.topology().SiteIds();
+    std::atomic<uint64_t> completions{0};
+    system.set_on_session_complete(
+        [&completions](SessionId, SimTime) { ++completions; });
 
-  // Phase 1: concurrent admissions (reservation-backed and VDBMS-pinned
-  // sessions mixed).
-  std::vector<std::vector<SessionId>> started(kThreads);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(5000 + t);
-        for (int i = 0; i < kSessionsPerThread; ++i) {
-          core::SessionManager::Record record;
-          record.content = LogicalOid(i);
-          record.site = SiteId(0);
-          if (rng.Bernoulli(0.7)) {
-            ResourceVector demand;
-            demand.Add(Net(0), rng.Uniform(100.0, 900.0));
-            Result<res::ReservationId> r = api.Reserve(demand);
-            ASSERT_TRUE(r.ok());
-            record.reservation = *r;
-          } else {
-            record.vdbms_units = ToResourceUnits(rng.Uniform(100.0, 900.0));
+    // Phase 1: concurrent admissions.
+    std::vector<std::vector<SessionId>> started(kThreads);
+    {
+      std::vector<std::thread> threads;
+      threads.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          Rng rng(5000 + t);
+          for (int i = 0; i < kSessionsPerThread; ++i) {
+            core::MediaDbSystem::DeliveryOutcome outcome =
+                system.SubmitDelivery(sites[rng.UniformInt(0, 3)],
+                                      LogicalOid(rng.UniformInt(0, 14)),
+                                      AnyQuality());
+            if (outcome.status.ok()) started[t].push_back(outcome.session);
           }
-          started[t].push_back(
-              manager.Start(record, rng.Uniform(10.0, 120.0)));
-        }
-      });
+        });
+      }
+      for (std::thread& t : threads) t.join();
     }
-    for (std::thread& t : threads) t.join();
-  }
-  ASSERT_EQ(manager.outstanding(), kThreads * kSessionsPerThread);
+    uint64_t total_started = 0;
+    for (const std::vector<SessionId>& ids : started) {
+      ASSERT_FALSE(ids.empty());
+      total_started += ids.size();
+    }
+    ASSERT_EQ(system.outstanding_sessions(),
+              static_cast<int>(total_started));
 
-  // Phase 2: concurrent pause/resume/cancel, each thread also poking
-  // sessions owned by its neighbor so transitions genuinely contend.
-  std::atomic<uint64_t> cancelled{0};
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(6000 + t);
-        const std::vector<SessionId>& mine = started[t];
-        const std::vector<SessionId>& neighbor =
-            started[(t + 1) % kThreads];
-        for (int i = 0; i < kIterations; ++i) {
-          const std::vector<SessionId>& from =
-              rng.Bernoulli(0.8) ? mine : neighbor;
-          SessionId id =
-              from[rng.UniformInt(0, static_cast<int>(from.size()) - 1)];
-          double roll = rng.Uniform(0.0, 1.0);
-          Status status = Status::Ok();
-          if (roll < 0.40) {
-            status = manager.Pause(id);
-          } else if (roll < 0.80) {
-            status = manager.Resume(id);
-          } else if (roll < 0.85) {
-            if (manager.Cancel(id).ok()) ++cancelled;
-            continue;
-          } else {
-            (void)manager.vdbms_active_kbps(SiteId(0));
-            continue;
+    // Phase 2: concurrent pause/resume/cancel, each thread also poking
+    // sessions owned by its neighbor so transitions genuinely contend.
+    // Every running set is a subset of the one phase 1 admitted, so a
+    // resume always fits.
+    std::atomic<uint64_t> cancelled{0};
+    {
+      std::vector<std::thread> threads;
+      threads.reserve(kThreads);
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          Rng rng(6000 + t);
+          const std::vector<SessionId>& mine = started[t];
+          const std::vector<SessionId>& neighbor =
+              started[(t + 1) % kThreads];
+          for (int i = 0; i < kIterations; ++i) {
+            const std::vector<SessionId>& from =
+                rng.Bernoulli(0.8) ? mine : neighbor;
+            SessionId id =
+                from[rng.UniformInt(0, static_cast<int>(from.size()) - 1)];
+            double roll = rng.Uniform(0.0, 1.0);
+            Status status = Status::Ok();
+            if (roll < 0.40) {
+              status = system.PauseSession(id);
+            } else if (roll < 0.80) {
+              status = system.ResumeSession(id);
+            } else if (roll < 0.85) {
+              if (system.CancelSession(id).ok()) ++cancelled;
+              continue;
+            } else {
+              (void)system.FindSession(id);
+              continue;
+            }
+            // Losing a race is legal (already paused / running / gone);
+            // resource exhaustion is not.
+            EXPECT_NE(status.code(), StatusCode::kResourceExhausted)
+                << status.ToString();
           }
-          // Losing a race is legal (already paused / running / gone);
-          // resource exhaustion is not — capacity covers everything.
-          EXPECT_NE(status.code(), StatusCode::kResourceExhausted)
-              << status.ToString();
-        }
-      });
+        });
+      }
+      for (std::thread& t : threads) t.join();
     }
-    for (std::thread& t : threads) t.join();
-  }
 
-  // Drain: resume whatever is still paused, then run the clock out.
-  for (const std::vector<SessionId>& ids : started) {
-    for (SessionId id : ids) {
-      const core::SessionManager::Record* record = manager.Find(id);
-      if (record != nullptr && record->paused) {
-        EXPECT_TRUE(manager.Resume(id).ok());
+    // Drain: resume whatever is still paused, then run the clock out.
+    for (const std::vector<SessionId>& ids : started) {
+      for (SessionId id : ids) {
+        std::optional<core::SessionManager::Record> record =
+            system.FindSession(id);
+        if (record.has_value() && record->paused) {
+          EXPECT_TRUE(system.ResumeSession(id).ok());
+        }
       }
     }
-  }
-  simulator.RunAll();
+    simulator.RunAll();
 
-  EXPECT_EQ(manager.outstanding(), 0);
-  EXPECT_EQ(completions.load() + cancelled.load(),
-            uint64_t{kThreads} * kSessionsPerThread);
-  EXPECT_EQ(manager.completed(), completions.load());
-  // Release-exactly-once: every reservation returned, every VDBMS pin
-  // unwound, the pool fully drained.
-  EXPECT_EQ(api.active_reservations(), 0u);
-  EXPECT_EQ(pool.Used(Net(0)), 0.0);
-  EXPECT_EQ(manager.vdbms_active_kbps(SiteId(0)), 0.0);
+    EXPECT_EQ(system.outstanding_sessions(), 0);
+    EXPECT_EQ(completions.load() + cancelled.load(), total_started);
+    EXPECT_EQ(system.stats().completed, completions.load());
+    // Release-exactly-once: every reservation returned, every VDBMS pin
+    // unwound, the pool fully drained.
+    ExpectPoolDrained(system);
+    for (SiteId site : sites) {
+      EXPECT_EQ(system.session_manager().vdbms_active_kbps(site), 0.0);
+    }
+  }
 }
 
 // The full admission pipeline under 8 submitter threads: concurrent
 // admit / renegotiate / probe / cancel through the MediaDbSystem facade,
-// with tracing off or on and under either optimization goal (the gain
-// and the trace context are per-query arguments, not shared state).
-// Each thread owns the sessions it starts, so the races under test are
-// the shared layers — the composite QoS API, the session table, the
-// tracer and the metrics registry — not cross-thread session ownership.
+// with tracing off or on, under either optimization goal, and under the
+// Random cost model. Each thread owns the sessions it starts, so the
+// races under test are the facade's serialization of the shared layers
+// and the tracer and metrics registry it reports into, not cross-thread
+// session ownership.
 struct PipelineConfig {
   const char* name;
   bool tracing;
   core::QualityManager::OptimizationGoal goal;
+  const char* cost_model;
 };
 
 constexpr PipelineConfig kPipelineConfigs[] = {
     {"untraced_throughput", false,
-     core::QualityManager::OptimizationGoal::kThroughput},
+     core::QualityManager::OptimizationGoal::kThroughput, "lrb"},
     {"traced_satisfaction", true,
-     core::QualityManager::OptimizationGoal::kUserSatisfaction},
+     core::QualityManager::OptimizationGoal::kUserSatisfaction, "lrb"},
+    // The Random model draws every plan's cost from one shared RNG.
+    {"random", false, core::QualityManager::OptimizationGoal::kThroughput,
+     "random"},
 };
 
 // The parameter indexes kPipelineConfigs, which keeps the listed test
@@ -348,6 +449,7 @@ TEST_P(ConcurrencyPipelineTest, AdmitRenegotiateCancelPipeline) {
   options.seed = 17;
   options.observability.tracing = tracing;
   options.quality.goal = config().goal;
+  options.cost_model = config().cost_model;
   core::MediaDbSystem system(&simulator, options);
   const std::vector<SiteId> sites = system.topology().SiteIds();
 
@@ -372,9 +474,7 @@ TEST_P(ConcurrencyPipelineTest, AdmitRenegotiateCancelPipeline) {
               system.ChangeSessionQos(outcome.session, wide);
           if (changed.ok()) ++renegotiated;
         }
-        std::optional<core::SessionManager::Record> record =
-            system.session_manager().Snapshot(outcome.session);
-        EXPECT_TRUE(record.has_value());
+        EXPECT_TRUE(system.FindSession(outcome.session).has_value());
         EXPECT_TRUE(system.CancelSession(outcome.session).ok());
       }
     });

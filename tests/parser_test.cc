@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/qop.h"
@@ -149,6 +151,16 @@ void PrintTo(const BadQueryCase& test_case, std::ostream* os) {
   *os << test_case.name;
 }
 
+// 310 nines: a literal past the double range, which the lexer decodes
+// as infinity.
+const std::string kBeyondDouble(310, '9');
+const std::string kStartupBeyondDouble =
+    "SELECT v FROM videos WITH QOS (startup <= " + kBeyondDouble + ")";
+const std::string kFrameRateBeyondDouble =
+    "SELECT v FROM videos WITH QOS (framerate <= " + kBeyondDouble + ")";
+const std::string kSimilarBeyondDouble =
+    "SELECT v FROM videos WHERE SIMILAR(0.5, " + kBeyondDouble + ")";
+
 class ParserErrorTest : public ::testing::TestWithParam<BadQueryCase> {};
 
 TEST_P(ParserErrorTest, RejectsWithDiagnostic) {
@@ -210,18 +222,31 @@ INSTANTIATE_TEST_SUITE_P(
                      "resolution height out of range"},
         BadQueryCase{"TopOutOfRange",
                      "SELECT v FROM videos WHERE SIMILAR(0.1) TOP 99999999999",
-                     "TOP out of range"}),
+                     "TOP out of range"},
+        BadQueryCase{"FractionalTop",
+                     "SELECT v FROM videos WHERE SIMILAR(0.1) TOP 2.9",
+                     "TOP must be a whole number"},
+        BadQueryCase{"FractionalColor",
+                     "SELECT v FROM videos WITH QOS (color >= 12.7)",
+                     "color depth must be a whole number"},
+        BadQueryCase{"StartupBeyondDoubleRange", kStartupBeyondDouble.c_str(),
+                     "number out of range"},
+        BadQueryCase{"FrameRateBeyondDoubleRange",
+                     kFrameRateBeyondDouble.c_str(), "number out of range"},
+        BadQueryCase{"SimilarBeyondDoubleRange",
+                     kSimilarBeyondDouble.c_str(), "number out of range"}),
     [](const ::testing::TestParamInfo<BadQueryCase>& info) {
       return info.param.name;
     });
 
 // The full diagnostic of every rejected query above, plus the lexer's
 // three errors, byte for byte: offsets and wording are part of the
-// interface. Only the out-of-range messages are newer than the rest.
+// interface. Only the out-of-range and whole-number messages are newer
+// than the rest.
 TEST(ParserDiagnosticsTest, MessagesAreExact) {
   struct Case {
-    const char* text;
-    const char* message;
+    std::string text;
+    std::string message;
   };
   const Case cases[] = {
       {"video FROM videos",
@@ -264,6 +289,16 @@ TEST(ParserDiagnosticsTest, MessagesAreExact) {
        "'320x99999999999')"},
       {"SELECT v FROM videos WHERE SIMILAR(0.1) TOP 99999999999",
        "TOP out of range at offset 44 (got '99999999999')"},
+      {"SELECT v FROM videos WHERE SIMILAR(0.1) TOP 2.9",
+       "TOP must be a whole number at offset 44 (got '2.9')"},
+      {"SELECT v FROM videos WITH QOS (color >= 12.7)",
+       "color depth must be a whole number at offset 40 (got '12.7')"},
+      {kStartupBeyondDouble,
+       "number out of range at offset 42 (got '" + kBeyondDouble + "')"},
+      {kFrameRateBeyondDouble,
+       "number out of range at offset 44 (got '" + kBeyondDouble + "')"},
+      {kSimilarBeyondDouble,
+       "number out of range at offset 40 (got '" + kBeyondDouble + "')"},
       {"SELECT v FROM videos @", "unexpected character '@' at offset 21"},
       {"SELECT v FROM videos WHERE CONTAINS('oops",
        "unterminated string at offset 36"},
@@ -303,9 +338,10 @@ bool SameQos(const QosRequirement& a, const QosRequirement& b) {
 
 // Every query the traffic generator can draw (81 QoP level combinations
 // x 3 security levels), with a title, a keyword and a similarity term,
-// renders to text that parses back to the same requirement and content.
-// Every prefix of one full query, and every substitution of one of its
-// bytes from a small alphabet, parses or is rejected as invalid.
+// renders to text that parses back to the same requirement and content,
+// and so does a similarity term whose features need all 17 significant
+// digits. Every prefix of one full query, and every substitution of one
+// of its bytes from a small alphabet, parses or is rejected as invalid.
 TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
   const workload::TrafficGenerator traffic(workload::TrafficOptions(), 1,
                                            {SiteId(0)});
@@ -316,12 +352,25 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
   const media::SecurityLevel securities[] = {media::SecurityLevel::kNone,
                                              media::SecurityLevel::kStandard,
                                              media::SecurityLevel::kStrong};
-  std::vector<ContentPredicate> contents(3);
+  std::vector<ContentPredicate> contents(4);
   contents[0].title = "video07";
   contents[1].keywords = {"sunset"};
   contents[2].similar_to = std::vector<double>{0.1, 0.3, 0.7};
   contents[2].top_k = 3;
+  contents[3].similar_to = std::vector<double>{0.123456789, 1.0 / 3.0};
+  constexpr size_t kTrafficContents = 3;
 
+  // FNV-1a (64-bit) over the traffic contents' texts, each followed by
+  // '\n'. The expected value is the digest of the texts the printf("%g")
+  // renderer produced: every traffic number survives %g, so the
+  // round-trip renderer must not move a byte of them.
+  uint64_t traffic_digest = 14695981039346656037ull;
+  auto digest = [&traffic_digest](std::string_view bytes) {
+    for (unsigned char byte : bytes) {
+      traffic_digest ^= byte;
+      traffic_digest *= 1099511628211ull;
+    }
+  };
   int round_trips = 0;
   for (core::QopLevel spatial : levels) {
     for (core::QopLevel temporal : levels) {
@@ -334,8 +383,13 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
             request.color = color;
             request.audio = audio;
             request.security = security;
-            for (const ContentPredicate& content : contents) {
+            for (size_t c = 0; c < contents.size(); ++c) {
+              const ContentPredicate& content = contents[c];
               const std::string text = producer.ProduceText(content, request);
+              if (c < kTrafficContents) {
+                digest(text);
+                digest("\n");
+              }
               Result<ParsedQuery> parsed = ParseCopy(text);
               ASSERT_TRUE(parsed.ok())
                   << parsed.status().ToString() << "\n" << text;
@@ -354,7 +408,8 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
       }
     }
   }
-  EXPECT_EQ(round_trips, 81 * 3 * 3);
+  EXPECT_EQ(round_trips, 81 * 3 * 4);
+  EXPECT_EQ(traffic_digest, 0x4a7d1b42b698b29bull);
 
   core::QopRequest richest;
   richest.spatial = richest.temporal = richest.color = richest.audio =

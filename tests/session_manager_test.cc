@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "core/system.h"
@@ -249,10 +248,7 @@ TEST_F(MultiSiteSessionManagerTest, LookupFindsEverySession) {
     const SessionManager::Record* record = manager_.Find(ids[site]);
     ASSERT_NE(record, nullptr) << "site " << site;
     EXPECT_EQ(record->site, SiteId(site));
-    std::optional<SessionManager::Record> copy =
-        manager_.Snapshot(ids[site]);
-    ASSERT_TRUE(copy.has_value());
-    EXPECT_EQ(copy->content, LogicalOid(site));
+    EXPECT_EQ(record->content, LogicalOid(site));
   }
   ASSERT_TRUE(manager_.Pause(ids[3]).ok());
   ASSERT_TRUE(manager_.Resume(ids[3]).ok());
