@@ -198,7 +198,9 @@ class MediaDbSystem {
   /// Aborts a running session early, releasing its resources.
   Status CancelSession(SessionId session) QUASAQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return session_manager_.Cancel(session);
+    Status status = session_manager_.Cancel(session);
+    if (status.ok()) pool_telemetry_->Sample(simulator_->Now());
+    return status;
   }
 
   /// Mid-playback QoS change (QuaSAQ only): re-plans the session's
@@ -218,7 +220,9 @@ class MediaDbSystem {
   /// time stops accruing.
   Status PauseSession(SessionId session) QUASAQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return session_manager_.Pause(session);
+    Status status = session_manager_.Pause(session);
+    if (status.ok()) pool_telemetry_->Sample(simulator_->Now());
+    return status;
   }
 
   /// User action: resumes a paused session — effectively a
@@ -227,7 +231,9 @@ class MediaDbSystem {
   /// the stream; the session then stays paused.
   Status ResumeSession(SessionId session) QUASAQ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return session_manager_.Resume(session);
+    Status status = session_manager_.Resume(session);
+    if (status.ok()) pool_telemetry_->Sample(simulator_->Now());
+    return status;
   }
 
   /// A copy of the session's record, or nullopt for unknown sessions.
@@ -286,11 +292,13 @@ class MediaDbSystem {
   };
   ObservabilitySnapshot TakeObservabilitySnapshot() const;
 
-  /// Records one utilization sample per resource bucket at the current
-  /// sim time. The facade samples whenever utilization moves (session
-  /// start and completion); harnesses wanting a fixed cadence can call
-  /// this from a periodic simulator task, which runs on the simulator's
-  /// thread and so takes no lock.
+  /// Records at the current sim time the utilization of every resource
+  /// bucket that changed since its last recorded value (see
+  /// res::PoolTelemetry). The facade samples whenever utilization moves
+  /// (session start, renegotiation, cancel, pause, resume and
+  /// completion); harnesses wanting a fixed cadence can call this from a
+  /// periodic simulator task, which runs on the simulator's thread and
+  /// so takes no lock.
   void SampleResourceTelemetry();
 
  private:

@@ -48,8 +48,8 @@ class Parser {
   // A number literal that decodes to a finite double (the lexer decodes
   // one past the double range as infinity).
   Result<Token> ExpectFiniteNumber();
-  // A number literal naming a whole int (never negative: the grammar has
-  // no sign); `what` names the value in the diagnostics.
+  // A number literal naming a whole int (never negative: only SIMILAR
+  // features take a sign); `what` names the value in the diagnostics.
   Result<int> ExpectWholeNumber(std::string_view what);
   Result<TokenType> ExpectComparison();
 

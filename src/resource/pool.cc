@@ -9,15 +9,6 @@ namespace {
 // Capacities stay below 2^52 units, where every count is an exact
 // double and double(n) / double(R) is above 1 exactly when n > R.
 constexpr double kMaxCapacityUnits = 0x1p52;
-
-double Fill(int64_t units, int64_t capacity) {
-  return static_cast<double>(units) / static_cast<double>(capacity);
-}
-
-BucketId BucketAt(size_t slot) {
-  return BucketId{SiteId(static_cast<int64_t>(slot / kNumResourceKinds)),
-                  static_cast<ResourceKind>(slot % kNumResourceKinds)};
-}
 }  // namespace
 
 Status ResourcePool::DeclareBucket(const BucketId& bucket, double capacity) {
@@ -83,18 +74,6 @@ double ResourcePool::FractionalDemand(const ResourceVector& demand) const {
     total += Fill(e.units, state->capacity);
   }
   return total;
-}
-
-std::vector<std::pair<BucketId, double>> ResourcePool::UtilizationSnapshot()
-    const {
-  std::vector<std::pair<BucketId, double>> out;
-  out.reserve(buckets_.size());
-  for (size_t slot = 0; slot < buckets_.size(); ++slot) {
-    const BucketState& state = buckets_[slot];
-    if (state.capacity == 0) continue;
-    out.emplace_back(BucketAt(slot), Fill(state.used, state.capacity));
-  }
-  return out;
 }
 
 double ResourcePool::Capacity(const BucketId& bucket) const {
@@ -187,12 +166,12 @@ double ResourcePool::MaxUtilization() const {
 
 std::string ResourcePool::DebugString() const {
   std::string out;
-  for (const auto& [id, util] : UtilizationSnapshot()) {
+  ForEachFill([&out](size_t slot, double fill) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s=%.2f ",
-                  BucketIdToString(id).c_str(), util);
+                  BucketIdToString(BucketAt(slot)).c_str(), fill);
     out += buf;
-  }
+  });
   if (!out.empty()) out.pop_back();
   return out;
 }

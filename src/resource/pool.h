@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/resource_vector.h"
@@ -92,9 +91,22 @@ class ResourcePool {
            static_cast<size_t>(bucket.kind);
   }
 
-  /// (bucket, U_i / R_i) for every declared bucket in sorted id order
-  /// (telemetry's bulk Utilization).
-  std::vector<std::pair<BucketId, double>> UtilizationSnapshot() const;
+  /// The bucket at dense slot `slot` (Slot's inverse).
+  static BucketId BucketAt(size_t slot) {
+    return BucketId{SiteId(static_cast<int64_t>(slot / kNumResourceKinds)),
+                    static_cast<ResourceKind>(slot % kNumResourceKinds)};
+  }
+
+  /// Calls fn(slot, U_i / R_i) for every declared bucket in slot (so
+  /// sorted id) order, reading the fills in place (telemetry's bulk
+  /// Utilization).
+  template <typename Fn>
+  void ForEachFill(Fn&& fn) const {
+    for (size_t slot = 0; slot < buckets_.size(); ++slot) {
+      const BucketState& state = buckets_[slot];
+      if (state.capacity != 0) fn(slot, Fill(state.used, state.capacity));
+    }
+  }
 
   /// The highest utilization across all declared buckets (a cached
   /// scalar, kept current by Acquire and Release).
@@ -110,6 +122,10 @@ class ResourcePool {
     int64_t capacity = 0;
     int64_t used = 0;
   };
+
+  static double Fill(int64_t units, int64_t capacity) {
+    return static_cast<double>(units) / static_cast<double>(capacity);
+  }
 
   // The declared bucket's state, or nullptr when `bucket` is undeclared.
   const BucketState* Find(const BucketId& bucket) const;

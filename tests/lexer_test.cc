@@ -167,6 +167,39 @@ TEST(LexerTest, NumbersBeyondDoubleRangeDecodeLikeStrtod) {
   EXPECT_EQ(tokens[2].number, 1.0);
 }
 
+TEST(LexerTest, SignedNumbersOnlyInsideSimilarParentheses) {
+  const std::string huge(400, '9');
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  const std::string input =
+      "similar(-0.5, 7, -" + huge + ", -" + tiny + ", -12x3)";
+  auto tokens = MustTokenize(input);
+  ASSERT_EQ(tokens.size(), 14u);
+  EXPECT_EQ(tokens[2].type, TokenType::kNumber);
+  EXPECT_EQ(tokens[2].text, "-0.5");
+  EXPECT_EQ(tokens[2].number, -0.5);
+  EXPECT_EQ(tokens[2].position, 8u);
+  EXPECT_EQ(tokens[4].number, 7.0);
+  EXPECT_EQ(tokens[6].number, -HUGE_VAL);
+  EXPECT_EQ(tokens[8].number, 0.0);
+  EXPECT_TRUE(std::signbit(tokens[8].number));
+  // A signed digit run never starts a resolution literal.
+  EXPECT_EQ(tokens[10].type, TokenType::kNumber);
+  EXPECT_EQ(tokens[10].number, -12.0);
+  EXPECT_EQ(tokens[11].text, "x3");
+
+  // Outside that list, and for a '-' not directly before a digit, the
+  // sign stays an unexpected character.
+  for (const char* input :
+       {"-1", "framerate >= -5", "SIMILAR (0.1) TOP -3", "SIMILAR(- 0.5)",
+        "SIMILARITY(-0.5)", "TITLE(-0.5)", "SIMILAR(0.5, (-1))"}) {
+    Result<std::vector<Token>> failed = Tokenize(input);
+    ASSERT_FALSE(failed.ok()) << input;
+    EXPECT_NE(failed.status().message().find("unexpected character '-'"),
+              std::string::npos)
+        << input;
+  }
+}
+
 TEST(LexerTest, TokenTypeNames) {
   EXPECT_EQ(TokenTypeName(TokenType::kIdent), "identifier");
   EXPECT_EQ(TokenTypeName(TokenType::kResolution), "resolution");

@@ -304,6 +304,15 @@ TEST(ParserDiagnosticsTest, MessagesAreExact) {
        "unterminated string at offset 36"},
       {"SELECT v FROM videos WITH QOS (framerate > 20)",
        "expected '=' after '>' at offset 41"},
+      // Only a SIMILAR feature takes a sign.
+      {"SELECT v FROM videos WITH QOS (framerate >= -5)",
+       "unexpected character '-' at offset 44"},
+      {"SELECT v FROM videos WHERE SIMILAR(0.1) TOP -3",
+       "unexpected character '-' at offset 44"},
+      {"SELECT v FROM videos WHERE SIMILAR(- 0.5)",
+       "unexpected character '-' at offset 35"},
+      {"SELECT v FROM videos WHERE SIMILAR(0.5, -" + kBeyondDouble + ")",
+       "number out of range at offset 40 (got '-" + kBeyondDouble + "')"},
   };
   for (const Case& test_case : cases) {
     Result<ParsedQuery> parsed = ParseQuery(test_case.text);
@@ -339,9 +348,10 @@ bool SameQos(const QosRequirement& a, const QosRequirement& b) {
 // Every query the traffic generator can draw (81 QoP level combinations
 // x 3 security levels), with a title, a keyword and a similarity term,
 // renders to text that parses back to the same requirement and content,
-// and so does a similarity term whose features need all 17 significant
-// digits. Every prefix of one full query, and every substitution of one
-// of its bytes from a small alphabet, parses or is rejected as invalid.
+// and so do a similarity term whose features need all 17 significant
+// digits and one with negative features. Every prefix of one full query,
+// and every substitution of one of its bytes from a small alphabet,
+// parses or is rejected as invalid.
 TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
   const workload::TrafficGenerator traffic(workload::TrafficOptions(), 1,
                                            {SiteId(0)});
@@ -352,12 +362,14 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
   const media::SecurityLevel securities[] = {media::SecurityLevel::kNone,
                                              media::SecurityLevel::kStandard,
                                              media::SecurityLevel::kStrong};
-  std::vector<ContentPredicate> contents(4);
+  std::vector<ContentPredicate> contents(5);
   contents[0].title = "video07";
   contents[1].keywords = {"sunset"};
   contents[2].similar_to = std::vector<double>{0.1, 0.3, 0.7};
   contents[2].top_k = 3;
   contents[3].similar_to = std::vector<double>{0.123456789, 1.0 / 3.0};
+  contents[4].similar_to = std::vector<double>{-0.5, 0.25, -1.0 / 3.0, -0.0};
+  contents[4].top_k = 2;
   constexpr size_t kTrafficContents = 3;
 
   // FNV-1a (64-bit) over the traffic contents' texts, each followed by
@@ -408,7 +420,7 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
       }
     }
   }
-  EXPECT_EQ(round_trips, 81 * 3 * 4);
+  EXPECT_EQ(round_trips, 81 * 3 * 5);
   EXPECT_EQ(traffic_digest, 0x4a7d1b42b698b29bull);
 
   core::QopRequest richest;
@@ -418,7 +430,7 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
   ContentPredicate content;
   content.title = "video07";
   content.keywords = {"sunset"};
-  content.similar_to = std::vector<double>{0.25, 0.5};
+  content.similar_to = std::vector<double>{-0.25, 0.5};
   content.top_k = 3;
   const std::string text = producer.ProduceText(content, richest);
   auto parses_or_rejects = [](std::string_view mutant) {
@@ -431,7 +443,7 @@ TEST(ParserRoundTripTest, TrafficTextsRoundTripAndMutantsAreRejectedCleanly) {
         << text.substr(0, length);
   }
   for (size_t i = 0; i < text.size(); ++i) {
-    for (char byte : std::string_view("'x9.(> ")) {
+    for (char byte : std::string_view("'x9.(>- ")) {
       std::string mutant = text;
       mutant[i] = byte;
       EXPECT_TRUE(parses_or_rejects(mutant)) << mutant;

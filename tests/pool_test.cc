@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -252,17 +253,20 @@ double BruteForceMaxFill(const ResourcePool& pool,
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-// MaxUtilization() and UtilizationSnapshot() against the same scan.
+// MaxUtilization() and ForEachFill() against the same scan.
 void ExpectFillsMatchBruteForce(const ResourcePool& pool) {
   const std::vector<BucketId> buckets = pool.Buckets();
-  const auto snapshot = pool.UtilizationSnapshot();
-  ASSERT_EQ(snapshot.size(), buckets.size());
+  std::vector<std::pair<BucketId, double>> visited;
+  pool.ForEachFill([&visited](size_t slot, double fill) {
+    visited.emplace_back(ResourcePool::BucketAt(slot), fill);
+  });
+  ASSERT_EQ(visited.size(), buckets.size());
   double max_fill = 0.0;
   for (size_t i = 0; i < buckets.size(); ++i) {
     double fill = FillOf(pool, buckets[i], 0);
     max_fill = std::max(max_fill, fill);
-    EXPECT_EQ(snapshot[i].first, buckets[i]);
-    EXPECT_EQ(Bits(snapshot[i].second), Bits(fill))
+    EXPECT_EQ(visited[i].first, buckets[i]);
+    EXPECT_EQ(Bits(visited[i].second), Bits(fill))
         << BucketIdToString(buckets[i]);
   }
   EXPECT_EQ(Bits(pool.MaxUtilization()), Bits(max_fill));
