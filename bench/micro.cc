@@ -1,7 +1,7 @@
 // Micro-benchmarks of the substrate components: event queue throughput,
 // VBR frame generation, metadata catalog lookup, choice-table filtering,
-// plan-stream seeding, query parsing, content search, and resource-pool
-// operations.
+// plan-stream seeding, query parsing, content search, resource-pool
+// operations and utilization telemetry.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +27,7 @@
 #include "query/content_search.h"
 #include "query/parser.h"
 #include "resource/pool.h"
+#include "resource/telemetry.h"
 #include "simcore/simulator.h"
 
 namespace {
@@ -263,6 +264,46 @@ void BM_ResourcePoolAcquireRelease(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResourcePoolAcquireRelease);
+
+// Utilization telemetry at the wide workload's 16 sites (80 buckets):
+// an admission's 3-bucket acquire, a sample, its release, a sample. The
+// registry is rebuilt untimed every 4096 iterations, so no gauge history
+// reaches Gauge::kMaxHistory and every recorded point is a real append.
+void BM_PoolTelemetrySample(benchmark::State& state) {
+  constexpr int kSites = 16;
+  constexpr int kResetEvery = 4096;
+  res::ResourcePool pool;
+  for (int site = 0; site < kSites; ++site) {
+    for (int kind = 0; kind < kNumResourceKinds; ++kind) {
+      Status declared = pool.DeclareBucket(
+          {SiteId(site), static_cast<ResourceKind>(kind)}, 1000.0);
+      if (!declared.ok()) std::abort();
+    }
+  }
+  ResourceVector demand;
+  demand.Add({SiteId(7), ResourceKind::kCpu}, 1.0);
+  demand.Add({SiteId(7), ResourceKind::kNetworkBandwidth}, 10.0);
+  demand.Add({SiteId(7), ResourceKind::kDiskBandwidth}, 10.0);
+  std::unique_ptr<obs::MetricsRegistry> registry;
+  std::unique_ptr<res::PoolTelemetry> telemetry;
+  SimTime now = 0;
+  int until_reset = 0;
+  for (auto _ : state) {
+    if (until_reset-- == 0) {
+      state.PauseTiming();
+      telemetry.reset();
+      registry = std::make_unique<obs::MetricsRegistry>();
+      telemetry = std::make_unique<res::PoolTelemetry>(&pool, registry.get());
+      until_reset = kResetEvery - 1;
+      state.ResumeTiming();
+    }
+    if (!pool.Acquire(demand).ok()) std::abort();
+    telemetry->Sample(++now);
+    if (!pool.Release(demand).ok()) std::abort();
+    telemetry->Sample(++now);
+  }
+}
+BENCHMARK(BM_PoolTelemetrySample);
 
 // Observability substrate: these bound what the instrumentation added
 // to the delivery pipeline can cost per event.
